@@ -2,12 +2,13 @@
 
 Two nested models share one parameter set:
 
-* ``beta = 0`` — the constant-rate stochastic-volatility model, priced by a
-  closed-form characteristic function;
+* ``beta = 0`` — the constant-rate stochastic-volatility model;
 * ``beta > 0`` — the stochastic-rate extension, whose discount bond
-  B(tau, v) = F(tau)*exp(G(tau)*v) is closed form while the
-  characteristic-function coefficients come from numerically integrated
-  complex Riccati equations.
+  B(tau, v) = F(tau)*exp(G(tau)*v) is closed form.
+
+Both price through one closed-form affine characteristic function
+(:mod:`svsir.heston_cf`).  The time-dependent Riccati system of the
+forward measure (:mod:`svsir.riccati`) is kept as a numerical oracle for it.
 
 Every semi-analytic price is validated against a Monte Carlo oracle
 (:mod:`svsir.mc`); the ``verify`` CLI subcommand runs that comparison.

@@ -38,8 +38,7 @@ from .model import (
     OptionSpec,
     validate,
 )
-from .pricer import PRICING_ODE_TOL, price_sir
-from .riccati import ToleranceSpec
+from .pricer import price_sir
 
 PRICE_COLUMNS = ("model_tag", "S", "K", "tau", "v0", "price", "r1", "r2", "bond", "err_estimate")
 VERIFY_COLUMNS = ("model_tag", "S", "K", "tau", "v0", "price", "mc_mean", "mc_se", "z")
@@ -101,7 +100,6 @@ class RunConfig:
     strikes: tuple[float, ...]
     maturities: tuple[float, ...]
     quad: QuadratureSpec
-    ode_tol: ToleranceSpec
     mc: McConfig | None
     out_format: str
 
@@ -149,11 +147,6 @@ def build_run_config(
         phi_max=float(quad_raw.get("phi_max", 1e4)),  # type: ignore[arg-type]
         max_subdivisions=int(quad_raw.get("max_subdivisions", 2048)),  # type: ignore[arg-type]
     )
-    ode_raw = sections.get("ode", {})
-    ode_tol = ToleranceSpec(
-        rel=float(ode_raw.get("rel_tol", PRICING_ODE_TOL.rel)),  # type: ignore[arg-type]
-        abs=float(ode_raw.get("abs_tol", PRICING_ODE_TOL.abs)),  # type: ignore[arg-type]
-    )
 
     mc_cfg: McConfig | None = None
     if "mc" in sections:
@@ -183,7 +176,6 @@ def build_run_config(
         strikes=tuple(sorted(strikes)),
         maturities=tuple(sorted(maturities)),
         quad=quad,
-        ode_tol=ode_tol,
         mc=mc_cfg,
         out_format=out_format,
     )
@@ -218,7 +210,7 @@ def _price_rows(run: RunConfig) -> list[dict[str, object]]:
         for strike in run.strikes:
             opt = OptionSpec(strike=strike, kind=OptionKind.CALL)
             try:
-                res = price_sir(run.params, state, opt, run.quad, run.ode_tol)
+                res = price_sir(run.params, state, opt, run.quad)
             except NumericalError as exc:
                 raise NumericalError(f"at K={strike}, tau={tau}: {exc}") from exc
             rows.append(
@@ -239,12 +231,7 @@ def _price_rows(run: RunConfig) -> list[dict[str, object]]:
 
 
 def cmd_price(args: argparse.Namespace) -> int:
-    run = load_run_config(
-        args.config,
-        seed_override=args.seed,
-        tol_override=args.tol,
-        format_override=args.output,
-    )
+    run = load_run_config(args.config, tol_override=args.tol, format_override=args.output)
     rows = _price_rows(run)
     _emit(rows, PRICE_COLUMNS, run.out_format)
     return 0
@@ -281,50 +268,27 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     if run.mc is None:
         raise ConfigError(f"{args.config}: verify requires an [mc] section")
-    rows = []
+    rows = _price_rows(run)
     worst = 0.0
-    point = 0
-    for tau in run.maturities:
-        state = MarketState(spot=run.spot, variance=run.variance, tau=tau)
-        for strike in run.strikes:
-            opt = OptionSpec(strike=strike, kind=OptionKind.CALL)
-            try:
-                res = price_sir(run.params, state, opt, run.quad, run.ode_tol)
-            except NumericalError as exc:
-                raise NumericalError(f"at K={strike}, tau={tau}: {exc}") from exc
-            cfg = dataclasses.replace(run.mc, seed=run.mc.seed + point)
-            est = simulate_price(run.params, state, opt, cfg)
-            diff = res.price - est.mean
-            if est.std_error == 0.0:
-                z = 0.0 if abs(diff) < 1e-9 else math.copysign(math.inf, diff)
-            else:
-                z = diff / est.std_error
-            worst = max(worst, abs(z))
-            rows.append(
-                {
-                    "model_tag": res.model_tag,
-                    "S": run.spot,
-                    "K": strike,
-                    "tau": tau,
-                    "v0": run.variance,
-                    "price": res.price,
-                    "mc_mean": est.mean,
-                    "mc_se": est.std_error,
-                    "z": z,
-                }
-            )
-            point += 1
+    # rows run maturities outer, strikes inner: point i draws MC seed + i
+    for point, row in enumerate(rows):
+        state = MarketState(spot=run.spot, variance=run.variance, tau=row["tau"])
+        opt = OptionSpec(strike=row["K"], kind=OptionKind.CALL)
+        cfg = dataclasses.replace(run.mc, seed=run.mc.seed + point)
+        est = simulate_price(run.params, state, opt, cfg)
+        diff = row["price"] - est.mean
+        if est.std_error == 0.0:
+            z = 0.0 if abs(diff) < 1e-9 else math.copysign(math.inf, diff)
+        else:
+            z = diff / est.std_error
+        worst = max(worst, abs(z))
+        row.update(mc_mean=est.mean, mc_se=est.std_error, z=z)
     _emit(rows, VERIFY_COLUMNS, run.out_format)
     return 0 if worst <= 3.0 else 4
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    run = load_run_config(
-        args.config,
-        seed_override=args.seed,
-        tol_override=args.tol,
-        format_override=args.output,
-    )
+    run = load_run_config(args.config, tol_override=args.tol, format_override=args.output)
     if args.param not in _MODEL_KEYS:
         raise ConfigError(f"sweep param must be one of {sorted(set(_MODEL_KEYS))}, got {args.param!r}")
     field = _MODEL_KEYS[args.param]
@@ -352,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to a sectioned key=value config file")
         p.add_argument("--output", choices=("csv", "json"), default=None, help="output format override")
-        p.add_argument("--seed", type=int, default=None, help="Monte Carlo seed override")
         p.add_argument("--tol", type=float, default=None, help="quadrature abs_tol override")
 
     p_price = sub.add_parser("price", help="price the configured strike/maturity grid")
@@ -374,6 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="z-score semi-analytic prices against Monte Carlo")
     add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=None, help="Monte Carlo seed override")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="re-price the grid while sweeping one model parameter")

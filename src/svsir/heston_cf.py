@@ -1,28 +1,43 @@
-"""Closed-form characteristic-function coefficients for the constant-rate model.
+"""Closed-form characteristic functions for every beta.
 
-The log-spot characteristic function under measure j in {1, 2} is
+With r = mu + beta*v the triple (ln S, v, Int r) is a time-homogeneous affine
+process, so
 
-    f_j(x, v, tau; phi) = exp(C(tau, phi) + D(tau, phi)*v + i*phi*x),
+    Psi(u) = E[exp(-Int_0^tau r dt) * S_T^{i*u}] = S^{i*u} * exp(A(tau, u) + D(tau, u)*v)
 
-with the coefficient table
+for complex u, where (A, D) solve Riccati equations with constant
+coefficients,
 
-    zeta_1 = +1/2, zeta_2 = -1/2, a = kappa*theta,
+    dD/dtau = sigma^2/2 * D^2 - b*D + c,   dA/dtau = mu*(i*u - 1) + kappa*theta*D,
+
+    b = alpha - i*u*rho_sv*sigma,   c = -(u^2 + i*u)/2 + beta*(i*u - 1),
+
+alpha = kappa + lam, A(0) = D(0) = 0.  Writing d = sqrt(b^2 - 2*sigma^2*c) and
+h = (b - d)/(b + d),
+
+    A = mu*(i*u - 1)*tau + kappa*theta/sigma^2 * [ (b - d)*tau
+            - 2*ln( (1 - h*exp(-d*tau)) / (1 - h) ) ],
+    D = (b - d)/sigma^2 * (1 - exp(-d*tau)) / (1 - h*exp(-d*tau)).
+
+This is the "little trap" rearrangement (Albrecher et al. 2007): the principal
+square root gives Re(d) >= 0, so exp(-d*tau) stays bounded and the complex
+log stays continuous in tau for all maturities (no 2*pi*i jumps).  It is
+algebraically identical to the textbook form written with g = 1/h and
+exp(+d*tau); the tests verify both the identity and the continuity.
+
+The exercise probabilities of the price decomposition invert
+
+    f_1(phi) = Psi(phi - i) / S   (stock measure),
+    f_2(phi) = Psi(phi) / B       (tau-forward measure, B the discount bond).
+
+At beta = 0 these are the constant-rate characteristic functions
+f_j = exp(C + D*v + i*phi*x) at log-spot x = ln S with the coefficient table
+
+    zeta_1 = +1/2, zeta_2 = -1/2,
     b_1 = kappa + lam - rho_sv*sigma,  b_2 = kappa + lam,
 
-and, writing bb = b_j - rho_sv*sigma*phi*i,
-
-    d = sqrt(bb^2 - sigma^2*(2*zeta_j*phi*i - phi^2)),
-    C = r0*phi*i*tau + a/sigma^2 * [ (bb - d)*tau
-            - 2*ln( (1 - h*exp(-d*tau)) / (1 - h) ) ],
-    D = (bb - d)/sigma^2 * (1 - exp(-d*tau)) / (1 - h*exp(-d*tau)),
-    h = (bb - d)/(bb + d).
-
-This is the rearrangement that keeps the principal complex log continuous in
-tau for all maturities (no 2*pi*i jumps): the principal square root gives
-Re(d) >= 0, so exp(-d*tau) stays bounded and the log argument never winds
-around the cut.  It is algebraically identical to the textbook form written
-with g = 1/h and exp(+d*tau); the tests verify both the identity and the
-continuity.
+and C = r0*phi*i*tau + (A without its rate term), which :func:`cd_arrays`,
+:func:`closed_form_cd` and :func:`characteristic_fn` return.
 """
 from __future__ import annotations
 
@@ -58,31 +73,50 @@ def _check_j(j: int) -> None:
         raise InvalidParameter(f"j: measure index must be 1 or 2, got {j}")
 
 
-def cd_arrays(params: ModelParams, r0: float, tau, phi, j: int):
-    """Vectorised (C, D) over broadcastable ``tau`` and real ``phi`` arrays.
+def affine_cd(params: ModelParams, tau, u):
+    """Vectorised (A, D) of Psi(u) over broadcastable ``tau`` and complex ``u``.
 
-    phi = 0 is a removable singularity of h and is special-cased to the
-    analytic limit C = D = 0.
+    Valid for every beta >= 0.  Singular only where b + d = 0, which on the
+    pricing contours u = phi and u = phi - i (real phi) needs phi = 0 and
+    b_1 < 0; :func:`cd_arrays` special-cases that point.
+    """
+    tau = np.asarray(tau, dtype=float)
+    u = np.asarray(u, dtype=complex)
+    sigma2 = params.sigma * params.sigma
+    iu = 1j * u
+
+    b = params.alpha - iu * params.rho_sv * params.sigma
+    c = -0.5 * (u * u + iu) + params.beta * (iu - 1.0)
+    d = np.sqrt(b * b - 2.0 * sigma2 * c)
+    h = (b - d) / (b + d)
+    e = np.exp(-d * tau)
+    log_term = np.log((1.0 - h * e) / (1.0 - h))
+    a_val = params.mu * (iu - 1.0) * tau + (params.kappa * params.theta / sigma2) * (
+        (b - d) * tau - 2.0 * log_term
+    )
+    d_val = (b - d) / sigma2 * (1.0 - e) / (1.0 - h * e)
+    return a_val, d_val
+
+
+def cd_arrays(params: ModelParams, r0: float, tau, phi, j: int):
+    """Vectorised (C, D) over broadcastable ``tau`` and real ``phi``.
+
+    (C, D) are (A, D) at u_1 = phi - i or u_2 = phi with the rate term
+    mu*(i*u_j - 1)*tau of A swapped for r0*phi*i*tau; at beta = 0 they are
+    the constant-rate coefficients with short rate r0.  phi = 0 is a
+    removable singularity of h and is special-cased to the analytic limit
+    C = D = 0.
     """
     _check_j(j)
     tau = np.asarray(tau, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    sigma = params.sigma
-    sigma2 = sigma * sigma
-    a = params.kappa * params.theta
-    bj = b_coeff(params, j)
-    zj = zeta(j)
 
     at_zero = phi == 0.0
     phi_safe = np.where(at_zero, 1.0, phi)
-
-    bb = bj - params.rho_sv * sigma * phi_safe * 1j
-    d = np.sqrt(bb * bb - sigma2 * (2.0 * zj * phi_safe * 1j - phi_safe * phi_safe))
-    h = (bb - d) / (bb + d)
-    e = np.exp(-d * tau)
-    log_term = np.log((1.0 - h * e) / (1.0 - h))
-    c_val = r0 * phi_safe * 1j * tau + (a / sigma2) * ((bb - d) * tau - 2.0 * log_term)
-    d_val = (bb - d) / sigma2 * (1.0 - e) / (1.0 - h * e)
+    a_val, d_val = affine_cd(params, tau, phi_safe - 1j if j == 1 else phi_safe)
+    c_val = a_val + (r0 - params.mu) * phi_safe * 1j * tau
+    if j == 2:
+        c_val = c_val + params.mu * tau
 
     zero = np.zeros(np.broadcast(tau, phi).shape, dtype=complex)
     c_val = np.where(at_zero, zero, c_val)

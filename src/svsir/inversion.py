@@ -1,11 +1,11 @@
 """Fourier inversion of characteristic functions into exercise probabilities.
 
-Both pricing routes need the pair
+The pricer needs the pair
 
     R_j = 1/2 + (1/pi) * Integral_0^inf Re[ exp(-i*phi*ln K) * f_j(phi) / (i*phi) ] dphi,
 
-where f_j is supplied by a provider (closed form for the constant-rate model,
-Riccati-integrated for the stochastic-rate one).  The integrand has a
+where f_j is supplied by a provider (the closed-form affine characteristic
+function of :mod:`svsir.heston_cf` for every beta).  The integrand has a
 removable singularity at phi = 0 (the 1/(i*phi) pole is purely imaginary
 there) and is integrated by adaptive Gauss-Kronrod 7(15) panels on
 [PHI_MIN, phi_max]:

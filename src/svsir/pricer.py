@@ -1,17 +1,18 @@
 """European option prices for the constant-rate and stochastic-rate models.
 
-Both models price through the same decomposition
+Every beta >= 0 prices through one decomposition
 
     call = S * R_1 - K * B * R_2,
 
-with B the discount bond and R_j the exercise probabilities from
-:mod:`svsir.inversion`.  The constant-rate route (beta = 0) uses the closed
-form characteristic function at log-spot x = ln S with discount exp(-mu*tau);
-the stochastic-rate route uses the Riccati-integrated one at forward
-log-moneyness x = ln(S / B(tau, v)), so that exp(x)*B = S and the discounting
-lives entirely in the bond leg.  The bond and the characteristic function
-share one parameter set: the lam entering the bond is the same risk-premium
-constant entering b_j.
+with B the discount bond of :mod:`svsir.bond` and R_j the exercise
+probabilities from :mod:`svsir.inversion`.  The probabilities invert the
+closed-form characteristic functions f_1 = Psi(phi - i)/S and
+f_2 = Psi(phi)/B of :mod:`svsir.heston_cf`, anchored at forward log-moneyness
+x = ln(S / B(tau, v)), so that exp(x)*B = S and the discounting lives
+entirely in the bond leg.  At beta = 0 the bond is exp(-mu*tau) and the
+route reduces to the constant-rate model.  The bond and the characteristic
+function share one parameter set: the lam entering the bond is the same
+risk-premium constant entering b.
 
 Puts come from parity, put = call - S + K*B, which is exact by construction.
 """
@@ -22,21 +23,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bond, heston_cf, riccati
+from . import bond, heston_cf
 from .inversion import CfProvider, ProbabilityPair, QuadratureSpec, gil_pelaez
 from .model import InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec, validate
 
 MODEL_HESTON = "heston"
 MODEL_SIR = "sir_heston"
-
-# Riccati tolerances used for pricing: tighter than the solver default so the
-# model-nesting identity (beta -> 0 equals the closed form) holds to 1e-6 in
-# price units.
-PRICING_ODE_TOL = riccati.ToleranceSpec(rel=1e-10, abs=1e-12)
-
-# ODE batches are chunked to bounded width; frequencies are sorted first so a
-# chunk shares a comparable step-size scale.
-_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -56,35 +48,17 @@ def _decay_proxy(params: ModelParams, state: MarketState) -> float:
     return state.tau * state.variance + 0.5 * params.kappa * params.theta * state.tau**2
 
 
-def _heston_provider(params: ModelParams, state: MarketState) -> CfProvider:
-    x = math.log(state.spot)
+def _provider(params: ModelParams, state: MarketState, log_bond: float) -> CfProvider:
+    log_spot = math.log(state.spot)
     v = state.variance
     tau = state.tau
 
     def eval_fn(j: int, phi: np.ndarray) -> np.ndarray:
-        return heston_cf.characteristic_fn(params, params.mu, x, v, tau, phi, j)
-
-    return CfProvider(eval=eval_fn, decay_proxy=_decay_proxy(params, state))
-
-
-def _sir_provider(
-    params: ModelParams,
-    state: MarketState,
-    x: float,
-    tol: riccati.ToleranceSpec,
-) -> CfProvider:
-    v = state.variance
-    tau = state.tau
-
-    def eval_fn(j: int, phi: np.ndarray) -> np.ndarray:
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        order = np.argsort(phi)
-        out = np.empty(phi.size, dtype=complex)
-        for start in range(0, phi.size, _CHUNK):
-            idx = order[start : start + _CHUNK]
-            c_vals, d_vals, _ = riccati.integrate_cd_batch(params, tau, phi[idx], j, tol)
-            out[idx] = np.exp(c_vals + d_vals * v + 1j * phi[idx] * x)
-        return out
+        # f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B, formed in log space
+        phi = np.asarray(phi, dtype=float)
+        a_val, d_val = heston_cf.affine_cd(params, tau, phi - 1j if j == 1 else phi)
+        log_norm = 0.0 if j == 1 else log_bond
+        return np.exp(a_val + d_val * v + 1j * phi * log_spot - log_norm)
 
     return CfProvider(eval=eval_fn, decay_proxy=_decay_proxy(params, state))
 
@@ -117,16 +91,11 @@ def price_heston(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> PriceResult:
     """Semi-analytic price in the constant-rate model (requires beta = 0)."""
-    validate(params)
     if params.beta != 0.0:
         raise InvalidParameter(
             f"beta: price_heston requires beta = 0, got {params.beta}; use price_sir"
         )
-    disc = math.exp(-params.mu * state.tau)
-    bond_value = bond.BondValue(price=disc, f_factor=disc, g_factor=0.0)
-    provider = _heston_provider(params, state)
-    pair = gil_pelaez(provider, math.log(state.spot), math.log(opt.strike), quad)
-    return _assemble(state, opt, bond_value, pair, MODEL_HESTON)
+    return price_sir(params, state, opt, quad)
 
 
 def price_sir(
@@ -134,21 +103,19 @@ def price_sir(
     state: MarketState,
     opt: OptionSpec,
     quad: QuadratureSpec = QuadratureSpec(),
-    ode_tol: riccati.ToleranceSpec = PRICING_ODE_TOL,
 ) -> PriceResult:
-    """Semi-analytic price in the stochastic-rate model (beta > 0).
+    """Semi-analytic price for every beta >= 0.
 
-    beta = 0 delegates to :func:`price_heston`.  The same current variance v
-    drives both the bond leg and the characteristic function.
+    The same current variance v drives both the bond leg and the
+    characteristic function; beta = 0 is tagged as the constant-rate model.
     """
     validate(params)
-    if params.beta == 0.0:
-        return price_heston(params, state, opt, quad)
     bond_value = bond.bond_price(params, state.variance, state.tau)
+    provider = _provider(params, state, math.log(bond_value.price))
     x = math.log(state.spot / bond_value.price)
-    provider = _sir_provider(params, state, x, ode_tol)
     pair = gil_pelaez(provider, x, math.log(opt.strike), quad)
-    return _assemble(state, opt, bond_value, pair, MODEL_SIR)
+    tag = MODEL_SIR if params.beta != 0.0 else MODEL_HESTON
+    return _assemble(state, opt, bond_value, pair, tag)
 
 
 def put_from_parity(call: PriceResult, state: MarketState, opt: OptionSpec) -> PriceResult:

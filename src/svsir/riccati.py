@@ -1,8 +1,11 @@
 """Numerical integration of the complex Riccati system for the stochastic-rate model.
 
-With stochastic rates the bond volatility sigma*G(tau) makes the
-characteristic-function coefficients time dependent, and the Riccati equation
-no longer has a closed form.  In forward log-moneyness x = ln(S / B(t, T))
+This module is the numerical oracle for the closed-form characteristic
+function of :mod:`svsir.heston_cf`, which is what prices use.  Under the
+tau-forward measure the bond volatility sigma*G(tau) makes the
+characteristic-function coefficients time dependent, so this system has no
+closed form of its own (the closed form lives in the time-homogeneous
+variables (ln S, v, Int r)).  In forward log-moneyness x = ln(S / B(t, T))
 the coefficients of f_j = exp(C + D*v + i*phi*x) solve, in time to maturity
 tau' from 0 to tau,
 
@@ -19,16 +22,18 @@ where
 
 The coefficients are evaluated at the integration variable's own time to
 maturity (same clock as the bond), which is what makes the assembled f_j
-satisfy the pricing PDE; at beta = 0 (G identically 0) the system reduces
+satisfy the pricing PDE.  For every beta the assembled f_j must equal the
+closed forms Psi(phi - i)/S (j = 1) and Psi(phi)/B (j = 2) of
+:mod:`svsir.heston_cf`; at beta = 0 (G identically 0) the system reduces
 exactly to the constant-rate coefficient table and the integrated (C, D)
-must match the closed form of :mod:`svsir.heston_cf`.
+must match that module's constant-rate (C, D).
 
 No discount term appears in C: discounting lives in the bond factor of the
 price decomposition, absorbed by the x variable.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step control,
-batched over many phi values at once so the quadrature layer can evaluate a
-whole panel of frequencies per solve.
+batched over many phi values at once so a whole set of frequencies shares
+one solve.
 """
 from __future__ import annotations
 

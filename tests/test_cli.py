@@ -175,6 +175,17 @@ def test_verify_seed_override_changes_mc(tmp_path, capsys):
     assert first != second
 
 
+def test_seed_flag_only_on_verify(tmp_path, capsys):
+    # price and sweep never simulate, so they take no Monte Carlo seed
+    cfg = write_config(tmp_path)
+    for argv in (["price", "--config", cfg, "--seed", "1"],
+                 ["sweep", "--config", cfg, "--param", "beta", "--values", "0", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_sweep_over_beta(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--param", "beta", "--values", "0,0.5,1"]) == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,14 +7,18 @@ from hypothesis import given, settings, strategies as st
 from conftest import draw_params
 from svsir import (
     InvalidParameter,
+    MarketState,
     ModelParams,
     StepSizeUnderflow,
     ToleranceSpec,
+    bond_price,
     closed_form_cd,
     integrate_cd,
     integrate_cd_batch,
     sir_characteristic_fn,
 )
+from svsir.heston_cf import affine_cd
+from svsir.pricer import _provider
 from svsir.riccati import SirCoefficients
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
@@ -195,3 +201,35 @@ def test_assembled_cf_satisfies_pricing_pde():
             - f_tau
         )
         assert abs(residual) < 1e-4
+
+
+def test_closed_form_matches_riccati_over_box():
+    # the pricer's closed-form f_1 = Psi(phi - i)/S, f_2 = Psi(phi)/B against
+    # the forward-measure Riccati oracle at x = ln(S/B), out to tau = 30 with
+    # both signs of rho_sv; Im A on u = phi - i must stay free of branch jumps
+    # (Lord & Kahl) and Psi(0) must be the discount bond
+    rng = np.random.default_rng(112)
+    taus = (0.25, 5.0, 30.0)
+    phis = np.array([0.05, 0.5, 2.0, 7.0, 20.0, 50.0, 100.0])
+    grid = np.arange(0.0, 30.0 + 1e-3, 1e-3)
+    tol = ToleranceSpec(rel=1e-10, abs=1e-12)
+    spot, v = 100.0, 0.04
+    rhos = []
+    for _ in range(20):
+        p = draw_params(rng, beta=rng.uniform(0.25, 2.0))
+        rhos.append(p.rho_sv)
+        bonds = [bond_price(p, v, tau).price for tau in taus]
+        for j in (1, 2):
+            c_chk, d_chk, _ = integrate_cd_batch(p, taus[-1], phis, j, tol, checkpoints=taus)
+            for tau, b, c_ode, d_ode in zip(taus, bonds, c_chk, d_chk):
+                f_ode = np.exp(c_ode + d_ode * v + 1j * phis * math.log(spot / b))
+                state = MarketState(spot=spot, variance=v, tau=tau)
+                f_cf = _provider(p, state, math.log(b)).eval(j, phis)
+                assert np.max(np.abs(f_cf - f_ode)) < 1e-9, (p, tau, j)
+        for phi in phis:
+            a_path, _ = affine_cd(p, grid, phi - 1j)
+            assert np.max(np.abs(np.diff(a_path.imag))) < 1.0, (p, phi)
+        for tau, b in zip(taus, bonds):
+            a0, d0 = affine_cd(p, tau, 0.0)
+            assert complex(np.exp(a0 + d0 * v)) == pytest.approx(b, rel=1e-12, abs=0.0)
+    assert min(rhos) < 0.0 < max(rhos)
