@@ -8,10 +8,14 @@ verify  compare semi-analytic prices against Monte Carlo, z-score each point
 sweep   re-price the grid while sweeping one model parameter over values
 
 Config files are flat sectioned key = value text where every value parses as
-JSON (numbers, strings in quotes, [lists]); see configs/example.cfg.  All
-blocks are validated before any computation starts; nothing is printed until
-a command has finished successfully, so a failing run leaves no partial
-output.
+JSON (numbers, strings in quotes, [lists]); see configs/example.cfg.  The
+``SCHEMA`` table names every section and key with its parser and default
+(``None``: required).  Unknown sections or keys, duplicate keys (``lambda`` is
+``lam``), bools or strings for numbers and non-integral integers exit 2.
+``--tol``, ``--output`` and ``--seed`` overwrite ``[quadrature] abs_tol``,
+``[output] format`` and ``[mc] seed`` before that one validation pass, which
+runs before any computation.  stdout is written only once a command has
+succeeded; model warnings (Feller) go to stderr as ``warning: ...``.
 
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical failure
 (step-size underflow, non-decaying tail), with the failing point on stderr;
@@ -25,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from . import bond as bond_mod
 from .inversion import QuadratureSpec
@@ -44,16 +49,8 @@ PRICE_COLUMNS = ("model_tag", "S", "K", "tau", "v0", "price", "r1", "r2", "bond"
 VERIFY_COLUMNS = ("model_tag", "S", "K", "tau", "v0", "price", "mc_mean", "mc_se", "z")
 BOND_COLUMNS = ("tau", "F", "G", "B")
 
-_MODEL_KEYS = {
-    "kappa": "kappa",
-    "theta": "theta",
-    "sigma": "sigma",
-    "lambda": "lam",
-    "lam": "lam",
-    "rho_sv": "rho_sv",
-    "mu": "mu",
-    "beta": "beta",
-}
+MODEL_FIELDS = tuple(field.name for field in dataclasses.fields(ModelParams))
+MODEL_ALIASES = {"lambda": "lam"}
 
 
 class ConfigError(InvalidParameter):
@@ -64,10 +61,52 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str, object]]:
+def _number(value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {json.dumps(value)}")
+    return float(value)
+
+
+def _integer(value: Any) -> int:
+    if not _number(value).is_integer():
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
+
+
+def _sorted_numbers(value: Any) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"expected a non-empty [list] of numbers, got {json.dumps(value)}")
+    return tuple(sorted(_number(item) for item in value))
+
+
+def _format(value: Any) -> str:
+    if value not in ("csv", "json"):
+        raise ValueError(f'expected "csv" or "json", got {json.dumps(value)}')
+    return value
+
+
+# section -> key -> (parser of the JSON value, default); default None = required
+SCHEMA: dict[str, dict[str, tuple[Callable[[Any], Any], Any]]] = {
+    "model": {name: (_number, None) for name in MODEL_FIELDS},
+    "market": {"spot": (_number, None), "variance": (_number, None)},
+    "grid": {"strikes": (_sorted_numbers, None), "maturities": (_sorted_numbers, None)},
+    "quadrature": {"abs_tol": (_number, 1e-9), "phi_max": (_number, 1e4), "max_subdivisions": (_integer, 2048)},
+    "mc": {"n_paths": (_integer, None), "n_steps_per_year": (_integer, 250), "seed": (_integer, 0)},
+    "output": {"format": (_format, "csv")},
+}
+
+
+def _checked(parse: Callable[[Any], Any], value: Any, where: str) -> Any:
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str, Any]]:
     """Parse sectioned ``key = value`` text with JSON-compatible values."""
-    sections: dict[str, dict[str, object]] = {}
-    current: dict[str, object] | None = None
+    sections: dict[str, dict[str, Any]] = {}
+    current: dict[str, Any] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -82,11 +121,13 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, dict[str
             raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
         if current is None:
             raise ConfigError(f"{origin}:{lineno}: key outside of any [section]")
-        key, _, value = line.partition("=")
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in current:
+            raise ConfigError(f"{origin}:{lineno}: [{name}] key {key!r} given twice")
         try:
-            current[key.strip()] = json.loads(value.strip())
+            current[key] = json.loads(value)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{origin}:{lineno}: value is not valid JSON: {value.strip()!r}") from exc
+            raise ConfigError(f"{origin}:{lineno}: value is not valid JSON: {value!r}") from exc
     return sections
 
 
@@ -104,90 +145,75 @@ class RunConfig:
     out_format: str
 
 
-def _require(section: dict[str, object], key: str, origin: str) -> object:
-    if key not in section:
-        raise ConfigError(f"{origin}: missing key {key!r}")
-    return section[key]
-
-
-def build_run_config(
-    sections: dict[str, dict[str, object]],
-    origin: str = "<config>",
-    seed_override: int | None = None,
-    tol_override: float | None = None,
-    format_override: str | None = None,
-) -> RunConfig:
-    if "model" not in sections:
-        raise ConfigError(f"{origin}: missing [model] section")
-    model_raw = sections["model"]
-    fields: dict[str, float] = {}
-    for key, value in model_raw.items():
-        if key not in _MODEL_KEYS:
-            raise ConfigError(f"{origin}: unknown model key {key!r}")
-        fields[_MODEL_KEYS[key]] = float(value)  # type: ignore[arg-type]
-    missing = {"kappa", "theta", "sigma", "lam", "rho_sv", "mu", "beta"} - set(fields)
+def _section(sections: dict[str, dict[str, Any]], name: str, origin: str) -> dict[str, Any]:
+    """Every key of ``SCHEMA[name]``, parsed from ``sections[name]`` or defaulted."""
+    where = f"{origin} [{name}]"
+    spec = SCHEMA[name]
+    raw, given = sections.get(name, {}), {}
+    for key, value in raw.items():
+        field = MODEL_ALIASES.get(key, key)
+        if field not in spec:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        if field in given:
+            names = [k for k in raw if MODEL_ALIASES.get(k, k) == field]
+            raise ConfigError(f"{where}: key {field!r} given twice, as {' and '.join(names)}")
+        given[field] = _checked(spec[field][0], value, f"{where} {key}")
+    missing = [key for key, (_, default) in spec.items() if default is None and key not in given]
     if missing:
-        raise ConfigError(f"{origin}: [model] missing {sorted(missing)}")
-    params = ModelParams(**fields)
+        raise ConfigError(f"{where}: missing keys {missing}")
+    return {key: given.get(key, default) for key, (_, default) in spec.items()}
+
+
+def build_run_config(sections: dict[str, dict[str, Any]], origin: str = "<config>") -> RunConfig:
+    for name in sections:
+        if name not in SCHEMA:
+            raise ConfigError(f"{origin}: unknown section [{name}]")
+    params = ModelParams(**_section(sections, "model", origin))
     validate(params)
+    market = _section(sections, "market", origin)
+    grid = _section(sections, "grid", origin)
+    quad = QuadratureSpec(**_section(sections, "quadrature", origin))
+    mc_cfg = McConfig(**_section(sections, "mc", origin)) if "mc" in sections else None
+    out_format = _section(sections, "output", origin)["format"]
 
-    market = sections.get("market", {})
-    spot = float(_require(market, "spot", origin + " [market]"))  # type: ignore[arg-type]
-    variance = float(_require(market, "variance", origin + " [market]"))  # type: ignore[arg-type]
-
-    grid = sections.get("grid", {})
-    strikes = tuple(float(k) for k in _require(grid, "strikes", origin + " [grid]"))  # type: ignore[union-attr]
-    maturities = tuple(float(t) for t in _require(grid, "maturities", origin + " [grid]"))  # type: ignore[union-attr]
-    if not strikes or not maturities:
-        raise ConfigError(f"{origin}: [grid] strikes and maturities must be non-empty")
-
-    quad_raw = sections.get("quadrature", {})
-    quad = QuadratureSpec(
-        abs_tol=float(tol_override if tol_override is not None else quad_raw.get("abs_tol", 1e-9)),  # type: ignore[arg-type]
-        phi_max=float(quad_raw.get("phi_max", 1e4)),  # type: ignore[arg-type]
-        max_subdivisions=int(quad_raw.get("max_subdivisions", 2048)),  # type: ignore[arg-type]
-    )
-
-    mc_cfg: McConfig | None = None
-    if "mc" in sections:
-        mc_raw = sections["mc"]
-        mc_cfg = McConfig(
-            n_paths=int(_require(mc_raw, "n_paths", origin + " [mc]")),  # type: ignore[arg-type]
-            n_steps_per_year=int(mc_raw.get("n_steps_per_year", 250)),  # type: ignore[arg-type]
-            seed=int(seed_override if seed_override is not None else mc_raw.get("seed", 0)),  # type: ignore[arg-type]
-        )
-
-    out_format = str(format_override or sections.get("output", {}).get("format", "csv"))
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"{origin}: output format must be 'csv' or 'json', got {out_format!r}")
-
-    # sanity-check the market/grid values eagerly so nothing runs on bad input
-    MarketState(spot=spot, variance=variance, tau=maturities[0])
-    for strike in strikes:
+    # range-check the market and grid eagerly so nothing runs on bad input
+    for tau in grid["maturities"]:
+        MarketState(**market, tau=tau)
+    for strike in grid["strikes"]:
         OptionSpec(strike=strike)
-    for tau in maturities:
-        if not (math.isfinite(tau) and tau >= 0):
-            raise ConfigError(f"{origin}: maturity must be >= 0, got {tau}")
-
-    return RunConfig(
-        params=params,
-        spot=spot,
-        variance=variance,
-        strikes=tuple(sorted(strikes)),
-        maturities=tuple(sorted(maturities)),
-        quad=quad,
-        mc=mc_cfg,
-        out_format=out_format,
-    )
+    return RunConfig(params=params, **market, **grid, quad=quad, mc=mc_cfg, out_format=out_format)
 
 
-def load_run_config(path: str, **overrides) -> RunConfig:
+def load_run_config(path: str, overrides: dict[tuple[str, str], Any] | None = None) -> RunConfig:
+    """Read, override (``(section, key) -> value``, ``None`` skipped) and validate a config."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return build_run_config(parse_config_text(text, origin=path), origin=path, **overrides)
+    sections = parse_config_text(text, origin=path)
+    for (name, key), value in (overrides or {}).items():
+        if value is not None:
+            sections.setdefault(name, {})[key] = value
+    return build_run_config(sections, origin=path)
+
+
+def _load(args: argparse.Namespace) -> RunConfig:
+    overrides = {("quadrature", "abs_tol"): args.tol, ("output", "format"): args.output}
+    return load_run_config(args.config, {**overrides, ("mc", "seed"): getattr(args, "seed", None)})
+
+
+def _comma_numbers(text: str, flag: str) -> list[float]:
+    values = [_checked(float, entry, flag) for entry in text.split(",") if entry.strip()]
+    if not values:
+        raise ConfigError(f"{flag}: no numbers in {text!r}")
+    return values
+
+
+def _warn(*params: ModelParams) -> None:
+    """Validate each parameter set; write each distinct model warning once to stderr."""
+    for message in dict.fromkeys(w for p in params for w in validate(p).warnings):
+        print(f"warning: {message}", file=sys.stderr)
 
 
 def _emit(rows: list[dict[str, object]], columns: tuple[str, ...], out_format: str) -> None:
@@ -231,26 +257,19 @@ def _price_rows(run: RunConfig) -> list[dict[str, object]]:
 
 
 def cmd_price(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config, tol_override=args.tol, format_override=args.output)
+    run = _load(args)
+    _warn(run.params)
     rows = _price_rows(run)
     _emit(rows, PRICE_COLUMNS, run.out_format)
     return 0
 
 
 def cmd_bond(args: argparse.Namespace) -> int:
-    params = ModelParams(
-        kappa=args.kappa,
-        theta=args.theta,
-        sigma=args.sigma,
-        lam=args.lam,
-        rho_sv=args.rho_sv,
-        mu=args.mu,
-        beta=args.beta,
-    )
+    params = ModelParams(**{name: getattr(args, name) for name in MODEL_FIELDS})
     validate(params)
-    taus = [float(t) for t in args.tau_grid.split(",") if t.strip()]
-    if not taus or any(t < 0 for t in taus):
-        raise ConfigError(f"tau-grid: need non-negative maturities, got {args.tau_grid!r}")
+    taus = _comma_numbers(args.tau_grid, "--tau-grid")
+    if any(t < 0 for t in taus):
+        raise ConfigError(f"--tau-grid: need non-negative maturities, got {args.tau_grid!r}")
     rows = []
     for tau in taus:
         value = bond_mod.bond_price(params, args.variance, tau)
@@ -260,14 +279,10 @@ def cmd_bond(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    run = load_run_config(
-        args.config,
-        seed_override=args.seed,
-        tol_override=args.tol,
-        format_override=args.output,
-    )
+    run = _load(args)
     if run.mc is None:
         raise ConfigError(f"{args.config}: verify requires an [mc] section")
+    _warn(run.params)
     rows = _price_rows(run)
     worst = 0.0
     # rows run maturities outer, strikes inner: point i draws MC seed + i
@@ -288,19 +303,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    run = load_run_config(args.config, tol_override=args.tol, format_override=args.output)
-    if args.param not in _MODEL_KEYS:
-        raise ConfigError(f"sweep param must be one of {sorted(set(_MODEL_KEYS))}, got {args.param!r}")
-    field = _MODEL_KEYS[args.param]
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ConfigError(f"sweep values: none parsed from {args.values!r}")
+    run = _load(args)
+    field = MODEL_ALIASES.get(args.param, args.param)
+    if field not in MODEL_FIELDS:
+        names = sorted(MODEL_FIELDS + tuple(MODEL_ALIASES))
+        raise ConfigError(f"sweep param must be one of {names}, got {args.param!r}")
+    values = _comma_numbers(args.values, "--values")
+    swept = [dataclasses.replace(run.params, **{field: value}) for value in values]
+    _warn(*swept)
     rows = []
-    for value in values:
-        params = dataclasses.replace(run.params, **{field: value})
-        validate(params)
-        swept = dataclasses.replace(run, params=params)
-        for row in _price_rows(swept):
+    for value, params in zip(values, swept):
+        for row in _price_rows(dataclasses.replace(run, params=params)):
             rows.append({"param": args.param, "value": value, **row})
     _emit(rows, ("param", "value") + PRICE_COLUMNS, run.out_format)
     return 0
@@ -323,13 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_price.set_defaults(func=cmd_price)
 
     p_bond = sub.add_parser("bond", help="tabulate the discount bond over a tau grid")
-    p_bond.add_argument("--kappa", type=float, required=True)
-    p_bond.add_argument("--theta", type=float, required=True)
-    p_bond.add_argument("--sigma", type=float, required=True)
-    p_bond.add_argument("--lam", type=float, default=0.0)
-    p_bond.add_argument("--rho-sv", dest="rho_sv", type=float, default=0.0)
-    p_bond.add_argument("--mu", type=float, required=True)
-    p_bond.add_argument("--beta", type=float, required=True)
+    for name in MODEL_FIELDS:  # --lam and --rho-sv default to 0
+        default = 0.0 if name in ("lam", "rho_sv") else None
+        p_bond.add_argument(f"--{name.replace('_', '-')}", type=float, default=default, required=default is None)
     p_bond.add_argument("--variance", type=float, required=True, help="current instantaneous variance v")
     p_bond.add_argument("--tau-grid", required=True, help="comma-separated maturities in years")
     p_bond.add_argument("--output", choices=("csv", "json"), default=None)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bond, heston_cf
-from .inversion import CfProvider, ProbabilityPair, QuadratureSpec, gil_pelaez
+from .inversion import CfProvider, QuadratureSpec, gil_pelaez
 from .model import InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec, validate
 
 MODEL_HESTON = "heston"
@@ -63,27 +63,6 @@ def _provider(params: ModelParams, state: MarketState, log_bond: float) -> CfPro
     return CfProvider(eval=eval_fn, decay_proxy=_decay_proxy(params, state))
 
 
-def _assemble(
-    state: MarketState,
-    opt: OptionSpec,
-    bond_value: bond.BondValue,
-    pair: ProbabilityPair,
-    tag: str,
-) -> PriceResult:
-    call = state.spot * pair.r1 - opt.strike * bond_value.price * pair.r2
-    result = PriceResult(
-        price=call,
-        r1=pair.r1,
-        r2=pair.r2,
-        bond=bond_value,
-        model_tag=tag,
-        err_estimate=pair.achieved_error_estimate,
-    )
-    if opt.kind is OptionKind.PUT:
-        result = put_from_parity(result, state, opt)
-    return result
-
-
 def price_heston(
     params: ModelParams,
     state: MarketState,
@@ -114,8 +93,18 @@ def price_sir(
     provider = _provider(params, state, math.log(bond_value.price))
     x = math.log(state.spot / bond_value.price)
     pair = gil_pelaez(provider, x, math.log(opt.strike), quad)
-    tag = MODEL_SIR if params.beta != 0.0 else MODEL_HESTON
-    return _assemble(state, opt, bond_value, pair, tag)
+    call = state.spot * pair.r1 - opt.strike * bond_value.price * pair.r2
+    result = PriceResult(
+        price=call,
+        r1=pair.r1,
+        r2=pair.r2,
+        bond=bond_value,
+        model_tag=MODEL_SIR if params.beta != 0.0 else MODEL_HESTON,
+        err_estimate=pair.achieved_error_estimate,
+    )
+    if opt.kind is OptionKind.PUT:
+        result = put_from_parity(result, state, opt)
+    return result
 
 
 def put_from_parity(call: PriceResult, state: MarketState, opt: OptionSpec) -> PriceResult:

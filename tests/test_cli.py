@@ -1,11 +1,12 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from svsir import McEstimate, bond_price, price_heston, price_sir
+from svsir import McConfig, McEstimate, QuadratureSpec, bond_price, price_heston, price_sir
 from svsir import MarketState, ModelParams, OptionSpec
-from svsir.cli import main, parse_config_text
+from svsir.cli import load_run_config, main, parse_config_text
 
 BASE_CONFIG = """
 [model]
@@ -203,3 +204,72 @@ def test_sweep_over_beta(tmp_path, capsys):
 def test_sweep_rejects_unknown_param(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["sweep", "--config", cfg, "--param", "gamma", "--values", "1,2"]) == 2
+
+
+@pytest.mark.parametrize("edit, names", [
+    (lambda t: t + '[quadratur]\nabs_tol = 1e-3\n', ["[quadratur]"]),
+    (lambda t: t + '[ode]\nrel_tol = 1e-8\n', ["[ode]"]),
+    (lambda t: t + '[quadrature]\nabstol = 1e-12\n', ["[quadrature]", "abstol"]),
+    (lambda t: t.replace("kappa = 2.0", 'kappa = "two"'), ["[model]", "kappa"]),
+    (lambda t: t.replace("kappa = 2.0", "kappa = true"), ["[model]", "kappa"]),
+    (lambda t: t.replace("strikes = [100.0]", "strikes = 100.0"), ["[grid]", "strikes"]),
+    (lambda t: t.replace("seed = 7", "seed = 7.9"), ["[mc]", "seed"]),
+    (lambda t: t.replace("lambda = 0.0", "lambda = 0.0\nlam = 0.0"), ["[model]", "lam"]),
+    (lambda t: t.replace("mu = 0.03", "mu = 0.03\nmu = 0.04"), ["[model]", "mu"]),
+], ids=["misspelt-section", "old-ode-section", "misspelt-key", "string-number", "bool-number",
+        "scalar-list", "non-integral-int", "lam-and-lambda", "repeated-key"])
+def test_schema_rejects_malformed_config(tmp_path, capsys, edit, names):
+    path = tmp_path / "run.cfg"
+    path.write_text(edit(Path(write_config(tmp_path)).read_text()))
+    assert main(["price", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(name in captured.err for name in names), captured.err
+
+
+def test_comma_list_flags_exit_2(tmp_path, capsys):
+    sweep = ["sweep", "--config", write_config(tmp_path), "--param", "beta", "--values", "0,abc"]
+    bond = ["bond", "--kappa", "2", "--theta", "0.04", "--sigma", "0.3", "--mu", "0.03",
+            "--beta", "1.0", "--variance", "0.04", "--tau-grid", "0,x"]
+    for argv, flag in ((sweep, "--values"), (bond, "--tau-grid")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+
+
+def test_example_config_loads_under_schema():
+    run = load_run_config(str(Path(__file__).parents[1] / "configs" / "example.cfg"))
+    assert run.params == ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5,
+                                     mu=0.03, beta=1.0)
+    assert (run.spot, run.variance) == (100.0, 0.04)
+    assert (run.strikes, run.maturities) == ((80.0, 100.0, 120.0), (0.5, 1.0))
+    assert run.quad == QuadratureSpec()
+    assert run.mc == McConfig(n_paths=200_000, n_steps_per_year=250, seed=7)
+    assert run.out_format == "csv"
+
+
+def test_tol_and_output_flags_override_config(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    # 1e-2 is outside QuadratureSpec's range, so the override reached it
+    assert main(["price", "--config", cfg, "--tol", "1e-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "abs_tol" in captured.err
+    assert main(["price", "--config", cfg, "--output", "json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert [r["K"] for r in records] == [100.0]
+
+
+def test_feller_warning_goes_to_stderr_once(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    feller = tmp_path / "feller.cfg"
+    feller.write_text(Path(cfg).read_text().replace("kappa = 2.0", "kappa = 1").replace("sigma = 0.3", "sigma = 0.5"))
+    plain = tmp_path / "plain.cfg"
+    plain.write_text(feller.read_text().replace("theta = 0.04", "theta = 0.2"))
+    for argv, rows in ((["price"], 1), (["verify"], 1), (["sweep", "--param", "beta", "--values", "0,0.5"], 2)):
+        assert main([argv[0], "--config", str(plain)] + argv[1:]) == 0
+        assert capsys.readouterr().err == ""
+        assert main([argv[0], "--config", str(feller)] + argv[1:]) == 0
+        captured = capsys.readouterr()
+        # one distinct warning, printed once, and none of it on stdout
+        assert captured.err.count("warning: ") == captured.err.count("Feller") == 1, captured.err
+        assert "warning" not in captured.out and len(captured.out.splitlines()) == 1 + rows
