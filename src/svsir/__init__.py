@@ -35,7 +35,14 @@ from .inversion import (
     TailNotDecaying,
     gil_pelaez,
 )
-from .mc import McConfig, McEstimate, simulate_bond, simulate_exercise_prob, simulate_price
+from .mc import (
+    McConfig,
+    McEstimate,
+    simulate_bond,
+    simulate_exercise_prob,
+    simulate_grid,
+    simulate_price,
+)
 from .model import (
     InvalidParameter,
     MarketState,
@@ -109,6 +116,7 @@ __all__ = [
     "put_from_parity",
     "simulate_bond",
     "simulate_exercise_prob",
+    "simulate_grid",
     "simulate_price",
     "sir_characteristic_fn",
     "validate",

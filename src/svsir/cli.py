@@ -4,14 +4,15 @@ Subcommands
 -----------
 price   price a (strike x maturity) grid from a config file
 bond    tabulate (tau, F, G, B) for inline model flags
-verify  compare semi-analytic prices against Monte Carlo, z-score each point
+verify  compare semi-analytic prices against one Monte Carlo path set, z-score each point
 sweep   re-price the grid while sweeping one model parameter over values
 
 Config files are flat sectioned key = value text where every value parses as
 JSON (numbers, strings in quotes, [lists]); see configs/example.cfg.  The
 ``SCHEMA`` table names every section and key with its parser and default
 (``None``: required).  Unknown sections or keys, duplicate keys (``lambda`` is
-``lam``), bools or strings for numbers and non-integral integers exit 2.
+``lam``), bools or strings for numbers, non-integral integers and values out
+of range exit 2, naming the file and the section.
 ``--tol``, ``--output`` and ``--seed`` overwrite ``[quadrature] abs_tol``,
 ``[output] format`` and ``[mc] seed`` before that one validation pass, which
 runs before any computation.  stdout is written only once a command has
@@ -33,7 +34,7 @@ from typing import Any, Callable
 
 from . import bond as bond_mod
 from .inversion import QuadratureSpec
-from .mc import McConfig, simulate_price
+from .mc import McConfig, simulate_grid
 from .model import (
     InvalidParameter,
     MarketState,
@@ -164,23 +165,34 @@ def _section(sections: dict[str, dict[str, Any]], name: str, origin: str) -> dic
     return {key: given.get(key, default) for key, (_, default) in spec.items()}
 
 
+def _ranged(where: str, build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``build(*args, **kwargs)``, with a range error re-raised naming ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except InvalidParameter as exc:
+        raise ConfigError(f"{where} {exc}") from exc
+
+
 def build_run_config(sections: dict[str, dict[str, Any]], origin: str = "<config>") -> RunConfig:
     for name in sections:
         if name not in SCHEMA:
             raise ConfigError(f"{origin}: unknown section [{name}]")
     params = ModelParams(**_section(sections, "model", origin))
-    validate(params)
+    _ranged(f"{origin} [model]", validate, params)
     market = _section(sections, "market", origin)
     grid = _section(sections, "grid", origin)
-    quad = QuadratureSpec(**_section(sections, "quadrature", origin))
-    mc_cfg = McConfig(**_section(sections, "mc", origin)) if "mc" in sections else None
+    quad = _ranged(f"{origin} [quadrature]", QuadratureSpec, **_section(sections, "quadrature", origin))
+    mc_cfg = None
+    if "mc" in sections:
+        mc_cfg = _ranged(f"{origin} [mc]", McConfig, **_section(sections, "mc", origin))
     out_format = _section(sections, "output", origin)["format"]
 
     # range-check the market and grid eagerly so nothing runs on bad input
+    _ranged(f"{origin} [market]", MarketState, **market, tau=0.0)
     for tau in grid["maturities"]:
-        MarketState(**market, tau=tau)
+        _ranged(f"{origin} [grid] maturities:", MarketState, **market, tau=tau)
     for strike in grid["strikes"]:
-        OptionSpec(strike=strike)
+        _ranged(f"{origin} [grid] strikes:", OptionSpec, strike=strike)
     return RunConfig(params=params, **market, **grid, quad=quad, mc=mc_cfg, out_format=out_format)
 
 
@@ -268,8 +280,9 @@ def cmd_bond(args: argparse.Namespace) -> int:
     params = ModelParams(**{name: getattr(args, name) for name in MODEL_FIELDS})
     validate(params)
     taus = _comma_numbers(args.tau_grid, "--tau-grid")
-    if any(t < 0 for t in taus):
-        raise ConfigError(f"--tau-grid: need non-negative maturities, got {args.tau_grid!r}")
+    _ranged("--variance:", MarketState, spot=1.0, variance=args.variance, tau=0.0)
+    for tau in taus:
+        _ranged("--tau-grid:", MarketState, spot=1.0, variance=args.variance, tau=tau)
     rows = []
     for tau in taus:
         value = bond_mod.bond_price(params, args.variance, tau)
@@ -284,13 +297,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"{args.config}: verify requires an [mc] section")
     _warn(run.params)
     rows = _price_rows(run)
+    # one path set for the whole grid, in _price_rows' order: maturities outer
+    estimates = simulate_grid(run.params, run.spot, run.variance, run.strikes, run.maturities, run.mc)
     worst = 0.0
-    # rows run maturities outer, strikes inner: point i draws MC seed + i
-    for point, row in enumerate(rows):
-        state = MarketState(spot=run.spot, variance=run.variance, tau=row["tau"])
-        opt = OptionSpec(strike=row["K"], kind=OptionKind.CALL)
-        cfg = dataclasses.replace(run.mc, seed=run.mc.seed + point)
-        est = simulate_price(run.params, state, opt, cfg)
+    for row, est in zip(rows, estimates):
         diff = row["price"] - est.mean
         if est.std_error == 0.0:
             z = 0.0 if abs(diff) < 1e-9 else math.copysign(math.inf, diff)

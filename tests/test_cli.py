@@ -157,10 +157,11 @@ def test_verify_exit_4_on_discrepancy(tmp_path, capsys, monkeypatch):
     # force a biased oracle to exercise the failure path
     import svsir.cli as cli_mod
 
-    def biased(params, state, opt, cfg):
-        return McEstimate(mean=0.0, std_error=1e-6, n_paths=cfg.n_paths)
+    def biased(params, spot, v0, strikes, maturities, cfg):
+        return [McEstimate(mean=0.0, std_error=1e-6, n_paths=cfg.n_paths)
+                for _ in maturities for _ in strikes]
 
-    monkeypatch.setattr(cli_mod, "simulate_price", biased)
+    monkeypatch.setattr(cli_mod, "simulate_grid", biased)
     cfg = write_config(tmp_path)
     assert main(["verify", "--config", cfg]) == 4
     rows = capsys.readouterr().out.strip().splitlines()
@@ -176,6 +177,12 @@ def test_verify_seed_override_changes_mc(tmp_path, capsys):
     assert first != second
 
 
+def test_verify_rejects_negative_seed(tmp_path, capsys):
+    assert main(["verify", "--config", write_config(tmp_path), "--seed", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "seed" in captured.err
+
+
 def test_seed_flag_only_on_verify(tmp_path, capsys):
     # price and sweep never simulate, so they take no Monte Carlo seed
     cfg = write_config(tmp_path)
@@ -185,6 +192,16 @@ def test_seed_flag_only_on_verify(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag, value", [("--variance", "nan"), ("--tau-grid", "1,nan")])
+def test_bond_rejects_non_finite_inputs(capsys, flag, value):
+    args = {"--variance": "0.04", "--tau-grid": "0,1", flag: value}
+    argv = ["bond", "--kappa", "2", "--theta", "0.04", "--sigma", "0.3", "--mu", "0.03",
+            "--beta", "1.0"] + [item for pair in args.items() for item in pair]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err
 
 
 def test_sweep_over_beta(tmp_path, capsys):
@@ -257,6 +274,16 @@ def test_tol_and_output_flags_override_config(tmp_path, capsys):
     assert main(["price", "--config", cfg, "--output", "json"]) == 0
     records = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
     assert [r["K"] for r in records] == [100.0]
+
+
+def test_range_errors_name_file_and_section(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["price", "--config", cfg, "--tol", "1e-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{cfg} [quadrature] abs_tol" in captured.err, captured.err
+    assert main(["price", "--config", write_config(tmp_path, maturities=[-1.0, 1.0])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{cfg} [grid]" in captured.err, captured.err
 
 
 def test_feller_warning_goes_to_stderr_once(tmp_path, capsys):

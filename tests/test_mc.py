@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from svsir import (
     InvalidParameter,
@@ -13,6 +15,7 @@ from svsir import (
     price_heston,
     simulate_bond,
     simulate_exercise_prob,
+    simulate_grid,
     simulate_price,
 )
 
@@ -28,6 +31,11 @@ def test_config_invariants():
         McConfig(n_paths=1000, n_steps_per_year=10)
     with pytest.raises(InvalidParameter, match="scheme"):
         McConfig(n_paths=1000, scheme="milstein")
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(InvalidParameter, match="seed"):
+        McConfig(n_paths=1000, seed=-1)
 
 
 def test_zero_noise_paths_are_deterministic():
@@ -49,6 +57,12 @@ def test_bond_deterministic_cases():
     est = simulate_bond(pz, 0.0, 1.5, McConfig(n_paths=2000, seed=3))
     assert est.std_error == 0.0
     assert est.mean == pytest.approx(math.exp(-0.06), abs=1e-12)
+
+
+@pytest.mark.parametrize("v0, tau", [(-0.01, 1.0), (math.nan, 1.0), (0.04, -1.0), (0.04, math.nan)])
+def test_bond_rejects_out_of_range_inputs(v0, tau):
+    with pytest.raises(InvalidParameter, match="variance" if v0 != 0.04 else "tau"):
+        simulate_bond(SIR, v0, tau, McConfig(n_paths=1000))
 
 
 def test_bond_vs_closed_form():
@@ -132,3 +146,75 @@ def test_tau_zero_short_circuit():
     state = MarketState(spot=100.0, variance=0.04, tau=0.0)
     est = simulate_price(SIR, state, OptionSpec(strike=90.0), McConfig(n_paths=2000, seed=16))
     assert est.mean == 10.0 and est.std_error == 0.0
+
+
+def test_grid_matches_per_point_simulation():
+    # lattice maturities: each checkpoint sees the same steps and normals as a
+    # one-maturity run at the same seed, so the estimates are bit-identical
+    cfg = McConfig(n_paths=5_000, seed=17)
+    strikes, maturities = (80.0, 100.0, 120.0), (0.5, 1.0)
+    grid = simulate_grid(SIR, 100.0, 0.04, strikes, maturities, cfg)
+    points = [simulate_price(SIR, MarketState(spot=100.0, variance=0.04, tau=tau),
+                             OptionSpec(strike=strike), cfg)
+              for tau in maturities for strike in strikes]
+    assert grid == points
+
+
+def test_grid_zero_noise_checkpoints():
+    p = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
+    strikes, maturities = (95.0, 100.0, 105.0), (0.02, 0.08, 0.3)
+    grid = simulate_grid(p, 100.0, 0.0, strikes, maturities, McConfig(n_paths=2000, seed=1))
+    expected = [max(100.0 - strike * math.exp(-0.03 * tau), 0.0)
+                for tau in maturities for strike in strikes]
+    for est, value in zip(grid, expected, strict=True):
+        assert est.std_error == 0.0
+        assert est.mean == pytest.approx(value, abs=1e-10)
+
+
+def test_grid_tau_zero_and_repeated_maturity():
+    strikes = (90.0, 100.0, 110.0)
+    cfg = McConfig(n_paths=2000, seed=18)
+    grid = simulate_grid(SIR, 100.0, 0.04, strikes, (0.5, 0.0, 0.5), cfg)
+    at_half, at_zero, again = grid[:3], grid[3:6], grid[6:]
+    assert [(e.mean, e.std_error) for e in at_zero] == [(10.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
+    assert at_half == again
+    # zero-length segments take no steps, so they draw no normals either
+    state = MarketState(spot=100.0, variance=0.04, tau=0.5)
+    assert at_half == [simulate_price(SIR, state, OptionSpec(strike=k), cfg) for k in strikes]
+
+
+def _plain_euler(params, v0, ln_spot, tau, cfg):
+    """Reference: the Euler step as plain expressions, one fresh array per operation."""
+    n = cfg.n_paths
+    n_steps = max(1, math.ceil(tau * cfg.n_steps_per_year))
+    dt = tau / n_steps
+    sqrt_dt = math.sqrt(dt)
+    rho = params.rho_sv
+    rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+
+    def normals():
+        return ndtri(np.maximum(rng.random(n), 2.0**-53))
+
+    v, ln_s, rate_integral = np.full(n, v0), np.full(n, ln_spot), np.zeros(n)
+    for _ in range(n_steps):
+        v_pos = np.maximum(v, 0.0)
+        r_now = params.mu + params.beta * v_pos
+        vol = np.sqrt(v_pos)
+        z2 = normals()
+        z1 = rho * z2 + rho_perp * normals()
+        ln_s = ln_s + ((r_now - 0.5 * v_pos) * dt + vol * sqrt_dt * z1)
+        v = v + (params.kappa * params.theta - params.alpha * v_pos) * dt + params.sigma * vol * sqrt_dt * z2
+        r_next = params.mu + params.beta * np.maximum(v, 0.0)
+        rate_integral = rate_integral + 0.5 * (r_now + r_next) * dt
+    return ln_s, v, rate_integral
+
+
+@pytest.mark.parametrize("tau", [0.02, 0.3, 1.0])
+def test_in_place_loop_matches_plain_expressions(tau):
+    from svsir.mc import _terminal
+
+    cfg = McConfig(n_paths=1000, seed=19)
+    got = _terminal(SIR, 0.04, math.log(100.0), tau, cfg, with_stock=True)
+    for a, b in zip(got, _plain_euler(SIR, 0.04, math.log(100.0), tau, cfg), strict=True):
+        assert np.array_equal(a, b)
