@@ -5,19 +5,22 @@ The pricer needs the pair
     R_j = 1/2 + (1/pi) * Integral_0^inf Re[ exp(-i*phi*ln K) * f_j(phi) / (i*phi) ] dphi,
 
 where f_j is supplied by a provider (the closed-form affine characteristic
-function of :mod:`svsir.heston_cf` for every beta).  The integrand has a
-removable singularity at phi = 0 (the 1/(i*phi) pole is purely imaginary
-there) and is integrated by adaptive Gauss-Kronrod 7(15) panels on
+function of :mod:`svsir.heston_cf` for every beta).  Both R_j come from one
+adaptive pass over a two-row integrand, row j for measure j.  The integrand
+has a removable singularity at phi = 0 (the 1/(i*phi) pole is purely
+imaginary there) and is integrated by Gauss-Kronrod 7(15) panels on
 [PHI_MIN, phi_max]:
 
-* the truncation frequency phi_max is found adaptively by doubling until the
-  tail criterion |f_j(phi_max)| / phi_max < abs_tol/10 holds, up to the
-  spec's budget (TailNotDecaying beyond it);
+* one truncation frequency phi_max serves both measures: the doubling ladder
+  PHI_LADDER_START, 2*PHI_LADDER_START, ... up to the spec's budget is
+  evaluated in one call per measure, and the first rung where
+  |f_j(phi)| / phi < abs_tol/10 holds for both j is taken (TailNotDecaying
+  if none does);
+* both rows share one panel set; every panel whose worst row holds more than
+  its share of the error budget splits, all new halves are evaluated in one
+  call, and each row must meet the target on its own;
 * the [0, PHI_MIN] sliver is added back as a one-term rectangle correction,
-  evaluating the integrand at PHI_MIN;
-* panels are refined in batches (every panel holding more than its share of
-  the error budget splits), so vectorised providers see large frequency
-  arrays per call.
+  evaluating the integrand at PHI_MIN.
 
 When the accumulated variance over the option's life is negligible the
 characteristic function never decays and R_j collapses to an indicator; that
@@ -35,6 +38,8 @@ import numpy as np
 from .model import InvalidParameter, NumericalError
 
 PHI_MIN = 1e-6
+# First rung of the phi_max ladder, which doubles from here up to the budget.
+PHI_LADDER_START = 32.0
 # Accumulated-variance proxy below which the law of the log price is treated
 # as a point mass and R_j returned as an indicator.
 DEGENERATE_PROXY = 1e-6
@@ -59,8 +64,11 @@ class QuadratureSpec:
     def __post_init__(self) -> None:
         if not 1e-12 <= self.abs_tol <= 1e-3:
             raise InvalidParameter(f"abs_tol: must lie in [1e-12, 1e-3], got {self.abs_tol}")
-        if self.phi_max <= 0:
-            raise InvalidParameter(f"phi_max: must be > 0, got {self.phi_max}")
+        if not PHI_LADDER_START <= self.phi_max < math.inf:
+            raise InvalidParameter(
+                f"phi_max: must be finite and >= {PHI_LADDER_START:g} (the first truncation "
+                f"frequency tried), got {self.phi_max}"
+            )
         if self.max_subdivisions < 4:
             raise InvalidParameter(f"max_subdivisions: must be >= 4, got {self.max_subdivisions}")
 
@@ -107,15 +115,15 @@ _WK = np.concatenate([_WK_HALF[:-1], _WK_HALF[::-1]])
 _WG = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
-def _panel_nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(n_panels, 15) matrix of Kronrod nodes for panels [lo_i, hi_i]."""
+def _panel_estimates(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray):
+    """Kronrod integral and |Kronrod - Gauss| of every row of g on panels [lo_i, hi_i].
+
+    Both have g's row shape followed by one axis over the panels.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return mid[:, None] + half[:, None] * _XK[None, :]
-
-
-def _panel_estimates(vals: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    half = 0.5 * (hi - lo)
+    vals = g((mid[:, None] + half[:, None] * _XK[None, :]).ravel())
+    vals = vals.reshape(vals.shape[:-1] + (lo.size, 15))
     integral = half * (vals @ _WK)
     embedded = half * (vals @ _WG)
     return integral, np.abs(integral - embedded)
@@ -128,90 +136,56 @@ def _adaptive_integral(
     target: float,
     budget: int,
     n_init: int,
-) -> tuple[float, float]:
-    """Adaptive panel quadrature of g on [lo, hi] to absolute target."""
-    edges = np.linspace(lo, hi, n_init + 1)
-    a = edges[:-1].copy()
-    b = edges[1:].copy()
-    vals = g(_panel_nodes(a, b).ravel()).reshape(n_init, 15)
-    integrals, errors = _panel_estimates(vals, a, b)
-    a, b = list(a), list(b)
-    integrals, errors = list(integrals), list(errors)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive panel quadrature of every row of g on [lo, hi], each row to absolute target.
 
-    while sum(errors) > target:
-        n = len(a)
+    ``g`` maps a 1-D frequency array to values whose last axis runs over those
+    frequencies (a 1-D g is a single row).  The rows share one panel set:
+    every panel whose worst row holds more than its share of the target
+    splits, and all new halves are evaluated in one call of g.  Returns the
+    per-row integrals and error estimates.
+    """
+    edges = np.linspace(lo, hi, n_init + 1)
+    a, b = edges[:-1], edges[1:]
+    integrals, errors = _panel_estimates(g, a, b)
+
+    while np.any(errors.sum(axis=-1) > target):
+        n = a.size
         if n >= budget:
             raise SubdivisionExhausted(
-                f"error {sum(errors):.3e} > target {target:.3e} after {n} panels on [{lo:.3g}, {hi:.3g}]"
+                f"error {errors.sum(axis=-1).max():.3e} > target {target:.3e} "
+                f"after {n} panels on [{lo:.3g}, {hi:.3g}]"
             )
-        share = target / n
-        candidates = sorted(
-            (i for i in range(n) if errors[i] > share),
-            key=lambda i: -errors[i],
-        )
-        candidates = candidates[: max(1, min(len(candidates), budget - n))]
-        lo_new, hi_new = [], []
-        for i in candidates:
-            mid = 0.5 * (a[i] + b[i])
-            lo_new += [a[i], mid]
-            hi_new += [mid, b[i]]
-        lo_new = np.array(lo_new)
-        hi_new = np.array(hi_new)
-        vals = g(_panel_nodes(lo_new, hi_new).ravel()).reshape(lo_new.size, 15)
-        ints_new, errs_new = _panel_estimates(vals, lo_new, hi_new)
-        for pos, i in enumerate(candidates):
-            a[i], b[i] = lo_new[2 * pos], hi_new[2 * pos]
-            integrals[i], errors[i] = ints_new[2 * pos], errs_new[2 * pos]
-            a.append(lo_new[2 * pos + 1])
-            b.append(hi_new[2 * pos + 1])
-            integrals.append(ints_new[2 * pos + 1])
-            errors.append(errs_new[2 * pos + 1])
+        worst = errors.reshape(-1, n).max(axis=0)
+        split = np.flatnonzero(worst > target / n)
+        # worst first, so that the panel budget drops the least needed splits
+        split = split[np.argsort(-worst[split], kind="stable")][: budget - n]
+        mid = 0.5 * (a[split] + b[split])
+        lo_new = np.concatenate([a[split], mid])
+        hi_new = np.concatenate([mid, b[split]])
+        ints_new, errs_new = _panel_estimates(g, lo_new, hi_new)
+        a = np.concatenate([np.delete(a, split), lo_new])
+        b = np.concatenate([np.delete(b, split), hi_new])
+        integrals = np.concatenate([np.delete(integrals, split, axis=-1), ints_new], axis=-1)
+        errors = np.concatenate([np.delete(errors, split, axis=-1), errs_new], axis=-1)
 
-    return float(sum(integrals)), float(sum(errors))
+    return integrals.sum(axis=-1), errors.sum(axis=-1)
 
 
-def _find_phi_max(provider: CfProvider, j: int, spec: QuadratureSpec) -> tuple[float, float]:
-    """Smallest doubling frequency meeting |f_j(phi)|/phi < abs_tol/10."""
+def _find_phi_max(provider: CfProvider, spec: QuadratureSpec) -> tuple[float, float]:
+    """First ladder rung where |f_j(phi)|/phi < abs_tol/10 for both j, and the larger tail term there."""
     threshold = spec.abs_tol / 10.0
-    phi = 32.0
-    while phi <= spec.phi_max:
-        f_abs = float(np.abs(provider.eval(j, np.array([phi]))[0]))
-        if f_abs / phi < threshold:
-            return phi, f_abs / phi
-        phi *= 2.0
-    raise TailNotDecaying(
-        f"|f_{j}|/phi stayed >= {threshold:.3e} up to the phi budget {spec.phi_max:.3g}; "
-        "characteristic function decays too slowly (near-degenerate variance?)"
-    )
-
-
-def _single_probability(
-    provider: CfProvider, j: int, x: float, log_strike: float, spec: QuadratureSpec
-) -> tuple[float, float]:
-    if provider.decay_proxy < DEGENERATE_PROXY:
-        # point-mass law: the phase slope at a tiny frequency is its location
-        eps = PHI_MIN
-        center = float(np.log(provider.eval(j, np.array([eps]))[0]).imag) / eps
-        if math.isclose(center, log_strike, rel_tol=0.0, abs_tol=1e-12):
-            return 0.5, 0.0
-        return (1.0 if center > log_strike else 0.0), 0.0
-
-    def integrand(phi: np.ndarray) -> np.ndarray:
-        f = provider.eval(j, phi)
-        return (np.exp(-1j * phi * log_strike) * f / (1j * phi)).real
-
-    phi_max, tail_est = _find_phi_max(provider, j, spec)
-    oscillation = max(abs(x - log_strike), 1.0)
-    n_init = int(np.clip(math.ceil((phi_max - PHI_MIN) * oscillation / (3.0 * math.pi)),
-                         8, spec.max_subdivisions // 2))
-    quad_target = 0.25 * spec.abs_tol * math.pi
-    integral, quad_err = _adaptive_integral(
-        integrand, PHI_MIN, phi_max, quad_target, spec.max_subdivisions, n_init
-    )
-    # rectangle correction for the [0, PHI_MIN] sliver (finite limit there)
-    integral += PHI_MIN * float(integrand(np.array([PHI_MIN]))[0])
-    prob = 0.5 + integral / math.pi
-    return prob, (quad_err + tail_est) / math.pi
+    n_rungs = int(math.log2(spec.phi_max / PHI_LADDER_START)) + 1
+    ladder = PHI_LADDER_START * 2.0 ** np.arange(n_rungs)
+    tails = np.abs([provider.eval(j, ladder) for j in (1, 2)]).max(axis=0) / ladder
+    passed = np.flatnonzero(tails < threshold)
+    if passed.size == 0:
+        raise TailNotDecaying(
+            f"max_j |f_j|/phi stayed >= {threshold:.3e} up to the phi budget {spec.phi_max:.3g} "
+            f"(smallest {tails.min():.3e}); characteristic function decays too slowly "
+            "(near-degenerate variance?)"
+        )
+    return float(ladder[passed[0]]), float(tails[passed[0]])
 
 
 def gil_pelaez(
@@ -227,6 +201,28 @@ def gil_pelaez(
     oscillation frequency.  Raises :class:`TailNotDecaying` or
     :class:`SubdivisionExhausted` on budget failures; both carry context.
     """
-    r1, e1 = _single_probability(cf_provider, 1, x, log_strike, spec)
-    r2, e2 = _single_probability(cf_provider, 2, x, log_strike, spec)
-    return ProbabilityPair(r1=r1, r2=r2, achieved_error_estimate=max(e1, e2))
+    if cf_provider.decay_proxy < DEGENERATE_PROXY:
+        # point-mass law: the phase slope at a tiny frequency is its location
+        centers = [np.log(cf_provider.eval(j, np.array([PHI_MIN]))[0]).imag / PHI_MIN for j in (1, 2)]
+        r1, r2 = (0.5 if math.isclose(c, log_strike, rel_tol=0.0, abs_tol=1e-12) else float(c > log_strike)
+                  for c in centers)
+        return ProbabilityPair(r1=r1, r2=r2, achieved_error_estimate=0.0)
+
+    def integrand(phi: np.ndarray) -> np.ndarray:
+        f = np.stack([cf_provider.eval(j, phi) for j in (1, 2)])
+        return (np.exp(-1j * phi * log_strike) * f / (1j * phi)).real
+
+    phi_max, tail_est = _find_phi_max(cf_provider, spec)
+    oscillation = max(abs(x - log_strike), 1.0)
+    n_init = int(np.clip(math.ceil((phi_max - PHI_MIN) * oscillation / (3.0 * math.pi)),
+                         8, spec.max_subdivisions // 2))
+    quad_target = 0.25 * spec.abs_tol * math.pi
+    integral, quad_err = _adaptive_integral(
+        integrand, PHI_MIN, phi_max, quad_target, spec.max_subdivisions, n_init
+    )
+    # rectangle correction for the [0, PHI_MIN] sliver (finite limit there)
+    integral += PHI_MIN * integrand(np.array([PHI_MIN]))[:, 0]
+    r1, r2 = 0.5 + integral / math.pi
+    return ProbabilityPair(
+        r1=float(r1), r2=float(r2), achieved_error_estimate=float((quad_err.max() + tail_est) / math.pi)
+    )

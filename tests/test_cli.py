@@ -233,8 +233,9 @@ def test_sweep_rejects_unknown_param(tmp_path, capsys):
     (lambda t: t.replace("seed = 7", "seed = 7.9"), ["[mc]", "seed"]),
     (lambda t: t.replace("lambda = 0.0", "lambda = 0.0\nlam = 0.0"), ["[model]", "lam"]),
     (lambda t: t.replace("mu = 0.03", "mu = 0.03\nmu = 0.04"), ["[model]", "mu"]),
+    (lambda t: t + '[quadrature]\nphi_max = 16\n', ["run.cfg [quadrature] phi_max"]),
 ], ids=["misspelt-section", "old-ode-section", "misspelt-key", "string-number", "bool-number",
-        "scalar-list", "non-integral-int", "lam-and-lambda", "repeated-key"])
+        "scalar-list", "non-integral-int", "lam-and-lambda", "repeated-key", "phi-max-below-ladder"])
 def test_schema_rejects_malformed_config(tmp_path, capsys, edit, names):
     path = tmp_path / "run.cfg"
     path.write_text(edit(Path(write_config(tmp_path)).read_text()))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import draw_params
 from svsir import (
     CfProvider,
     InvalidParameter,
@@ -13,10 +14,14 @@ from svsir import (
     QuadratureSpec,
     SubdivisionExhausted,
     TailNotDecaying,
+    bond_price,
     characteristic_fn,
     gil_pelaez,
+    price_sir,
     simulate_exercise_prob,
 )
+from svsir.inversion import PHI_LADDER_START, _adaptive_integral, _find_phi_max
+from svsir.pricer import _provider
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 
@@ -138,15 +143,107 @@ def test_quadrature_spec_validation():
     with pytest.raises(InvalidParameter):
         QuadratureSpec(phi_max=0.0)
     with pytest.raises(InvalidParameter):
+        QuadratureSpec(phi_max=16.0)
+    with pytest.raises(InvalidParameter):
         QuadratureSpec(max_subdivisions=2)
 
 
 def test_gauss_kronrod_panel_exactness():
     # the 15-point rule integrates smooth functions to machine precision
-    from svsir.inversion import _adaptive_integral
-
     value, err = _adaptive_integral(np.cos, 0.0, math.pi / 2, 1e-12, 64, 4)
     assert value == pytest.approx(1.0, abs=1e-13)
     value, _ = _adaptive_integral(lambda t: t**7 - 3 * t**2 + 1.0, -1.0, 2.0, 1e-12, 64, 4)
     exact = (2.0**8 - 1.0) / 8 - (2.0**3 + 1.0) + 3.0
     assert value == pytest.approx(exact, rel=1e-13)
+
+
+def test_adaptive_integral_meets_target_on_every_row():
+    # the rows share panels; the fast-oscillating row drives refinement, and
+    # each row must still meet the target on its own
+    target = 1e-10
+    values, errors = _adaptive_integral(
+        lambda t: np.stack([np.cos(t), np.cos(40.0 * t)]), 0.0, math.pi / 2, target, 256, 1
+    )
+    exact = np.array([1.0, math.sin(20.0 * math.pi) / 40.0])
+    assert values.shape == errors.shape == (2,)
+    assert np.all(np.abs(values - exact) <= target)
+    assert np.all(errors <= target)
+
+
+def _phi_max_by_rung(provider, spec):
+    """Reference: one single-frequency evaluation per rung and measure."""
+    threshold = spec.abs_tol / 10.0
+    phi = PHI_LADDER_START
+    while phi <= spec.phi_max:
+        tail = max(abs(provider.eval(j, np.array([phi]))[0]) / phi for j in (1, 2))
+        if tail < threshold:
+            return phi, tail
+        phi *= 2.0
+    return None
+
+
+def test_find_phi_max_matches_per_rung_search():
+    rng = np.random.default_rng(11)
+    found = set()
+    for i in range(8):
+        params = draw_params(rng, beta=0.0 if i % 2 == 0 else rng.uniform(0.25, 2.0))
+        for tau in (0.02, 1.0, 10.0):
+            state = MarketState(spot=100.0, variance=rng.uniform(0.01, 0.16), tau=tau)
+            provider = _provider(params, state, math.log(bond_price(params, state.variance, tau).price))
+            for spec in (QuadratureSpec(), QuadratureSpec(abs_tol=1e-12, phi_max=200.0)):
+                expected = _phi_max_by_rung(provider, spec)
+                if expected is None:
+                    with pytest.raises(TailNotDecaying):
+                        _find_phi_max(provider, spec)
+                    continue
+                phi_max, tail = _find_phi_max(provider, spec)
+                assert phi_max == expected[0]
+                assert tail == pytest.approx(expected[1], rel=1e-12)
+                found.add(phi_max)
+    assert len(found) > 2  # the draws reach several rungs
+
+
+def test_find_phi_max_evaluates_whole_ladder_once_per_measure():
+    calls = []
+    inner = heston_provider(HESTON, math.log(100.0), 0.04, 1.0)
+
+    def eval_fn(j, phi):
+        calls.append((j, np.array(phi)))
+        return inner.eval(j, phi)
+
+    _find_phi_max(CfProvider(eval=eval_fn, decay_proxy=inner.decay_proxy), QuadratureSpec(phi_max=1e4))
+    assert [j for j, _ in calls] == [1, 2]
+    for _, phi in calls:
+        np.testing.assert_array_equal(phi, [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0])
+
+
+def test_find_phi_max_needs_both_measures_on_one_rung():
+    ladder = PHI_LADDER_START * 2.0 ** np.arange(9)
+
+    def eval_fn(j, phi):
+        # f_1 decays only on even rungs, f_2 only on odd ones
+        odd = np.log2(phi / PHI_LADDER_START) % 2 == 1
+        return np.where(odd == (j == 2), 0.0, 1.0).astype(complex)
+
+    provider = CfProvider(eval=eval_fn, decay_proxy=1.0)
+    assert np.all(np.abs([eval_fn(j, ladder) for j in (1, 2)]).min(axis=0) == 0.0)
+    with pytest.raises(TailNotDecaying, match="phi budget"):
+        _find_phi_max(provider, QuadratureSpec())
+
+
+def test_probabilities_stable_under_tighter_tolerance_over_box():
+    # r_j at abs_tol = 1e-9 lie within abs_tol of r_j at 1e-12 across PARAM_BOX
+    rng = np.random.default_rng(2024)
+    loose, tight = QuadratureSpec(abs_tol=1e-9), QuadratureSpec(abs_tol=1e-12)
+    for i in range(20):
+        params = draw_params(rng, beta=0.0 if i < 10 else rng.uniform(0.25, 2.0))
+        variance = rng.uniform(0.01, 0.16)
+        for tau in (0.02, 0.5, 5.0):
+            state = MarketState(spot=100.0, variance=variance, tau=tau)
+            for strike in (70.0, 100.0, 130.0):
+                opt = OptionSpec(strike=strike)
+                a = price_sir(params, state, opt, loose)
+                b = price_sir(params, state, opt, tight)
+                context = (params, variance, tau, strike)
+                assert abs(a.r1 - b.r1) <= loose.abs_tol, context
+                assert abs(a.r2 - b.r2) <= loose.abs_tol, context
