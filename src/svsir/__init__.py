@@ -57,6 +57,7 @@ from .pricer import (
     MODEL_HESTON,
     MODEL_SIR,
     PriceResult,
+    price_grid,
     price_heston,
     price_sir,
     put_from_parity,
@@ -111,6 +112,7 @@ __all__ = [
     "integrate_cd",
     "integrate_cd_batch",
     "ode_residual",
+    "price_grid",
     "price_heston",
     "price_sir",
     "put_from_parity",

@@ -19,8 +19,8 @@ runs before any computation.  stdout is written only once a command has
 succeeded; model warnings (Feller) go to stderr as ``warning: ...``.
 
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical failure
-(step-size underflow, non-decaying tail), with the failing point on stderr;
-4 verification found |z| > 3.
+(non-decaying tail, exhausted subdivisions), naming the failing maturity and
+the strikes of its row on stderr; 4 verification found |z| > 3.
 """
 from __future__ import annotations
 
@@ -40,11 +40,10 @@ from .model import (
     MarketState,
     ModelParams,
     NumericalError,
-    OptionKind,
     OptionSpec,
     validate,
 )
-from .pricer import price_sir
+from .pricer import price_grid
 
 PRICE_COLUMNS = ("model_tag", "S", "K", "tau", "v0", "price", "r1", "r2", "bond", "err_estimate")
 VERIFY_COLUMNS = ("model_tag", "S", "K", "tau", "v0", "price", "mc_mean", "mc_se", "z")
@@ -242,30 +241,11 @@ def _emit(rows: list[dict[str, object]], columns: tuple[str, ...], out_format: s
 
 
 def _price_rows(run: RunConfig) -> list[dict[str, object]]:
-    rows = []
-    for tau in run.maturities:
-        state = MarketState(spot=run.spot, variance=run.variance, tau=tau)
-        for strike in run.strikes:
-            opt = OptionSpec(strike=strike, kind=OptionKind.CALL)
-            try:
-                res = price_sir(run.params, state, opt, run.quad)
-            except NumericalError as exc:
-                raise NumericalError(f"at K={strike}, tau={tau}: {exc}") from exc
-            rows.append(
-                {
-                    "model_tag": res.model_tag,
-                    "S": run.spot,
-                    "K": strike,
-                    "tau": tau,
-                    "v0": run.variance,
-                    "price": res.price,
-                    "r1": res.r1,
-                    "r2": res.r2,
-                    "bond": res.bond.price,
-                    "err_estimate": res.err_estimate,
-                }
-            )
-    return rows
+    results = price_grid(run.params, run.spot, run.variance, run.strikes, run.maturities, run.quad)
+    points = [(strike, tau) for tau in run.maturities for strike in run.strikes]
+    return [{"model_tag": res.model_tag, "S": run.spot, "K": strike, "tau": tau, "v0": run.variance,
+             "price": res.price, "r1": res.r1, "r2": res.r2, "bond": res.bond.price,
+             "err_estimate": res.err_estimate} for (strike, tau), res in zip(points, results)]
 
 
 def cmd_price(args: argparse.Namespace) -> int:
@@ -321,10 +301,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _comma_numbers(args.values, "--values")
     swept = [dataclasses.replace(run.params, **{field: value}) for value in values]
     _warn(*swept)
-    rows = []
-    for value, params in zip(values, swept):
-        for row in _price_rows(dataclasses.replace(run, params=params)):
-            rows.append({"param": args.param, "value": value, **row})
+    rows = [{"param": args.param, "value": value, **row} for value, params in zip(values, swept)
+            for row in _price_rows(dataclasses.replace(run, params=params))]
     _emit(rows, ("param", "value") + PRICE_COLUMNS, run.out_format)
     return 0
 

@@ -5,27 +5,24 @@ The pricer needs the pair
     R_j = 1/2 + (1/pi) * Integral_0^inf Re[ exp(-i*phi*ln K) * f_j(phi) / (i*phi) ] dphi,
 
 where f_j is supplied by a provider (the closed-form affine characteristic
-function of :mod:`svsir.heston_cf` for every beta).  Both R_j come from one
-adaptive pass over a two-row integrand, row j for measure j.  The integrand
-has a removable singularity at phi = 0 (the 1/(i*phi) pole is purely
-imaginary there) and is integrated by Gauss-Kronrod 7(15) panels on
-[PHI_MIN, phi_max]:
+function of :mod:`svsir.heston_cf` for every beta).  f_j does not depend on
+the strike, so one adaptive pass inverts a whole strike row: the integrand
+has one row per (measure j, strike).  Its singularity at phi = 0 is
+removable (the 1/(i*phi) pole is purely imaginary there), and Gauss-Kronrod
+7(15) panels integrate it on [PHI_MIN, phi_max]:
 
-* one truncation frequency phi_max serves both measures: the doubling ladder
-  PHI_LADDER_START, 2*PHI_LADDER_START, ... up to the spec's budget is
-  evaluated in one call per measure, and the first rung where
-  |f_j(phi)| / phi < abs_tol/10 holds for both j is taken (TailNotDecaying
-  if none does);
-* both rows share one panel set; every panel whose worst row holds more than
+* f_j is evaluated once per measure on PHI_MIN and the doubling ladder
+  PHI_LADDER_START, 2*PHI_LADDER_START, ... up to the spec's budget;
+* one phi_max serves every row: the first rung where |f_j(phi)| / phi
+  < abs_tol/10 holds for both j (TailNotDecaying if none does);
+* the rows share one panel set; every panel whose worst row holds more than
   its share of the error budget splits, all new halves are evaluated in one
   call, and each row must meet the target on its own;
-* the [0, PHI_MIN] sliver is added back as a one-term rectangle correction,
-  evaluating the integrand at PHI_MIN.
+* the [0, PHI_MIN] sliver is added back as a one-term rectangle correction.
 
-When the accumulated variance over the option's life is negligible the
-characteristic function never decays and R_j collapses to an indicator; that
-degenerate branch short-circuits the quadrature and reads the distribution's
-location off the phase of f_j at a tiny frequency.
+When the accumulated variance over the option's life is negligible, f_j
+never decays and R_j collapses to an indicator; that degenerate branch skips
+the quadrature and reads the law's location off the phase of f_j at PHI_MIN.
 """
 from __future__ import annotations
 
@@ -75,11 +72,11 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class ProbabilityPair:
-    """R_1 and R_2 with the worst achieved error estimate of the pair."""
+    """R_1 and R_2 with the worst achieved error estimate of the pair, per strike."""
 
-    r1: float
-    r2: float
-    achieved_error_estimate: float
+    r1: float | np.ndarray
+    r2: float | np.ndarray
+    achieved_error_estimate: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -172,12 +169,17 @@ def _adaptive_integral(
     return integrals.sum(axis=-1), errors.sum(axis=-1)
 
 
-def _find_phi_max(provider: CfProvider, spec: QuadratureSpec) -> tuple[float, float]:
+def _ladder(spec: QuadratureSpec) -> np.ndarray:
+    return PHI_LADDER_START * 2.0 ** np.arange(int(math.log2(spec.phi_max / PHI_LADDER_START)) + 1)
+
+
+def _find_phi_max(provider: CfProvider, spec: QuadratureSpec, f_ladder=None) -> tuple[float, float]:
     """First ladder rung where |f_j(phi)|/phi < abs_tol/10 for both j, and the larger tail term there."""
     threshold = spec.abs_tol / 10.0
-    n_rungs = int(math.log2(spec.phi_max / PHI_LADDER_START)) + 1
-    ladder = PHI_LADDER_START * 2.0 ** np.arange(n_rungs)
-    tails = np.abs([provider.eval(j, ladder) for j in (1, 2)]).max(axis=0) / ladder
+    ladder = _ladder(spec)
+    if f_ladder is None:  # f_1, f_2 on the ladder, unless the caller has them
+        f_ladder = [provider.eval(j, ladder) for j in (1, 2)]
+    tails = np.abs(f_ladder).max(axis=0) / ladder
     passed = np.flatnonzero(tails < threshold)
     if passed.size == 0:
         raise TailNotDecaying(
@@ -191,38 +193,39 @@ def _find_phi_max(provider: CfProvider, spec: QuadratureSpec) -> tuple[float, fl
 def gil_pelaez(
     cf_provider: CfProvider,
     x: float,
-    log_strike: float,
+    log_strike: float | np.ndarray,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> ProbabilityPair:
     """Exercise probabilities R_1, R_2 from a characteristic-function provider.
 
-    ``x`` is the log-moneyness variable the provider's phase is anchored at;
-    it is used only to scale the initial panel count to the integrand's
-    oscillation frequency.  Raises :class:`TailNotDecaying` or
-    :class:`SubdivisionExhausted` on budget failures; both carry context.
+    ``log_strike`` is a float or a 1-D array inverted in one pass; r1, r2 and
+    the error estimate come back in its shape.  ``x`` (the log-moneyness the
+    provider's phase is anchored at) only scales the initial panel count.
+    Raises :class:`TailNotDecaying` or :class:`SubdivisionExhausted`, with context.
     """
+    shape = np.shape(log_strike)
+    log_k = np.asarray(log_strike, dtype=float).reshape(-1, 1)
+    phis = np.concatenate([[PHI_MIN], _ladder(spec)])
+    f_table = np.stack([cf_provider.eval(j, phis) for j in (1, 2)])
     if cf_provider.decay_proxy < DEGENERATE_PROXY:
         # point-mass law: the phase slope at a tiny frequency is its location
-        centers = [np.log(cf_provider.eval(j, np.array([PHI_MIN]))[0]).imag / PHI_MIN for j in (1, 2)]
-        r1, r2 = (0.5 if math.isclose(c, log_strike, rel_tol=0.0, abs_tol=1e-12) else float(c > log_strike)
-                  for c in centers)
-        return ProbabilityPair(r1=r1, r2=r2, achieved_error_estimate=0.0)
+        centers = np.log(f_table[:, :1]).imag / PHI_MIN
+        r1, r2 = np.where(np.abs(centers - log_k.T) <= 1e-12, 0.5, centers > log_k.T).reshape((2,) + shape)
+        return ProbabilityPair(r1=r1, r2=r2, achieved_error_estimate=np.zeros(shape)[()])
 
-    def integrand(phi: np.ndarray) -> np.ndarray:
-        f = np.stack([cf_provider.eval(j, phi) for j in (1, 2)])
-        return (np.exp(-1j * phi * log_strike) * f / (1j * phi)).real
+    def rows(phi: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
+        """Integrand, shaped (measure, strike, phi); f_j is evaluated at phi unless given."""
+        f = np.stack([cf_provider.eval(j, phi) for j in (1, 2)]) if f is None else f
+        return (np.exp(-1j * phi * log_k) * f[:, None, :] / (1j * phi)).real
 
-    phi_max, tail_est = _find_phi_max(cf_provider, spec)
-    oscillation = max(abs(x - log_strike), 1.0)
+    phi_max, tail_est = _find_phi_max(cf_provider, spec, f_table[:, 1:])
+    oscillation = np.abs(x - log_k).max(initial=1.0)
     n_init = int(np.clip(math.ceil((phi_max - PHI_MIN) * oscillation / (3.0 * math.pi)),
                          8, spec.max_subdivisions // 2))
     quad_target = 0.25 * spec.abs_tol * math.pi
-    integral, quad_err = _adaptive_integral(
-        integrand, PHI_MIN, phi_max, quad_target, spec.max_subdivisions, n_init
-    )
+    integral, quad_err = _adaptive_integral(rows, PHI_MIN, phi_max, quad_target, spec.max_subdivisions, n_init)
     # rectangle correction for the [0, PHI_MIN] sliver (finite limit there)
-    integral += PHI_MIN * integrand(np.array([PHI_MIN]))[:, 0]
-    r1, r2 = 0.5 + integral / math.pi
-    return ProbabilityPair(
-        r1=float(r1), r2=float(r2), achieved_error_estimate=float((quad_err.max() + tail_est) / math.pi)
-    )
+    integral += PHI_MIN * rows(phis[:1], f_table[:, :1])[..., 0]
+    r1, r2 = (0.5 + integral / math.pi).reshape((2,) + shape)
+    err = (quad_err.max(axis=0) + tail_est) / math.pi
+    return ProbabilityPair(r1=r1, r2=r2, achieved_error_estimate=err.reshape(shape)[()])

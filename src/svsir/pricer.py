@@ -12,20 +12,23 @@ x = ln(S / B(tau, v)), so that exp(x)*B = S and the discounting lives
 entirely in the bond leg.  At beta = 0 the bond is exp(-mu*tau) and the
 route reduces to the constant-rate model.  The bond and the characteristic
 function share one parameter set: the lam entering the bond is the same
-risk-premium constant entering b.
+risk-premium constant entering b.  Neither B nor f_j depends on the strike,
+so :func:`price_grid` makes one pass per maturity, inverting its whole strike
+row at once; :func:`price_sir` is its one-point case.
 
 Puts come from parity, put = call - S + K*B, which is exact by construction.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import bond, heston_cf
 from .inversion import CfProvider, QuadratureSpec, gil_pelaez
-from .model import InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec, validate
+from .model import InvalidParameter, MarketState, ModelParams, NumericalError, OptionKind, OptionSpec, validate
 
 MODEL_HESTON = "heston"
 MODEL_SIR = "sir_heston"
@@ -43,11 +46,6 @@ class PriceResult:
     err_estimate: float
 
 
-def _decay_proxy(params: ModelParams, state: MarketState) -> float:
-    # leading-order accumulated variance; ~0 means a pure-phase CF
-    return state.tau * state.variance + 0.5 * params.kappa * params.theta * state.tau**2
-
-
 def _provider(params: ModelParams, state: MarketState, log_bond: float) -> CfProvider:
     log_spot = math.log(state.spot)
     v = state.variance
@@ -60,7 +58,8 @@ def _provider(params: ModelParams, state: MarketState, log_bond: float) -> CfPro
         log_norm = 0.0 if j == 1 else log_bond
         return np.exp(a_val + d_val * v + 1j * phi * log_spot - log_norm)
 
-    return CfProvider(eval=eval_fn, decay_proxy=_decay_proxy(params, state))
+    # leading-order accumulated variance; ~0 means a pure-phase CF
+    return CfProvider(eval=eval_fn, decay_proxy=tau * v + 0.5 * params.kappa * params.theta * tau**2)
 
 
 def price_heston(
@@ -77,31 +76,48 @@ def price_heston(
     return price_sir(params, state, opt, quad)
 
 
+def price_grid(
+    params: ModelParams,
+    spot: float,
+    variance: float,
+    strikes: Sequence[float],
+    maturities: Sequence[float],
+    quad: QuadratureSpec = QuadratureSpec(),
+) -> list[PriceResult]:
+    """Call prices over a (maturity x strike) grid, maturities outer, strikes inner, in the order given.
+
+    One bond and one inversion per maturity; the same variance v drives both.
+    A numerical failure is re-raised naming the maturity and its strikes.
+    """
+    validate(params)
+    for strike in strikes:
+        OptionSpec(strike=strike)
+    log_strikes = np.array([math.log(strike) for strike in strikes])
+    tag = MODEL_SIR if params.beta != 0.0 else MODEL_HESTON
+    results = []
+    for tau in maturities:
+        state = MarketState(spot=spot, variance=variance, tau=tau)
+        bond_value = bond.bond_price(params, variance, tau)
+        try:
+            pair = gil_pelaez(_provider(params, state, math.log(bond_value.price)),
+                              math.log(spot / bond_value.price), log_strikes, quad)
+        except NumericalError as exc:
+            raise type(exc)(f"at K={','.join(f'{k:.12g}' for k in strikes)}, tau={tau}: {exc}") from exc
+        for strike, r1, r2, err in zip(strikes, pair.r1, pair.r2, pair.achieved_error_estimate):
+            call = spot * r1 - strike * bond_value.price * r2
+            results.append(PriceResult(price=float(call), r1=float(r1), r2=float(r2), bond=bond_value,
+                                       model_tag=tag, err_estimate=float(err)))
+    return results
+
+
 def price_sir(
     params: ModelParams,
     state: MarketState,
     opt: OptionSpec,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> PriceResult:
-    """Semi-analytic price for every beta >= 0.
-
-    The same current variance v drives both the bond leg and the
-    characteristic function; beta = 0 is tagged as the constant-rate model.
-    """
-    validate(params)
-    bond_value = bond.bond_price(params, state.variance, state.tau)
-    provider = _provider(params, state, math.log(bond_value.price))
-    x = math.log(state.spot / bond_value.price)
-    pair = gil_pelaez(provider, x, math.log(opt.strike), quad)
-    call = state.spot * pair.r1 - opt.strike * bond_value.price * pair.r2
-    result = PriceResult(
-        price=call,
-        r1=pair.r1,
-        r2=pair.r2,
-        bond=bond_value,
-        model_tag=MODEL_SIR if params.beta != 0.0 else MODEL_HESTON,
-        err_estimate=pair.achieved_error_estimate,
-    )
+    """Semi-analytic price for every beta >= 0: the one-point :func:`price_grid`, puts by parity."""
+    result = price_grid(params, state.spot, state.variance, [opt.strike], [state.tau], quad)[0]
     if opt.kind is OptionKind.PUT:
         result = put_from_parity(result, state, opt)
     return result

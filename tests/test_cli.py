@@ -106,6 +106,37 @@ def test_numerical_failure_exits_3_with_context(tmp_path, capsys):
     assert "K=100" in captured.err and "tau=1" in captured.err
 
 
+def test_numerical_failure_names_the_strike_row(tmp_path, capsys):
+    cfg = write_config(tmp_path, variance=2e-6, strikes=[80.0, 100.0, 120.0])
+    Path(cfg).write_text(Path(cfg).read_text().replace("theta = 0.04", "theta = 0.0"))
+    assert main(["price", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "at K=80,100,120, tau=1.0: " in captured.err, captured.err
+
+
+def test_grid_makes_one_bond_and_one_inversion_per_maturity(tmp_path, capsys, monkeypatch):
+    import svsir.bond
+    import svsir.pricer
+
+    counts = {"gil_pelaez": 0, "bond_price": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(svsir.pricer, "gil_pelaez")
+    counted(svsir.bond, "bond_price")
+    cfg = write_config(tmp_path, beta=1.0, strikes=[80.0, 100.0, 120.0], maturities=[0.5, 1.0])
+    assert main(["price", "--config", cfg]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
+    assert counts == {"gil_pelaez": 2, "bond_price": 2}
+
+
 def test_json_output_mode(tmp_path, capsys):
     cfg = write_config(tmp_path, fmt="json")
     assert main(["price", "--config", cfg]) == 0

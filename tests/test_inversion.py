@@ -20,7 +20,7 @@ from svsir import (
     price_sir,
     simulate_exercise_prob,
 )
-from svsir.inversion import PHI_LADDER_START, _adaptive_integral, _find_phi_max
+from svsir.inversion import PHI_LADDER_START, PHI_MIN, _adaptive_integral, _find_phi_max
 from svsir.pricer import _provider
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
@@ -247,3 +247,30 @@ def test_probabilities_stable_under_tighter_tolerance_over_box():
                 context = (params, variance, tau, strike)
                 assert abs(a.r1 - b.r1) <= loose.abs_tol, context
                 assert abs(a.r2 - b.r2) <= loose.abs_tol, context
+
+
+def _recording(inner):
+    calls = []
+
+    def eval_fn(j, phi):
+        calls.append((j, np.array(phi)))
+        return inner.eval(j, phi)
+
+    return CfProvider(eval=eval_fn, decay_proxy=inner.decay_proxy), calls
+
+
+def test_phi_min_rides_in_the_ladder_call():
+    provider, calls = _recording(heston_provider(HESTON, math.log(100.0), 0.04, 1.0))
+    gil_pelaez(provider, math.log(100.0), np.log([80.0, 100.0, 120.0]))
+    assert [j for j, _ in calls[:2]] == [1, 2]
+    for _, phi in calls[:2]:
+        assert phi[0] == PHI_MIN and phi[1] == PHI_LADDER_START
+    assert all(phi.size > 1 for _, phi in calls)  # no single-frequency call
+
+
+def test_degenerate_point_makes_one_call_per_measure():
+    p = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
+    provider, calls = _recording(heston_provider(p, math.log(100.0), 0.0, 1.0))
+    pair = gil_pelaez(provider, math.log(100.0), np.log([90.0, 110.0]))
+    assert [j for j, _ in calls] == [1, 2]
+    np.testing.assert_array_equal(pair.r2, [1.0, 0.0])

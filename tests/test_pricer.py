@@ -11,13 +11,16 @@ from svsir import (
     ModelParams,
     OptionKind,
     OptionSpec,
+    QuadratureSpec,
     bond_price,
+    gil_pelaez,
+    price_grid,
     price_heston,
     price_sir,
     put_from_parity,
     simulate_price,
 )
-from svsir.pricer import MODEL_HESTON, MODEL_SIR
+from svsir.pricer import MODEL_HESTON, MODEL_SIR, _provider
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
@@ -144,3 +147,59 @@ def test_result_fields_populated():
     assert 0.0 < res.bond.price < 1.0
     assert 0.0 <= res.r1 <= 1.0 and 0.0 <= res.r2 <= 1.0
     assert res.err_estimate >= 0.0
+
+
+def test_price_grid_rows_match_one_strike_calls_over_box():
+    # sharing panels across a strike row moves each r_j by less than abs_tol
+    rng = np.random.default_rng(77)
+    quad = QuadratureSpec()
+    strikes = (40.0, 70.0, 100.0, 130.0, 250.0)
+    for i in range(20):
+        params = draw_params(rng, beta=0.0 if i < 10 else rng.uniform(0.25, 2.0))
+        variance = rng.uniform(0.01, 0.16)
+        for tau in (0.02, 0.5, 5.0):
+            row = price_grid(params, 100.0, variance, strikes, (tau,), quad)
+            for strike, res in zip(strikes, row):
+                (one,) = price_grid(params, 100.0, variance, (strike,), (tau,), quad)
+                context = (params, variance, tau, strike)
+                assert abs(res.r1 - one.r1) <= quad.abs_tol, context
+                assert abs(res.r2 - one.r2) <= quad.abs_tol, context
+                assert res.err_estimate <= quad.abs_tol, context  # each row meets the target
+                assert res.bond == one.bond
+
+
+def test_price_grid_keeps_the_given_order():
+    strikes, maturities = (120.0, 80.0, 100.0), (2.0, 0.5, 1.0)
+    grid = price_grid(SIR, 100.0, 0.04, strikes, maturities)
+    assert len(grid) == 9
+    for m, tau in enumerate(maturities):
+        row = grid[3 * m: 3 * m + 3]
+        assert all(res.bond == bond_price(SIR, 0.04, tau) for res in row)
+        for strike, res in zip(strikes, row):
+            ref = price_sir(SIR, MarketState(spot=100.0, variance=0.04, tau=tau), OptionSpec(strike=strike))
+            assert res.price == pytest.approx(ref.price, abs=1e-6)
+
+
+def test_one_element_strike_array_matches_scalar_call():
+    state = MarketState(spot=100.0, variance=0.04, tau=1.0)
+    log_bond = math.log(bond_price(SIR, state.variance, state.tau).price)
+    provider = _provider(SIR, state, log_bond)
+    x, log_k = math.log(100.0) - log_bond, math.log(110.0)
+    scalar = gil_pelaez(provider, x, log_k)
+    array = gil_pelaez(provider, x, np.array([log_k]))
+    assert isinstance(scalar.r1, np.float64) and np.shape(array.r1) == (1,)
+    assert array.r1[0] == scalar.r1 and array.r2[0] == scalar.r2
+    assert array.achieved_error_estimate[0] == scalar.achieved_error_estimate
+
+
+def test_reversed_strike_row_reverses_results():
+    # the panels do not depend on the order of the row, so each strike keeps its own numbers
+    state = MarketState(spot=100.0, variance=0.04, tau=0.5)
+    log_bond = math.log(bond_price(SIR, state.variance, state.tau).price)
+    provider = _provider(SIR, state, log_bond)
+    log_k = np.log([60.0, 95.0, 100.0, 160.0])
+    ahead = gil_pelaez(provider, math.log(100.0) - log_bond, log_k)
+    back = gil_pelaez(provider, math.log(100.0) - log_bond, log_k[::-1])
+    for field in ("r1", "r2", "achieved_error_estimate"):
+        np.testing.assert_array_equal(getattr(ahead, field), getattr(back, field)[::-1])
+    assert len(set(ahead.achieved_error_estimate)) > 1
