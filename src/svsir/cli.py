@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -307,6 +308,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+# built once per process: parse_args leaves the parser as it found it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svsir",

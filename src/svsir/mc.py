@@ -29,6 +29,10 @@ maturities on the step lattice, such as 0.5 and 1 year at 250 steps a year,
 each grid estimate equals the one-maturity estimate at the same seed bit for
 bit.  The loop reuses preallocated buffers in place but keeps the operand
 order of the plain expressions, so that reuse does not change a path.
+
+scipy is imported only here, inside :func:`_normals`, for ``ndtri``: loading
+``scipy.special`` costs about 0.3 s, and ``import svsir`` and the CLI's
+``price``, ``sweep`` and ``bond`` never simulate a path, so they never pay it.
 """
 from __future__ import annotations
 
@@ -37,7 +41,6 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec, validate
 
@@ -88,6 +91,8 @@ def _estimate(samples: np.ndarray) -> McEstimate:
 
 def _normals(rng: np.random.Generator, out: np.ndarray) -> None:
     """Fill ``out`` with standard normals by inverse CDF."""
+    from scipy.special import ndtri
+
     rng.random(out=out)
     # rng.random() can emit exactly 0.0; keep ndtri finite
     np.maximum(out, 2.0**-53, out=out)

@@ -1,12 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
 from svsir import McConfig, McEstimate, QuadratureSpec, bond_price, price_heston, price_sir
 from svsir import MarketState, ModelParams, OptionSpec
-from svsir.cli import load_run_config, main, parse_config_text
+from svsir.cli import build_parser, load_run_config, main, parse_config_text
 
 BASE_CONFIG = """
 [model]
@@ -44,6 +48,20 @@ def write_config(tmp_path, **kw):
     path.write_text(BASE_CONFIG.format(**{k: json.dumps(v) if isinstance(v, list) else v
                                           for k, v in defaults.items()}))
     return str(path)
+
+
+EXAMPLE_CFG = str(Path(__file__).parents[1] / "configs" / "example.cfg")
+# the README's bond example
+BOND_ARGV = ["bond", "--kappa", "2", "--theta", "0.04", "--sigma", "0.3", "--mu", "0.03",
+             "--beta", "1", "--variance", "0.04", "--tau-grid", "0,0.5,1,5"]
+
+
+def run_python(args):
+    """A fresh interpreter that imports this checkout's ``svsir``: (exit code, stdout, stderr)."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_parse_config_text_errors():
@@ -332,3 +350,47 @@ def test_feller_warning_goes_to_stderr_once(tmp_path, capsys):
         # one distinct warning, printed once, and none of it on stdout
         assert captured.err.count("warning: ") == captured.err.count("Feller") == 1, captured.err
         assert "warning" not in captured.out and len(captured.out.splitlines()) == 1 + rows
+
+
+def test_price_path_never_imports_scipy():
+    # scipy.special only makes Monte Carlo normals; a fresh process that
+    # prices, sweeps and tabulates bonds must not load any of scipy
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import svsir, svsir.cli
+        cfg = {EXAMPLE_CFG!r}
+        for argv in (["price", "--config", cfg],
+                     ["sweep", "--config", cfg, "--param", "beta", "--values", "0,0.5"],
+                     {BOND_ARGV!r}):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert svsir.cli.main(argv) == 0, argv
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        assert not loaded, loaded
+        params = svsir.ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5,
+                                   mu=0.03, beta=1.0)
+        svsir.simulate_bond(params, 0.04, 1.0, svsir.McConfig(n_paths=1000))
+        assert "scipy.special" in sys.modules
+    """)
+    code, out, err = run_python(["-c", script])
+    assert code == 0, err
+
+
+def test_cached_parser_leaks_no_state_between_commands(capsys):
+    assert build_parser() is build_parser()
+    sequence = [
+        ["price", "--config", EXAMPLE_CFG],
+        ["price"],  # no --config: argparse rejects it
+        BOND_ARGV,
+        ["price", "--config", EXAMPLE_CFG, "--output", "json"],
+        ["sweep", "--config", EXAMPLE_CFG, "--param", "beta", "--values", "0,0.5"],
+    ]
+    codes = []
+    for argv in sequence:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        captured = capsys.readouterr()
+        # each command prints what it prints in a process of its own
+        assert (codes[-1], captured.out, captured.err) == run_python(["-m", "svsir.cli", *argv]), argv
+    assert codes == [0, 2, 0, 0, 0]
