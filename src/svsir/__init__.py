@@ -26,7 +26,7 @@ from .bond import (
     g_of_tau,
     ode_residual,
 )
-from .heston_cf import CfCoefficients, characteristic_fn, closed_form_cd
+from .heston_cf import characteristic_fn
 from .inversion import (
     CfProvider,
     ProbabilityPair,
@@ -78,7 +78,6 @@ __all__ = [
     "BETA_SWITCH",
     "BondCoefficients",
     "BondValue",
-    "CfCoefficients",
     "CfProvider",
     "DegenerateBeta",
     "InvalidParameter",
@@ -104,7 +103,6 @@ __all__ = [
     "bond_dynamics_coefficients",
     "bond_price",
     "characteristic_fn",
-    "closed_form_cd",
     "coefficients",
     "f_of_tau",
     "g_of_tau",

@@ -24,7 +24,9 @@ where eta = kappa*theta, alpha = kappa + lam and
 which :func:`ode_residual` re-checks numerically at runtime.  As
 beta -> 0+ the bond converges to the constant-rate discount exp(-mu*tau);
 below ``BETA_SWITCH`` the code switches to that branch exactly, since b and c
-both scale like 1/beta and would lose all precision.
+both scale like 1/beta and would lose all precision.  That branch lives in
+one place, the private ``_log_f_and_g``, which :func:`bond_price`,
+:func:`bond_dynamics_coefficients` and :func:`ode_residual` all read.
 """
 from __future__ import annotations
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InvalidParameter, ModelParams
+from .model import InvalidParameter, ModelParams, check_nonnegative
 
 # Below this, b and c (~ alpha/beta) are dominated by cancellation; the
 # constant-rate limit is exact to far better than any tolerance used here.
@@ -124,22 +126,29 @@ def f_of_tau(params: ModelParams, coeffs: BondCoefficients, tau):
     return np.exp(log_f_of_tau(params, coeffs, tau))
 
 
+def _log_f_and_g(params: ModelParams, tau):
+    """(ln F(tau), G(tau)) for scalar or array tau.
+
+    For ``beta <= BETA_SWITCH`` this is the constant-rate branch
+    ln F = -mu*tau, G = 0 exactly.
+    """
+    if params.beta <= BETA_SWITCH:
+        tau = np.asarray(tau, dtype=float)
+        log_f = -params.mu * tau
+        return (float(log_f), 0.0) if tau.ndim == 0 else (log_f, np.zeros_like(tau))
+    co = coefficients(params)
+    return log_f_of_tau(params, co, tau), g_of_tau(co, tau)
+
+
 def bond_price(params: ModelParams, v: float, tau: float) -> BondValue:
     """Discount bond B(tau, v) = F(tau)*exp(G(tau)*v).
 
     For ``beta <= BETA_SWITCH`` the constant-rate branch returns
     exp(-mu*tau) exactly (F = exp(-mu*tau), G = 0).
     """
-    if v < 0:
-        raise InvalidParameter(f"variance: must be >= 0, got {v}")
-    if tau < 0:
-        raise InvalidParameter(f"tau: must be >= 0, got {tau}")
-    if params.beta <= BETA_SWITCH:
-        disc = math.exp(-params.mu * tau)
-        return BondValue(price=disc, f_factor=disc, g_factor=0.0)
-    co = coefficients(params)
-    g = g_of_tau(co, tau)
-    log_f = log_f_of_tau(params, co, tau)
+    check_nonnegative("variance", v)
+    check_nonnegative("tau", tau)
+    log_f, g = _log_f_and_g(params, tau)
     return BondValue(price=math.exp(log_f + g * v), f_factor=math.exp(log_f), g_factor=g)
 
 
@@ -151,15 +160,10 @@ def bond_dynamics_coefficients(params: ModelParams, v: float, tau: float) -> tup
     G(tau)*sigma*sqrt(v), which is negative for tau > 0 and vanishes at
     maturity so the bond reaches par with probability one.
     """
-    if v < 0:
-        raise InvalidParameter(f"variance: must be >= 0, got {v}")
-    if tau < 0:
-        raise InvalidParameter(f"tau: must be >= 0, got {tau}")
+    check_nonnegative("variance", v)
+    check_nonnegative("tau", tau)
     drift = params.mu + (params.beta + params.lam) * v
-    if params.beta <= BETA_SWITCH:
-        g = 0.0
-    else:
-        g = g_of_tau(coefficients(params), tau)
+    _, g = _log_f_and_g(params, tau)
     return drift, g * params.sigma * math.sqrt(v)
 
 
@@ -184,14 +188,8 @@ def ode_residual(params: ModelParams, tau_grid) -> float:
     if np.any(np.diff(grid) <= 0):
         raise InvalidParameter("tau_grid: must be strictly increasing")
 
-    if params.beta <= BETA_SWITCH:
-        g = np.zeros_like(grid)
-        f = np.exp(-params.mu * grid)
-    else:
-        co = coefficients(params)
-        g = g_of_tau(co, grid)
-        f = f_of_tau(params, co, grid)
-
+    log_f, g = _log_f_and_g(params, grid)
+    f = np.exp(log_f)
     g_prime = np.gradient(g, grid, edge_order=2)
     f_prime = np.gradient(f, grid, edge_order=2)
     alpha = params.alpha

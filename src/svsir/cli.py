@@ -10,7 +10,8 @@ sweep   re-price the grid while sweeping one model parameter over values
 Config files are flat sectioned key = value text where every value parses as
 JSON (numbers, strings in quotes, [lists]); see configs/example.cfg.  The
 ``SCHEMA`` table names every section and key with its parser and default
-(``None``: required).  Unknown sections or keys, duplicate keys (``lambda`` is
+(``None``: required); ``[model]``, ``[quadrature]`` and ``[mc]`` are read off
+the fields of ``ModelParams``, ``QuadratureSpec`` and ``McConfig``.  Unknown sections or keys, duplicate keys (``lambda`` is
 ``lam``), bools or strings for numbers, non-integral integers and values out
 of range exit 2, naming the file and the section.
 ``--tol``, ``--output`` and ``--seed`` overwrite ``[quadrature] abs_tol``,
@@ -42,6 +43,7 @@ from .model import (
     ModelParams,
     NumericalError,
     OptionSpec,
+    check_nonnegative,
     validate,
 )
 from .pricer import price_grid
@@ -86,13 +88,20 @@ def _format(value: Any) -> str:
     return value
 
 
+def _fields(cls: type) -> dict[str, tuple[Callable[[Any], Any], Any]]:
+    """One key per field of dataclass ``cls``, parsed by its annotation, defaulting to its default."""
+    parsers = {"float": _number, "int": _integer}  # postponed annotations: field.type is a string
+    return {f.name: (parsers[f.type], None if f.default is dataclasses.MISSING else f.default)
+            for f in dataclasses.fields(cls)}
+
+
 # section -> key -> (parser of the JSON value, default); default None = required
 SCHEMA: dict[str, dict[str, tuple[Callable[[Any], Any], Any]]] = {
-    "model": {name: (_number, None) for name in MODEL_FIELDS},
+    "model": _fields(ModelParams),
     "market": {"spot": (_number, None), "variance": (_number, None)},
     "grid": {"strikes": (_sorted_numbers, None), "maturities": (_sorted_numbers, None)},
-    "quadrature": {"abs_tol": (_number, 1e-9), "phi_max": (_number, 1e4), "max_subdivisions": (_integer, 2048)},
-    "mc": {"n_paths": (_integer, None), "n_steps_per_year": (_integer, 250), "seed": (_integer, 0)},
+    "quadrature": _fields(QuadratureSpec),
+    "mc": _fields(McConfig),
     "output": {"format": (_format, "csv")},
 }
 
@@ -190,7 +199,7 @@ def build_run_config(sections: dict[str, dict[str, Any]], origin: str = "<config
     # range-check the market and grid eagerly so nothing runs on bad input
     _ranged(f"{origin} [market]", MarketState, **market, tau=0.0)
     for tau in grid["maturities"]:
-        _ranged(f"{origin} [grid] maturities:", MarketState, **market, tau=tau)
+        _ranged(f"{origin} [grid] maturities:", check_nonnegative, "tau", tau)
     for strike in grid["strikes"]:
         _ranged(f"{origin} [grid] strikes:", OptionSpec, strike=strike)
     return RunConfig(params=params, **market, **grid, quad=quad, mc=mc_cfg, out_format=out_format)
@@ -261,9 +270,9 @@ def cmd_bond(args: argparse.Namespace) -> int:
     params = ModelParams(**{name: getattr(args, name) for name in MODEL_FIELDS})
     validate(params)
     taus = _comma_numbers(args.tau_grid, "--tau-grid")
-    _ranged("--variance:", MarketState, spot=1.0, variance=args.variance, tau=0.0)
+    _ranged("--variance:", check_nonnegative, "variance", args.variance)
     for tau in taus:
-        _ranged("--tau-grid:", MarketState, spot=1.0, variance=args.variance, tau=tau)
+        _ranged("--tau-grid:", check_nonnegative, "tau", tau)
     rows = []
     for tau in taus:
         value = bond_mod.bond_price(params, args.variance, tau)

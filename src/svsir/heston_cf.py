@@ -31,41 +31,21 @@ The exercise probabilities of the price decomposition invert
     f_2(phi) = Psi(phi) / B       (tau-forward measure, B the discount bond).
 
 At beta = 0 these are the constant-rate characteristic functions
-f_j = exp(C + D*v + i*phi*x) at log-spot x = ln S with the coefficient table
+f_j = exp(C + D*v + i*phi*x) at log-spot x = ln S, with
+C = r0*phi*i*tau + (A without its rate term) and the coefficient table
 
     zeta_1 = +1/2, zeta_2 = -1/2,
-    b_1 = kappa + lam - rho_sv*sigma,  b_2 = kappa + lam,
+    b_1 = kappa + lam - rho_sv*sigma,  b_2 = kappa + lam.
 
-and C = r0*phi*i*tau + (A without its rate term), which :func:`cd_arrays`,
-:func:`closed_form_cd` and :func:`characteristic_fn` return.
+:func:`affine_cd` gives (A, D) on any contour and is what prices use;
+:func:`cd_arrays` gives (C, D) on the two pricing contours and
+:func:`characteristic_fn` assembles f_j from them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import InvalidParameter, ModelParams
-
-
-@dataclass(frozen=True)
-class CfCoefficients:
-    """Pair (C, D) defining the characteristic function at one (tau, phi, j)."""
-
-    c_val: complex
-    d_val: complex
-
-
-def zeta(j: int) -> float:
-    """Drift coefficient of the measure-j log-spot: +1/2 for j=1, -1/2 for j=2."""
-    _check_j(j)
-    return 0.5 if j == 1 else -0.5
-
-
-def b_coeff(params: ModelParams, j: int) -> float:
-    """Linear D coefficient: b_1 = kappa+lam-rho_sv*sigma, b_2 = kappa+lam."""
-    _check_j(j)
-    return params.alpha - params.rho_sv * params.sigma if j == 1 else params.alpha
+from .model import InvalidParameter, ModelParams, check_nonnegative
 
 
 def _check_j(j: int) -> None:
@@ -124,26 +104,14 @@ def cd_arrays(params: ModelParams, r0: float, tau, phi, j: int):
     return c_val, d_val
 
 
-def closed_form_cd(params: ModelParams, r0: float, tau: float, phi: float, j: int) -> CfCoefficients:
-    """Coefficients (C, D) of the constant-rate characteristic function.
-
-    ``r0`` is the constant short rate entering C as r0*phi*i*tau; for the
-    beta = 0 model it equals ``params.mu``.  ``phi`` must be real.
-    """
-    if tau < 0:
-        raise InvalidParameter(f"tau: must be >= 0, got {tau}")
-    c_val, d_val = cd_arrays(params, r0, tau, phi, j)
-    return CfCoefficients(c_val=complex(c_val), d_val=complex(d_val))
-
-
 def characteristic_fn(params: ModelParams, r0: float, x: float, v: float, tau: float, phi, j: int):
     """f_j = exp(C + D*v + i*phi*x); modulus <= 1 for real phi.
 
     ``phi`` may be a scalar or an array (vectorised evaluation for the
     quadrature layer).
     """
-    if v < 0:
-        raise InvalidParameter(f"variance: must be >= 0, got {v}")
+    check_nonnegative("variance", v)
+    check_nonnegative("tau", tau)
     c_val, d_val = cd_arrays(params, r0, tau, phi, j)
     out = np.exp(c_val + d_val * v + 1j * np.asarray(phi, dtype=float) * x)
     return complex(out) if out.ndim == 0 else out

@@ -173,12 +173,13 @@ def _ladder(spec: QuadratureSpec) -> np.ndarray:
     return PHI_LADDER_START * 2.0 ** np.arange(int(math.log2(spec.phi_max / PHI_LADDER_START)) + 1)
 
 
-def _find_phi_max(provider: CfProvider, spec: QuadratureSpec, f_ladder=None) -> tuple[float, float]:
-    """First ladder rung where |f_j(phi)|/phi < abs_tol/10 for both j, and the larger tail term there."""
+def _find_phi_max(f_ladder: np.ndarray, spec: QuadratureSpec) -> tuple[float, float]:
+    """First ladder rung where |f_j(phi)|/phi < abs_tol/10 for both j, and the larger tail term there.
+
+    ``f_ladder`` holds f_1 and f_2 on ``_ladder(spec)``, one row per measure.
+    """
     threshold = spec.abs_tol / 10.0
     ladder = _ladder(spec)
-    if f_ladder is None:  # f_1, f_2 on the ladder, unless the caller has them
-        f_ladder = [provider.eval(j, ladder) for j in (1, 2)]
     tails = np.abs(f_ladder).max(axis=0) / ladder
     passed = np.flatnonzero(tails < threshold)
     if passed.size == 0:
@@ -218,7 +219,7 @@ def gil_pelaez(
         f = np.stack([cf_provider.eval(j, phi) for j in (1, 2)]) if f is None else f
         return (np.exp(-1j * phi * log_k) * f[:, None, :] / (1j * phi)).real
 
-    phi_max, tail_est = _find_phi_max(cf_provider, spec, f_table[:, 1:])
+    phi_max, tail_est = _find_phi_max(f_table[:, 1:], spec)
     oscillation = np.abs(x - log_k).max(initial=1.0)
     n_init = int(np.clip(math.ceil((phi_max - PHI_MIN) * oscillation / (3.0 * math.pi)),
                          8, spec.max_subdivisions // 2))

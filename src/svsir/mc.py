@@ -42,9 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec, validate
-
-_SCHEMES = ("full_truncation_euler",)
+from .model import (InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec,
+                    check_nonnegative, validate)
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class McConfig:
     n_paths: int
     n_steps_per_year: int = 250
     seed: int = 0
-    scheme: str = "full_truncation_euler"
 
     def __post_init__(self) -> None:
         if self.n_paths < 1000:
@@ -63,8 +61,6 @@ class McConfig:
             )
         if self.seed < 0:
             raise InvalidParameter(f"seed: must be >= 0, got {self.seed}")
-        if self.scheme not in _SCHEMES:
-            raise InvalidParameter(f"scheme: must be one of {_SCHEMES}, got {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +244,8 @@ def simulate_bond(params: ModelParams, v0: float, tau: float, cfg: McConfig) -> 
     """Estimate of E[exp(-Integral_0^tau (mu + beta*v_s) ds)]; the closed-form
     bond's Monte Carlo counterpart."""
     validate(params)
-    MarketState(spot=1.0, variance=v0, tau=tau)  # range-checks v0 and tau
+    check_nonnegative("variance", v0)
+    check_nonnegative("tau", tau)
     _, _, rate_integral = _terminal(params, v0, 0.0, tau, cfg, with_stock=False)
     return _estimate(np.exp(-rate_integral))
 

@@ -58,6 +58,15 @@ class ModelParams:
         return self.kappa + self.lam
 
 
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise :class:`InvalidParameter` naming ``name`` unless ``value`` is finite and >= 0.
+
+    The range rule of every variance and maturity input; NaN and inf fail it.
+    """
+    if not (math.isfinite(value) and value >= 0):
+        raise InvalidParameter(f"{name}: must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class MarketState:
     """Current spot, instantaneous variance and time to maturity."""
@@ -69,10 +78,8 @@ class MarketState:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.spot) and self.spot > 0):
             raise InvalidParameter(f"spot: must be finite and > 0, got {self.spot}")
-        if not (math.isfinite(self.variance) and self.variance >= 0):
-            raise InvalidParameter(f"variance: must be finite and >= 0, got {self.variance}")
-        if not (math.isfinite(self.tau) and self.tau >= 0):
-            raise InvalidParameter(f"tau: must be finite and >= 0, got {self.tau}")
+        check_nonnegative("variance", self.variance)
+        check_nonnegative("tau", self.tau)
 
 
 class OptionKind(Enum):

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bond
-from .model import InvalidParameter, ModelParams, NumericalError
+from .model import InvalidParameter, ModelParams, NumericalError, check_nonnegative
 
 
 class StepSizeUnderflow(NumericalError):
@@ -289,8 +289,7 @@ def integrate_cd_batch(
     """
     if j not in (1, 2):
         raise InvalidParameter(f"j: measure index must be 1 or 2, got {j}")
-    if tau < 0:
-        raise InvalidParameter(f"tau: must be >= 0, got {tau}")
+    check_nonnegative("tau", tau)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     coeffs = SirCoefficients.from_params(params)
     rhs = _RiccatiRhs(coeffs, phis, j)
@@ -334,7 +333,6 @@ def sir_characteristic_fn(
     tol: ToleranceSpec = ToleranceSpec(),
 ) -> complex:
     """f_j = exp(C + D*v + i*phi*x) at forward log-moneyness x = ln(S/B)."""
-    if v < 0:
-        raise InvalidParameter(f"variance: must be >= 0, got {v}")
+    check_nonnegative("variance", v)
     sol = integrate_cd(params, tau, phi, j, tol)
     return complex(np.exp(sol.c_val + sol.d_val * v + 1j * phi * x))

@@ -315,6 +315,18 @@ def test_example_config_loads_under_schema():
     assert run.out_format == "csv"
 
 
+def test_config_defaults_are_the_dataclass_defaults(tmp_path):
+    cfg = tmp_path / "defaults.cfg"
+    text = BASE_CONFIG.format(beta=0.0, variance=0.04, strikes=[100.0], maturities=[1.0],
+                              n_paths=2000, steps=50, seed=7, fmt="csv")
+    # drop every [mc] key but n_paths; the config has no [quadrature] section
+    cfg.write_text("\n".join(line for line in text.splitlines()
+                             if not line.startswith(("n_steps_per_year", "seed"))))
+    run = load_run_config(str(cfg))
+    assert run.quad == QuadratureSpec()
+    assert run.mc == McConfig(n_paths=2000)
+
+
 def test_tol_and_output_flags_override_config(tmp_path, capsys):
     cfg = write_config(tmp_path)
     # 1e-2 is outside QuadratureSpec's range, so the override reached it

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import draw_params
-from svsir import ModelParams, characteristic_fn, closed_form_cd
-from svsir.heston_cf import b_coeff, cd_arrays, zeta
+from svsir import ModelParams, characteristic_fn
+from svsir.heston_cf import cd_arrays
 
 BASE = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 
@@ -17,8 +17,9 @@ def textbook_cd(params, r0, tau, phi, j):
     Branch-discontinuous at long maturities, but exact for short tau; serves
     as an independent algebraic oracle for the stable rearrangement.
     """
-    bj = b_coeff(params, j)
-    zj = zeta(j)
+    # the constant-rate coefficient table, written out here
+    bj = params.kappa + params.lam - (params.rho_sv * params.sigma if j == 1 else 0.0)
+    zj = 0.5 if j == 1 else -0.5
     s2 = params.sigma**2
     a = params.kappa * params.theta
     bb = bj - params.rho_sv * params.sigma * phi * 1j
@@ -31,14 +32,14 @@ def textbook_cd(params, r0, tau, phi, j):
 
 
 def test_zero_tau_is_exactly_zero():
-    cf = closed_form_cd(BASE, 0.03, 0.0, 3.7, 1)
-    assert cf.c_val == 0.0 and cf.d_val == 0.0
+    c_val, d_val = cd_arrays(BASE, 0.03, 0.0, 3.7, 1)
+    assert c_val == 0.0 and d_val == 0.0
 
 
 def test_zero_phi_limit_branch():
     for j in (1, 2):
-        cf = closed_form_cd(BASE, 0.03, 2.0, 0.0, j)
-        assert cf.c_val == 0.0 and cf.d_val == 0.0
+        c_val, d_val = cd_arrays(BASE, 0.03, 2.0, 0.0, j)
+        assert c_val == 0.0 and d_val == 0.0
     assert characteristic_fn(BASE, 0.03, 4.6, 0.04, 2.0, 0.0, 2) == 1.0
 
 
@@ -49,10 +50,10 @@ def test_matches_textbook_form_at_short_maturities():
         tau = rng.uniform(0.05, 1.0)
         phi = rng.uniform(0.05, 50.0)
         j = int(rng.integers(1, 3))
-        cf = closed_form_cd(p, p.mu, tau, phi, j)
+        c_val, d_val = cd_arrays(p, p.mu, tau, phi, j)
         c_ref, d_ref = textbook_cd(p, p.mu, tau, phi, j)
-        assert cf.c_val == pytest.approx(c_ref, rel=1e-10, abs=1e-12)
-        assert cf.d_val == pytest.approx(d_ref, rel=1e-10, abs=1e-12)
+        assert complex(c_val) == pytest.approx(c_ref, rel=1e-10, abs=1e-12)
+        assert complex(d_val) == pytest.approx(d_ref, rel=1e-10, abs=1e-12)
 
 
 def test_modulus_bounded_by_one():
@@ -113,11 +114,11 @@ def test_discount_term_is_the_only_difference_from_ode_route():
 
     tau, phi, j, r0 = 1.0, 1.0, 2, 0.03
     sol = integrate_cd(BASE, tau, phi, j, ToleranceSpec(rel=1e-12, abs=1e-14))
-    cf = closed_form_cd(BASE, r0, tau, phi, j)
-    assert abs(cf.c_val - (sol.c_val + r0 * phi * 1j * tau)) < 1e-8
-    assert abs(cf.d_val - sol.d_val) < 1e-8
+    c_val, d_val = cd_arrays(BASE, r0, tau, phi, j)
+    assert abs(c_val - (sol.c_val + r0 * phi * 1j * tau)) < 1e-8
+    assert abs(d_val - sol.d_val) < 1e-8
 
 
 def test_invalid_measure_index():
     with pytest.raises(Exception):
-        closed_form_cd(BASE, 0.03, 1.0, 1.0, 3)
+        cd_arrays(BASE, 0.03, 1.0, 1.0, 3)

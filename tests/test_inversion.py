@@ -20,7 +20,7 @@ from svsir import (
     price_sir,
     simulate_exercise_prob,
 )
-from svsir.inversion import PHI_LADDER_START, PHI_MIN, _adaptive_integral, _find_phi_max
+from svsir.inversion import PHI_LADDER_START, PHI_MIN, _adaptive_integral, _find_phi_max, _ladder
 from svsir.pricer import _provider
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
@@ -192,29 +192,16 @@ def test_find_phi_max_matches_per_rung_search():
             provider = _provider(params, state, math.log(bond_price(params, state.variance, tau).price))
             for spec in (QuadratureSpec(), QuadratureSpec(abs_tol=1e-12, phi_max=200.0)):
                 expected = _phi_max_by_rung(provider, spec)
+                f_ladder = np.stack([provider.eval(j, _ladder(spec)) for j in (1, 2)])
                 if expected is None:
                     with pytest.raises(TailNotDecaying):
-                        _find_phi_max(provider, spec)
+                        _find_phi_max(f_ladder, spec)
                     continue
-                phi_max, tail = _find_phi_max(provider, spec)
+                phi_max, tail = _find_phi_max(f_ladder, spec)
                 assert phi_max == expected[0]
                 assert tail == pytest.approx(expected[1], rel=1e-12)
                 found.add(phi_max)
     assert len(found) > 2  # the draws reach several rungs
-
-
-def test_find_phi_max_evaluates_whole_ladder_once_per_measure():
-    calls = []
-    inner = heston_provider(HESTON, math.log(100.0), 0.04, 1.0)
-
-    def eval_fn(j, phi):
-        calls.append((j, np.array(phi)))
-        return inner.eval(j, phi)
-
-    _find_phi_max(CfProvider(eval=eval_fn, decay_proxy=inner.decay_proxy), QuadratureSpec(phi_max=1e4))
-    assert [j for j, _ in calls] == [1, 2]
-    for _, phi in calls:
-        np.testing.assert_array_equal(phi, [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0])
 
 
 def test_find_phi_max_needs_both_measures_on_one_rung():
@@ -225,10 +212,10 @@ def test_find_phi_max_needs_both_measures_on_one_rung():
         odd = np.log2(phi / PHI_LADDER_START) % 2 == 1
         return np.where(odd == (j == 2), 0.0, 1.0).astype(complex)
 
-    provider = CfProvider(eval=eval_fn, decay_proxy=1.0)
-    assert np.all(np.abs([eval_fn(j, ladder) for j in (1, 2)]).min(axis=0) == 0.0)
+    f_ladder = np.stack([eval_fn(j, ladder) for j in (1, 2)])
+    assert np.all(np.abs(f_ladder).min(axis=0) == 0.0)
     with pytest.raises(TailNotDecaying, match="phi budget"):
-        _find_phi_max(provider, QuadratureSpec())
+        _find_phi_max(f_ladder, QuadratureSpec())
 
 
 def test_probabilities_stable_under_tighter_tolerance_over_box():
@@ -261,10 +248,12 @@ def _recording(inner):
 
 def test_phi_min_rides_in_the_ladder_call():
     provider, calls = _recording(heston_provider(HESTON, math.log(100.0), 0.04, 1.0))
-    gil_pelaez(provider, math.log(100.0), np.log([80.0, 100.0, 120.0]))
+    gil_pelaez(provider, math.log(100.0), np.log([80.0, 100.0, 120.0]), QuadratureSpec(phi_max=1e4))
     assert [j for j, _ in calls[:2]] == [1, 2]
-    for _, phi in calls[:2]:
-        assert phi[0] == PHI_MIN and phi[1] == PHI_LADDER_START
+    for _, phi in calls[:2]:  # the whole ladder, once per measure
+        np.testing.assert_array_equal(
+            phi, [PHI_MIN, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0]
+        )
     assert all(phi.size > 1 for _, phi in calls)  # no single-frequency call
 
 

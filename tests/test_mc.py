@@ -29,8 +29,6 @@ def test_config_invariants():
         McConfig(n_paths=999)
     with pytest.raises(InvalidParameter, match="n_steps_per_year"):
         McConfig(n_paths=1000, n_steps_per_year=10)
-    with pytest.raises(InvalidParameter, match="scheme"):
-        McConfig(n_paths=1000, scheme="milstein")
 
 
 def test_config_rejects_negative_seed():

@@ -9,6 +9,12 @@ from svsir import (
     ModelParams,
     OptionKind,
     OptionSpec,
+    ToleranceSpec,
+    bond_dynamics_coefficients,
+    bond_price,
+    characteristic_fn,
+    integrate_cd_batch,
+    sir_characteristic_fn,
     validate,
 )
 
@@ -101,6 +107,32 @@ def test_market_state_invariants():
         MarketState(spot=100.0, variance=-0.01, tau=1.0)
     with pytest.raises(InvalidParameter, match="tau"):
         MarketState(spot=100.0, variance=0.04, tau=-1.0)
+
+
+SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("name, call", [
+    pytest.param("variance", lambda: bond_price(SIR, NAN, 1.0), id="bond_price-v-nan"),
+    pytest.param("variance", lambda: bond_price(SIR, INF, 1.0), id="bond_price-v-inf"),
+    pytest.param("tau", lambda: bond_price(SIR, 0.04, NAN), id="bond_price-tau-nan"),
+    pytest.param("tau", lambda: bond_price(SIR, 0.04, INF), id="bond_price-tau-inf"),
+    pytest.param("variance", lambda: bond_dynamics_coefficients(SIR, NAN, 1.0),
+                 id="bond_dynamics_coefficients-v-nan"),
+    pytest.param("tau", lambda: bond_dynamics_coefficients(SIR, 0.04, INF),
+                 id="bond_dynamics_coefficients-tau-inf"),
+    pytest.param("variance", lambda: characteristic_fn(SIR, SIR.mu, 4.6, NAN, 1.0, 1.0, 1),
+                 id="characteristic_fn-v-nan"),
+    pytest.param("variance", lambda: sir_characteristic_fn(SIR, 4.6, NAN, 1.0, 1.0, 1),
+                 id="sir_characteristic_fn-v-nan"),
+    # a small step budget, so that a solve that starts anyway ends fast
+    pytest.param("tau", lambda: integrate_cd_batch(SIR, NAN, [1.0], 1, ToleranceSpec(max_steps=50)),
+                 id="integrate_cd_batch-tau-nan"),
+])
+def test_bare_variance_and_maturity_inputs_must_be_finite(name, call):
+    with pytest.raises(InvalidParameter, match=f"^{name}: must be finite and >= 0"):
+        call()
 
 
 def test_option_spec_invariants():
