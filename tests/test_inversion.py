@@ -204,6 +204,17 @@ def test_find_phi_max_matches_per_rung_search():
     assert len(found) > 2  # the draws reach several rungs
 
 
+def test_find_phi_max_evaluates_whole_ladder_once_per_measure():
+    provider, calls = _recording(heston_provider(HESTON, math.log(100.0), 0.04, 1.0))
+    spec = QuadratureSpec(phi_max=1e4)
+    gil_pelaez(provider, math.log(100.0), math.log(100.0), spec)
+    assert [j for j, _ in calls[:2]] == [1, 2]
+    for _, phi in calls[:2]:
+        np.testing.assert_array_equal(phi[1:], [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0])
+    f_ladder = np.stack([provider.eval(j, _ladder(spec)) for j in (1, 2)])
+    assert _find_phi_max(f_ladder, spec)[0] in _ladder(spec)
+
+
 def test_find_phi_max_needs_both_measures_on_one_rung():
     ladder = PHI_LADDER_START * 2.0 ** np.arange(9)
 
@@ -250,10 +261,8 @@ def test_phi_min_rides_in_the_ladder_call():
     provider, calls = _recording(heston_provider(HESTON, math.log(100.0), 0.04, 1.0))
     gil_pelaez(provider, math.log(100.0), np.log([80.0, 100.0, 120.0]), QuadratureSpec(phi_max=1e4))
     assert [j for j, _ in calls[:2]] == [1, 2]
-    for _, phi in calls[:2]:  # the whole ladder, once per measure
-        np.testing.assert_array_equal(
-            phi, [PHI_MIN, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0]
-        )
+    for _, phi in calls[:2]:
+        assert phi[0] == PHI_MIN and phi[1] == PHI_LADDER_START
     assert all(phi.size > 1 for _, phi in calls)  # no single-frequency call
 
 
