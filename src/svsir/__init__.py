@@ -29,6 +29,7 @@ from .bond import (
 from .heston_cf import characteristic_fn
 from .inversion import (
     CfProvider,
+    InversionError,
     ProbabilityPair,
     QuadratureSpec,
     SubdivisionExhausted,
@@ -56,6 +57,7 @@ from .model import (
 from .pricer import (
     MODEL_HESTON,
     MODEL_SIR,
+    PriceGrid,
     PriceResult,
     price_grid,
     price_heston,
@@ -81,6 +83,7 @@ __all__ = [
     "CfProvider",
     "DegenerateBeta",
     "InvalidParameter",
+    "InversionError",
     "MarketState",
     "McConfig",
     "McEstimate",
@@ -91,6 +94,7 @@ __all__ = [
     "OdeSolution",
     "OptionKind",
     "OptionSpec",
+    "PriceGrid",
     "PriceResult",
     "ProbabilityPair",
     "QuadratureSpec",

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InvalidParameter, ModelParams, check_nonnegative
+from .model import InvalidParameter, ModelParams, check_nonnegative, check_nonnegative_array
 
 # Below this, b and c (~ alpha/beta) are dominated by cancellation; the
 # constant-rate limit is exact to far better than any tolerance used here.
@@ -176,13 +176,14 @@ def ode_residual(params: ModelParams, tau_grid) -> float:
         | kappa*theta*G - mu - F'/F |
 
     with G' and F' from centered finite differences (second-order one-sided
-    stencils at the endpoints).  The grid must be strictly increasing and
-    start at 0.  A healthy implementation returns a value at the truncation
-    level of the difference scheme (~h^2).
+    stencils at the endpoints).  The grid must be finite, strictly
+    increasing and start at 0.  A healthy implementation returns a value at
+    the truncation level of the difference scheme (~h^2).
     """
     grid = np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise InvalidParameter("tau_grid: need at least 3 points")
+    check_nonnegative_array("tau_grid", grid)
     if grid[0] != 0.0:
         raise InvalidParameter(f"tau_grid: must start at 0, got {grid[0]}")
     if np.any(np.diff(grid) <= 0):

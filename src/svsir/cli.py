@@ -251,11 +251,12 @@ def _emit(rows: list[dict[str, object]], columns: tuple[str, ...], out_format: s
 
 
 def _price_rows(run: RunConfig) -> list[dict[str, object]]:
-    results = price_grid(run.params, run.spot, run.variance, run.strikes, run.maturities, run.quad)
-    points = [(strike, tau) for tau in run.maturities for strike in run.strikes]
-    return [{"model_tag": res.model_tag, "S": run.spot, "K": strike, "tau": tau, "v0": run.variance,
-             "price": res.price, "r1": res.r1, "r2": res.r2, "bond": res.bond.price,
-             "err_estimate": res.err_estimate} for (strike, tau), res in zip(points, results)]
+    grid = price_grid(run.params, run.spot, run.variance, run.strikes, run.maturities, run.quad)
+    return [{"model_tag": grid.model_tag, "S": run.spot, "K": strike, "tau": tau, "v0": run.variance,
+             "price": price, "r1": r1, "r2": r2, "bond": bond.price, "err_estimate": err}
+            for tau, bond, *row in zip(run.maturities, grid.bond, grid.price.tolist(), grid.r1.tolist(),
+                                       grid.r2.tolist(), grid.err_estimate.tolist())
+            for strike, price, r1, r2, err in zip(run.strikes, *row)]
 
 
 def cmd_price(args: argparse.Namespace) -> int:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import InvalidParameter, ModelParams, check_nonnegative
+from .model import InvalidParameter, ModelParams, check_nonnegative, check_nonnegative_array
 
 
 def _check_j(j: int) -> None:
@@ -58,7 +58,9 @@ def affine_cd(params: ModelParams, tau, u):
 
     Valid for every beta >= 0.  Singular only where b + d = 0, which on the
     pricing contours u = phi and u = phi - i (real phi) needs phi = 0 and
-    b_1 < 0; :func:`cd_arrays` special-cases that point.
+    b_1 < 0; :func:`cd_arrays` special-cases that point.  ``tau`` is not
+    range-checked here: this is the pricing hot path, and the pricer checks
+    its maturities once per grid.
     """
     tau = np.asarray(tau, dtype=float)
     u = np.asarray(u, dtype=complex)
@@ -70,7 +72,9 @@ def affine_cd(params: ModelParams, tau, u):
     d = np.sqrt(b * b - 2.0 * sigma2 * c)
     h = (b - d) / (b + d)
     e = np.exp(-d * tau)
-    log_term = np.log((1.0 - h * e) / (1.0 - h))
+    ratio = (1.0 - h * e) / (1.0 - h)
+    # the principal log, from real parts: numpy's complex log costs ~4x as much
+    log_term = np.log(np.abs(ratio)) + 1j * np.angle(ratio)
     a_val = params.mu * (iu - 1.0) * tau + (params.kappa * params.theta / sigma2) * (
         (b - d) * tau - 2.0 * log_term
     )
@@ -85,9 +89,10 @@ def cd_arrays(params: ModelParams, r0: float, tau, phi, j: int):
     mu*(i*u_j - 1)*tau of A swapped for r0*phi*i*tau; at beta = 0 they are
     the constant-rate coefficients with short rate r0.  phi = 0 is a
     removable singularity of h and is special-cased to the analytic limit
-    C = D = 0.
+    C = D = 0.  Raises :class:`InvalidParameter` for a negative or non-finite tau.
     """
     _check_j(j)
+    check_nonnegative_array("tau", tau)
     tau = np.asarray(tau, dtype=float)
     phi = np.asarray(phi, dtype=float)
 
@@ -111,7 +116,6 @@ def characteristic_fn(params: ModelParams, r0: float, x: float, v: float, tau: f
     quadrature layer).
     """
     check_nonnegative("variance", v)
-    check_nonnegative("tau", tau)
     c_val, d_val = cd_arrays(params, r0, tau, phi, j)
     out = np.exp(c_val + d_val * v + 1j * np.asarray(phi, dtype=float) * x)
     return complex(out) if out.ndim == 0 else out

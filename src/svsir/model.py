@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class InvalidParameter(ValueError):
     """A model, market or option parameter violates its constraint."""
@@ -65,6 +67,14 @@ def check_nonnegative(name: str, value: float) -> None:
     """
     if not (math.isfinite(value) and value >= 0):
         raise InvalidParameter(f"{name}: must be finite and >= 0, got {value}")
+
+
+def check_nonnegative_array(name: str, values) -> None:
+    """:func:`check_nonnegative` for every entry of a scalar or an array, naming the first that fails."""
+    values = np.asarray(values, dtype=float)
+    bad = ~(np.isfinite(values) & (values >= 0))
+    if bad.any():
+        raise InvalidParameter(f"{name}: must be finite and >= 0, got {values[bad].flat[0]}")
 
 
 @dataclass(frozen=True)

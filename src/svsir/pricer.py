@@ -13,8 +13,10 @@ entirely in the bond leg.  At beta = 0 the bond is exp(-mu*tau) and the
 route reduces to the constant-rate model.  The bond and the characteristic
 function share one parameter set: the lam entering the bond is the same
 risk-premium constant entering b.  Neither B nor f_j depends on the strike,
-so :func:`price_grid` makes one pass per maturity, inverting its whole strike
-row at once; :func:`price_sir` is its one-point case.
+so :func:`price_grid` prices a whole maturity x strike grid with one bond
+per maturity and one inversion for the surface, whose provider evaluates
+f_j at (maturity, frequency) node pairs; it returns maturity x strike
+arrays.  :func:`price_sir` is its one-point case.
 
 Puts come from parity, put = call - S + K*B, which is exact by construction.
 """
@@ -27,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import bond, heston_cf
-from .inversion import CfProvider, QuadratureSpec, gil_pelaez
-from .model import InvalidParameter, MarketState, ModelParams, NumericalError, OptionKind, OptionSpec, validate
+from .inversion import CfProvider, InversionError, QuadratureSpec, gil_pelaez
+from .model import InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec, validate
 
 MODEL_HESTON = "heston"
 MODEL_SIR = "sir_heston"
@@ -46,20 +48,36 @@ class PriceResult:
     err_estimate: float
 
 
-def _provider(params: ModelParams, state: MarketState, log_bond: float) -> CfProvider:
-    log_spot = math.log(state.spot)
-    v = state.variance
-    tau = state.tau
+@dataclass(frozen=True)
+class PriceGrid:
+    """Call prices over a maturity x strike grid plus the decomposition they were assembled from.
 
-    def eval_fn(j: int, phi: np.ndarray) -> np.ndarray:
+    ``price``, ``r1``, ``r2`` and ``err_estimate`` are (maturity, strike)
+    arrays in the order the grid was given; ``bond`` holds one bond per maturity.
+    """
+
+    price: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    bond: tuple[bond.BondValue, ...]
+    model_tag: str
+    err_estimate: np.ndarray
+
+
+def _provider(params: ModelParams, spot: float, variance: float, taus: np.ndarray,
+              log_bonds: np.ndarray) -> CfProvider:
+    """f_j for the maturities ``taus`` (with log bond prices ``log_bonds``), at (maturity, frequency) nodes."""
+    log_spot = math.log(spot)
+
+    def eval_fn(j: int, nodes: np.ndarray) -> np.ndarray:
         # f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B, formed in log space
-        phi = np.asarray(phi, dtype=float)
-        a_val, d_val = heston_cf.affine_cd(params, tau, phi - 1j if j == 1 else phi)
-        log_norm = 0.0 if j == 1 else log_bond
-        return np.exp(a_val + d_val * v + 1j * phi * log_spot - log_norm)
+        phi = nodes["phi"]
+        a_val, d_val = heston_cf.affine_cd(params, taus[nodes["m"]], phi - 1j if j == 1 else phi)
+        log_norm = 0.0 if j == 1 else log_bonds[nodes["m"]]
+        return np.exp(a_val + d_val * variance + 1j * phi * log_spot - log_norm)
 
     # leading-order accumulated variance; ~0 means a pure-phase CF
-    return CfProvider(eval=eval_fn, decay_proxy=tau * v + 0.5 * params.kappa * params.theta * tau**2)
+    return CfProvider(eval=eval_fn, decay_proxy=taus * variance + 0.5 * params.kappa * params.theta * taus**2)
 
 
 def price_heston(
@@ -83,31 +101,31 @@ def price_grid(
     strikes: Sequence[float],
     maturities: Sequence[float],
     quad: QuadratureSpec = QuadratureSpec(),
-) -> list[PriceResult]:
-    """Call prices over a (maturity x strike) grid, maturities outer, strikes inner, in the order given.
+) -> PriceGrid:
+    """Call prices over a (maturity x strike) grid, maturities down the rows, strikes across, in the order given.
 
-    One bond and one inversion per maturity; the same variance v drives both.
-    A numerical failure is re-raised naming the maturity and its strikes.
+    One bond per maturity and one inversion for the whole surface; the same
+    variance v drives both.  A numerical failure is re-raised naming the
+    failing maturity and its strikes.
     """
     validate(params)
     for strike in strikes:
         OptionSpec(strike=strike)
+    MarketState(spot=spot, variance=variance, tau=0.0)  # range-checks spot and v; bond_price checks each tau
+    bonds = tuple(bond.bond_price(params, variance, tau) for tau in maturities)
     log_strikes = np.array([math.log(strike) for strike in strikes])
-    tag = MODEL_SIR if params.beta != 0.0 else MODEL_HESTON
-    results = []
-    for tau in maturities:
-        state = MarketState(spot=spot, variance=variance, tau=tau)
-        bond_value = bond.bond_price(params, variance, tau)
-        try:
-            pair = gil_pelaez(_provider(params, state, math.log(bond_value.price)),
-                              math.log(spot / bond_value.price), log_strikes, quad)
-        except NumericalError as exc:
-            raise type(exc)(f"at K={','.join(f'{k:.12g}' for k in strikes)}, tau={tau}: {exc}") from exc
-        for strike, r1, r2, err in zip(strikes, pair.r1, pair.r2, pair.achieved_error_estimate):
-            call = spot * r1 - strike * bond_value.price * r2
-            results.append(PriceResult(price=float(call), r1=float(r1), r2=float(r2), bond=bond_value,
-                                       model_tag=tag, err_estimate=float(err)))
-    return results
+    provider = _provider(params, spot, variance, np.array(maturities, dtype=float),
+                         np.array([math.log(b.price) for b in bonds]))
+    try:
+        pair = gil_pelaez(provider, np.array([math.log(spot / b.price) for b in bonds]), log_strikes, quad)
+    except InversionError as exc:
+        raise type(exc)(f"at K={','.join(f'{k:.12g}' for k in strikes)}, tau={maturities[exc.maturity]}: {exc}",
+                        exc.maturity) from exc
+    bond_prices = np.array([b.price for b in bonds])
+    price = spot * pair.r1 - np.array(strikes, dtype=float) * bond_prices[:, None] * pair.r2
+    return PriceGrid(price=price, r1=pair.r1, r2=pair.r2, bond=bonds,
+                     model_tag=MODEL_SIR if params.beta != 0.0 else MODEL_HESTON,
+                     err_estimate=pair.achieved_error_estimate)
 
 
 def price_sir(
@@ -117,7 +135,9 @@ def price_sir(
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> PriceResult:
     """Semi-analytic price for every beta >= 0: the one-point :func:`price_grid`, puts by parity."""
-    result = price_grid(params, state.spot, state.variance, [opt.strike], [state.tau], quad)[0]
+    grid = price_grid(params, state.spot, state.variance, [opt.strike], [state.tau], quad)
+    result = PriceResult(price=float(grid.price[0, 0]), r1=float(grid.r1[0, 0]), r2=float(grid.r2[0, 0]),
+                         bond=grid.bond[0], model_tag=grid.model_tag, err_estimate=float(grid.err_estimate[0, 0]))
     if opt.kind is OptionKind.PUT:
         result = put_from_parity(result, state, opt)
     return result

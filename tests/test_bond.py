@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,14 @@ def test_ode_residual_grid_validation():
         ode_residual(BASE, [0.0, 1.0, 1.0])  # strictly increasing
     with pytest.raises(InvalidParameter):
         ode_residual(BASE, [0.0, 1.0])  # too short
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_ode_residual_rejects_non_finite_grid(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidParameter, match="^tau_grid: must be finite and >= 0"):
+            ode_residual(BASE, [0.0, 0.5, bad])
 
 
 bond_params = st.builds(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -132,27 +133,40 @@ def test_numerical_failure_names_the_strike_row(tmp_path, capsys):
     assert captured.out == "" and "at K=80,100,120, tau=1.0: " in captured.err, captured.err
 
 
-def test_grid_makes_one_bond_and_one_inversion_per_maturity(tmp_path, capsys, monkeypatch):
+def test_price_makes_one_surface_inversion_within_the_panel_cap(tmp_path, capsys, monkeypatch):
     import svsir.bond
     import svsir.pricer
+    from svsir.inversion import NODES_PER_CALL, PHI_MIN
 
-    counts = {"gil_pelaez": 0, "bond_price": 0}
+    inversions, bonds, calls = [], [], []
+    inner_inversion, inner_bond = svsir.pricer.gil_pelaez, svsir.bond.bond_price
 
-    def counted(module, name):
-        inner = getattr(module, name)
+    def gil_pelaez(provider, *args, **kwargs):
+        def eval_fn(j, nodes):
+            calls.append((j, nodes.copy()))
+            return provider.eval(j, nodes)
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return inner(*args, **kwargs)
+        inversions.append(args)
+        return inner_inversion(dataclasses.replace(provider, eval=eval_fn), *args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+    def bond_price(*args):
+        bonds.append(args)
+        return inner_bond(*args)
 
-    counted(svsir.pricer, "gil_pelaez")
-    counted(svsir.bond, "bond_price")
-    cfg = write_config(tmp_path, beta=1.0, strikes=[80.0, 100.0, 120.0], maturities=[0.5, 1.0])
-    assert main(["price", "--config", cfg]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
-    assert counts == {"gil_pelaez": 2, "bond_price": 2}
+    monkeypatch.setattr(svsir.pricer, "gil_pelaez", gil_pelaez)
+    monkeypatch.setattr(svsir.bond, "bond_price", bond_price)
+    maturities = [0.02, 0.25, 0.5, 1.0, 2.0, 5.0]
+    cfg = write_config(tmp_path, beta=1.0, strikes=[80.0, 100.0, 120.0], maturities=maturities)
+    assert main(["price", "--config", cfg, "--tol", "1e-12"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * len(maturities)
+    assert len(inversions) == 1 and len(bonds) == len(maturities)
+    # one ladder call per measure, holding every maturity (only the ladder evaluates at PHI_MIN)
+    ladder = [(j, nodes) for j, nodes in calls if PHI_MIN in nodes["phi"]]
+    assert [j for j, _ in ladder] == [1, 2]
+    for _, nodes in ladder:
+        assert sorted(set(nodes["m"])) == list(range(len(maturities)))
+    # at this tolerance a refinement round outgrows one call, and is split at the cap
+    assert max(nodes.size for _, nodes in calls) == NODES_PER_CALL
 
 
 def test_json_output_mode(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import draw_params
-from svsir import ModelParams, characteristic_fn
+from svsir import InvalidParameter, ModelParams, characteristic_fn
 from svsir.heston_cf import cd_arrays
 
 BASE = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
@@ -122,3 +123,10 @@ def test_discount_term_is_the_only_difference_from_ode_route():
 def test_invalid_measure_index():
     with pytest.raises(Exception):
         cd_arrays(BASE, 0.03, 1.0, 1.0, 3)
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0, [0.5, math.nan], [1.0, -0.1]],
+                         ids=["nan", "inf", "negative", "array-nan", "array-negative"])
+def test_cd_arrays_rejects_bad_maturities(tau):
+    with pytest.raises(InvalidParameter, match="^tau: must be finite and >= 0"):
+        cd_arrays(BASE, 0.03, tau, 1.0, 1)

@@ -20,15 +20,16 @@ from svsir import (
     price_sir,
     simulate_exercise_prob,
 )
-from svsir.inversion import PHI_LADDER_START, PHI_MIN, _adaptive_integral, _find_phi_max, _ladder
+from svsir.inversion import PHI_LADDER_START, PHI_MIN, _adaptive_integral, _find_phi_max, _ladder, cf_nodes
 from svsir.pricer import _provider
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 
 
 def heston_provider(params, x, v, tau):
-    def eval_fn(j, phi):
-        return characteristic_fn(params, params.mu, x, v, tau, phi, j)
+    """A one-maturity provider."""
+    def eval_fn(j, nodes):
+        return characteristic_fn(params, params.mu, x, v, tau, nodes["phi"], j)
 
     proxy = tau * v + 0.5 * params.kappa * params.theta * tau**2
     return CfProvider(eval=eval_fn, decay_proxy=proxy)
@@ -150,9 +151,9 @@ def test_quadrature_spec_validation():
 
 def test_gauss_kronrod_panel_exactness():
     # the 15-point rule integrates smooth functions to machine precision
-    value, err = _adaptive_integral(np.cos, 0.0, math.pi / 2, 1e-12, 64, 4)
+    (value,), _ = _adaptive_integral(lambda m, t: np.cos(t), 0.0, math.pi / 2, 1e-12, 64, 4)
     assert value == pytest.approx(1.0, abs=1e-13)
-    value, _ = _adaptive_integral(lambda t: t**7 - 3 * t**2 + 1.0, -1.0, 2.0, 1e-12, 64, 4)
+    (value,), _ = _adaptive_integral(lambda m, t: t**7 - 3 * t**2 + 1.0, -1.0, 2.0, 1e-12, 64, 4)
     exact = (2.0**8 - 1.0) / 8 - (2.0**3 + 1.0) + 3.0
     assert value == pytest.approx(exact, rel=1e-13)
 
@@ -162,10 +163,10 @@ def test_adaptive_integral_meets_target_on_every_row():
     # each row must still meet the target on its own
     target = 1e-10
     values, errors = _adaptive_integral(
-        lambda t: np.stack([np.cos(t), np.cos(40.0 * t)]), 0.0, math.pi / 2, target, 256, 1
+        lambda m, t: np.stack([np.cos(t), np.cos(40.0 * t)]), 0.0, math.pi / 2, target, 256, 1
     )
-    exact = np.array([1.0, math.sin(20.0 * math.pi) / 40.0])
-    assert values.shape == errors.shape == (2,)
+    exact = np.array([[1.0], [math.sin(20.0 * math.pi) / 40.0]])
+    assert values.shape == errors.shape == (2, 1)
     assert np.all(np.abs(values - exact) <= target)
     assert np.all(errors <= target)
 
@@ -175,7 +176,7 @@ def _phi_max_by_rung(provider, spec):
     threshold = spec.abs_tol / 10.0
     phi = PHI_LADDER_START
     while phi <= spec.phi_max:
-        tail = max(abs(provider.eval(j, np.array([phi]))[0]) / phi for j in (1, 2))
+        tail = max(abs(provider.eval(j, cf_nodes(0, [phi]))[0]) / phi for j in (1, 2))
         if tail < threshold:
             return phi, tail
         phi *= 2.0
@@ -189,10 +190,11 @@ def test_find_phi_max_matches_per_rung_search():
         params = draw_params(rng, beta=0.0 if i % 2 == 0 else rng.uniform(0.25, 2.0))
         for tau in (0.02, 1.0, 10.0):
             state = MarketState(spot=100.0, variance=rng.uniform(0.01, 0.16), tau=tau)
-            provider = _provider(params, state, math.log(bond_price(params, state.variance, tau).price))
+            log_bond = math.log(bond_price(params, state.variance, tau).price)
+            provider = _provider(params, state.spot, state.variance, np.array([tau]), np.array([log_bond]))
             for spec in (QuadratureSpec(), QuadratureSpec(abs_tol=1e-12, phi_max=200.0)):
                 expected = _phi_max_by_rung(provider, spec)
-                f_ladder = np.stack([provider.eval(j, _ladder(spec)) for j in (1, 2)])
+                f_ladder = np.stack([provider.eval(j, cf_nodes(0, _ladder(spec))) for j in (1, 2)])
                 if expected is None:
                     with pytest.raises(TailNotDecaying):
                         _find_phi_max(f_ladder, spec)
@@ -211,7 +213,7 @@ def test_find_phi_max_evaluates_whole_ladder_once_per_measure():
     assert [j for j, _ in calls[:2]] == [1, 2]
     for _, phi in calls[:2]:
         np.testing.assert_array_equal(phi[1:], [32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0, 8192.0])
-    f_ladder = np.stack([provider.eval(j, _ladder(spec)) for j in (1, 2)])
+    f_ladder = np.stack([provider.eval(j, cf_nodes(0, _ladder(spec))) for j in (1, 2)])
     assert _find_phi_max(f_ladder, spec)[0] in _ladder(spec)
 
 
@@ -250,9 +252,9 @@ def test_probabilities_stable_under_tighter_tolerance_over_box():
 def _recording(inner):
     calls = []
 
-    def eval_fn(j, phi):
-        calls.append((j, np.array(phi)))
-        return inner.eval(j, phi)
+    def eval_fn(j, nodes):
+        calls.append((j, nodes["phi"].copy()))
+        return inner.eval(j, nodes)
 
     return CfProvider(eval=eval_fn, decay_proxy=inner.decay_proxy), calls
 

@@ -12,6 +12,8 @@ from svsir import (
     OptionKind,
     OptionSpec,
     QuadratureSpec,
+    SubdivisionExhausted,
+    TailNotDecaying,
     bond_price,
     gil_pelaez,
     price_grid,
@@ -159,31 +161,36 @@ def test_price_grid_rows_match_one_strike_calls_over_box():
         variance = rng.uniform(0.01, 0.16)
         for tau in (0.02, 0.5, 5.0):
             row = price_grid(params, 100.0, variance, strikes, (tau,), quad)
-            for strike, res in zip(strikes, row):
-                (one,) = price_grid(params, 100.0, variance, (strike,), (tau,), quad)
+            for i, strike in enumerate(strikes):
+                one = price_grid(params, 100.0, variance, (strike,), (tau,), quad)
                 context = (params, variance, tau, strike)
-                assert abs(res.r1 - one.r1) <= quad.abs_tol, context
-                assert abs(res.r2 - one.r2) <= quad.abs_tol, context
-                assert res.err_estimate <= quad.abs_tol, context  # each row meets the target
-                assert res.bond == one.bond
+                assert abs(row.r1[0, i] - one.r1[0, 0]) <= quad.abs_tol, context
+                assert abs(row.r2[0, i] - one.r2[0, 0]) <= quad.abs_tol, context
+                assert row.err_estimate[0, i] <= quad.abs_tol, context  # each row meets the target
+                assert row.bond == one.bond
 
 
 def test_price_grid_keeps_the_given_order():
     strikes, maturities = (120.0, 80.0, 100.0), (2.0, 0.5, 1.0)
     grid = price_grid(SIR, 100.0, 0.04, strikes, maturities)
-    assert len(grid) == 9
+    for field in (grid.price, grid.r1, grid.r2, grid.err_estimate):
+        assert field.shape == (3, 3)
     for m, tau in enumerate(maturities):
-        row = grid[3 * m: 3 * m + 3]
-        assert all(res.bond == bond_price(SIR, 0.04, tau) for res in row)
-        for strike, res in zip(strikes, row):
+        assert grid.bond[m] == bond_price(SIR, 0.04, tau)
+        for i, strike in enumerate(strikes):
             ref = price_sir(SIR, MarketState(spot=100.0, variance=0.04, tau=tau), OptionSpec(strike=strike))
-            assert res.price == pytest.approx(ref.price, abs=1e-6)
+            assert grid.price[m, i] == pytest.approx(ref.price, abs=1e-6)
+
+
+def test_empty_grid_gives_empty_arrays():
+    assert price_grid(SIR, 100.0, 0.04, (90.0, 110.0), ()).price.shape == (0, 2)
+    assert price_grid(SIR, 100.0, 0.04, (), (0.5, 1.0)).r1.shape == (2, 0)
 
 
 def test_one_element_strike_array_matches_scalar_call():
     state = MarketState(spot=100.0, variance=0.04, tau=1.0)
     log_bond = math.log(bond_price(SIR, state.variance, state.tau).price)
-    provider = _provider(SIR, state, log_bond)
+    provider = _provider(SIR, state.spot, state.variance, np.array([state.tau]), np.array([log_bond]))
     x, log_k = math.log(100.0) - log_bond, math.log(110.0)
     scalar = gil_pelaez(provider, x, log_k)
     array = gil_pelaez(provider, x, np.array([log_k]))
@@ -196,10 +203,66 @@ def test_reversed_strike_row_reverses_results():
     # the panels do not depend on the order of the row, so each strike keeps its own numbers
     state = MarketState(spot=100.0, variance=0.04, tau=0.5)
     log_bond = math.log(bond_price(SIR, state.variance, state.tau).price)
-    provider = _provider(SIR, state, log_bond)
+    provider = _provider(SIR, state.spot, state.variance, np.array([state.tau]), np.array([log_bond]))
     log_k = np.log([60.0, 95.0, 100.0, 160.0])
     ahead = gil_pelaez(provider, math.log(100.0) - log_bond, log_k)
     back = gil_pelaez(provider, math.log(100.0) - log_bond, log_k[::-1])
     for field in ("r1", "r2", "achieved_error_estimate"):
         np.testing.assert_array_equal(getattr(ahead, field), getattr(back, field)[::-1])
     assert len(set(ahead.achieved_error_estimate)) > 1
+
+
+def test_surface_rows_match_one_maturity_calls_over_box():
+    # each maturity keeps its own phi_max, initial panels and splits inside the surface pass
+    rng = np.random.default_rng(303)
+    quad = QuadratureSpec()
+    strikes, maturities = (40.0, 70.0, 100.0, 130.0, 250.0), (0.02, 0.5, 5.0, 1.0)
+    for i in range(12):
+        params = draw_params(rng, beta=0.0 if i < 6 else rng.uniform(0.25, 2.0))
+        variance = rng.uniform(0.01, 0.16)
+        grid = price_grid(params, 100.0, variance, strikes, maturities, quad)
+        for m, tau in enumerate(maturities):
+            one = price_grid(params, 100.0, variance, strikes, (tau,), quad)
+            context = (params, variance, tau)
+            assert np.abs(grid.r1[m] - one.r1[0]).max() <= 1e-13, context
+            assert np.abs(grid.r2[m] - one.r2[0]).max() <= 1e-13, context
+            assert np.abs(grid.err_estimate[m] - one.err_estimate[0]).max() <= 1e-13, context
+            assert grid.bond[m] == one.bond[0]
+
+
+def test_degenerate_maturity_keeps_its_indicator_inside_a_surface():
+    strikes, maturities = (80.0, 100.0, 120.0), (0.5, 0.0, 1.0)
+    grid = price_grid(SIR, 100.0, 0.04, strikes, maturities)
+    np.testing.assert_array_equal(grid.r1[1], [1.0, 0.5, 0.0])
+    np.testing.assert_array_equal(grid.r2[1], [1.0, 0.5, 0.0])
+    np.testing.assert_array_equal(grid.err_estimate[1], 0.0)
+    np.testing.assert_array_equal(grid.price[1], [20.0, 0.0, 0.0])
+    for m in (0, 2):
+        one = price_grid(SIR, 100.0, 0.04, strikes, (maturities[m],))
+        assert np.abs(grid.r1[m] - one.r1[0]).max() <= 1e-13
+        assert np.abs(grid.r2[m] - one.r2[0]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("error, params, variance, maturities, quad, tau", [
+    # tiny variance: only the short maturity's characteristic function fails to decay
+    (TailNotDecaying, ModelParams(kappa=2.0, theta=1e-4, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0),
+     2e-6, (5.0, 0.5, 10.0), QuadratureSpec(), 0.5),
+    # a tight target: only the short maturity needs more than 16 panels
+    (SubdivisionExhausted, HESTON, 0.04, (10.0, 0.02, 1.0), QuadratureSpec(abs_tol=1e-12, max_subdivisions=16), 0.02),
+], ids=["tail", "budget"])
+def test_one_failing_maturity_is_named_with_its_strikes(error, params, variance, maturities, quad, tau):
+    with pytest.raises(error, match=f"^at K=80,100,120, tau={tau}: ") as info:
+        price_grid(params, 100.0, variance, (80.0, 100.0, 120.0), maturities, quad)
+    assert info.value.maturity == maturities.index(tau)
+    for other in maturities:
+        if other != tau:
+            price_grid(params, 100.0, variance, (80.0, 100.0, 120.0), (other,), quad)  # prices on its own
+
+
+def test_price_sir_is_the_one_point_grid_bit_for_bit():
+    for params, tau, strike in ((SIR, 0.5, 90.0), (HESTON, 2.0, 130.0), (SIR, 0.0, 100.0)):
+        res = price_sir(params, MarketState(spot=100.0, variance=0.04, tau=tau), OptionSpec(strike=strike))
+        grid = price_grid(params, 100.0, 0.04, (strike,), (tau,))
+        assert (res.price, res.r1, res.r2, res.err_estimate) == (
+            grid.price[0, 0], grid.r1[0, 0], grid.r2[0, 0], grid.err_estimate[0, 0])
+        assert res.bond == grid.bond[0] and res.model_tag == grid.model_tag

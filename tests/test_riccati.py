@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import draw_params
 from svsir import (
     InvalidParameter,
-    MarketState,
     ModelParams,
     StepSizeUnderflow,
     ToleranceSpec,
@@ -17,6 +16,7 @@ from svsir import (
     sir_characteristic_fn,
 )
 from svsir.heston_cf import affine_cd, cd_arrays
+from svsir.inversion import cf_nodes
 from svsir.pricer import _provider
 from svsir.riccati import SirCoefficients
 
@@ -218,12 +218,12 @@ def test_closed_form_matches_riccati_over_box():
         p = draw_params(rng, beta=rng.uniform(0.25, 2.0))
         rhos.append(p.rho_sv)
         bonds = [bond_price(p, v, tau).price for tau in taus]
+        provider = _provider(p, spot, v, np.array(taus), np.array([math.log(b) for b in bonds]))
         for j in (1, 2):
             c_chk, d_chk, _ = integrate_cd_batch(p, taus[-1], phis, j, tol, checkpoints=taus)
-            for tau, b, c_ode, d_ode in zip(taus, bonds, c_chk, d_chk):
+            for m, (tau, b, c_ode, d_ode) in enumerate(zip(taus, bonds, c_chk, d_chk)):
                 f_ode = np.exp(c_ode + d_ode * v + 1j * phis * math.log(spot / b))
-                state = MarketState(spot=spot, variance=v, tau=tau)
-                f_cf = _provider(p, state, math.log(b)).eval(j, phis)
+                f_cf = provider.eval(j, cf_nodes(m, phis))
                 assert np.max(np.abs(f_cf - f_ode)) < 1e-9, (p, tau, j)
         for phi in phis:
             a_path, _ = affine_cd(p, grid, phi - 1j)
