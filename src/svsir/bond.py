@@ -25,8 +25,8 @@ which :func:`ode_residual` re-checks numerically at runtime.  As
 beta -> 0+ the bond converges to the constant-rate discount exp(-mu*tau);
 below ``BETA_SWITCH`` the code switches to that branch exactly, since b and c
 both scale like 1/beta and would lose all precision.  That branch lives in
-one place, the private ``_log_f_and_g``, which :func:`bond_price`,
-:func:`bond_dynamics_coefficients` and :func:`ode_residual` all read.
+one place, the private ``_log_f_and_g``, which :func:`bond_price` and
+:func:`ode_residual` both read.
 """
 from __future__ import annotations
 
@@ -117,15 +117,6 @@ def log_f_of_tau(params: ModelParams, coeffs: BondCoefficients, tau):
     return float(out) if out.ndim == 0 else out
 
 
-def f_of_tau(params: ModelParams, coeffs: BondCoefficients, tau):
-    """Deterministic bond factor F(tau); F(0) = 1 and F > 0.
-
-    Solves F' = (kappa*theta*G - mu)*F; with theta = 0 it collapses to
-    exp(-mu*tau).
-    """
-    return np.exp(log_f_of_tau(params, coeffs, tau))
-
-
 def _log_f_and_g(params: ModelParams, tau):
     """(ln F(tau), G(tau)) for scalar or array tau.
 
@@ -150,21 +141,6 @@ def bond_price(params: ModelParams, v: float, tau: float) -> BondValue:
     check_nonnegative("tau", tau)
     log_f, g = _log_f_and_g(params, tau)
     return BondValue(price=math.exp(log_f + g * v), f_factor=math.exp(log_f), g_factor=g)
-
-
-def bond_dynamics_coefficients(params: ModelParams, v: float, tau: float) -> tuple[float, float]:
-    """Physical-measure drift and diffusion rates of the bond.
-
-    Returns ``(drift, diffusion)`` with drift = (mu + beta*v) + lam*v, i.e.
-    the short rate plus the lam*v risk premium, and the signed diffusion
-    G(tau)*sigma*sqrt(v), which is negative for tau > 0 and vanishes at
-    maturity so the bond reaches par with probability one.
-    """
-    check_nonnegative("variance", v)
-    check_nonnegative("tau", tau)
-    drift = params.mu + (params.beta + params.lam) * v
-    _, g = _log_f_and_g(params, tau)
-    return drift, g * params.sigma * math.sqrt(v)
 
 
 def ode_residual(params: ModelParams, tau_grid) -> float:

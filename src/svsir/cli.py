@@ -237,6 +237,13 @@ def _warn(*params: ModelParams) -> None:
         print(f"warning: {message}", file=sys.stderr)
 
 
+def _json_value(value: object) -> object:
+    """A float at 12 significant digits; JSON has no inf or nan, so those become null."""
+    if not isinstance(value, float):
+        return value
+    return float(_fmt(value)) if math.isfinite(value) else None
+
+
 def _emit(rows: list[dict[str, object]], columns: tuple[str, ...], out_format: str) -> None:
     if out_format == "csv":
         print(",".join(columns))
@@ -244,10 +251,7 @@ def _emit(rows: list[dict[str, object]], columns: tuple[str, ...], out_format: s
             print(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
     else:
         for row in rows:
-            record = {
-                c: (float(_fmt(row[c])) if isinstance(row[c], float) else row[c]) for c in columns
-            }
-            print(json.dumps(record))
+            print(json.dumps({c: _json_value(row[c]) for c in columns}, allow_nan=False))
 
 
 def _price_rows(run: RunConfig) -> list[dict[str, object]]:

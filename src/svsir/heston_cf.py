@@ -45,12 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import InvalidParameter, ModelParams, check_nonnegative, check_nonnegative_array
-
-
-def _check_j(j: int) -> None:
-    if j not in (1, 2):
-        raise InvalidParameter(f"j: measure index must be 1 or 2, got {j}")
+from .model import ModelParams, check_measure, check_nonnegative, check_nonnegative_array
 
 
 def affine_cd(params: ModelParams, tau, u):
@@ -91,7 +86,7 @@ def cd_arrays(params: ModelParams, r0: float, tau, phi, j: int):
     removable singularity of h and is special-cased to the analytic limit
     C = D = 0.  Raises :class:`InvalidParameter` for a negative or non-finite tau.
     """
-    _check_j(j)
+    check_measure(j)
     check_nonnegative_array("tau", tau)
     tau = np.asarray(tau, dtype=float)
     phi = np.asarray(phi, dtype=float)

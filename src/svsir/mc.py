@@ -18,9 +18,9 @@ the discounted payoff of every strike off the same paths there.  The segment
 between two checkpoints takes ``max(1, ceil(length * n_steps_per_year))``
 equal steps, so no step is longer than a one-maturity run's; a segment of
 zero length (a repeated maturity) takes none.  A one-maturity run
-(``simulate_price``, ``simulate_bond``, ``simulate_exercise_prob``) is the
-one-checkpoint case of the same loop.  Estimates on one path set share their
-noise, so the errors of a grid's points are correlated.
+(``simulate_price``, ``simulate_bond``) is the one-checkpoint case of the
+same loop.  Estimates on one path set share their noise, so the errors of a
+grid's points are correlated.
 
 Determinism contract: a counter-based Philox stream keyed by the seed, with
 normal variates by inverse CDF, so identical (seed, inputs) give bit-identical
@@ -248,25 +248,3 @@ def simulate_bond(params: ModelParams, v0: float, tau: float, cfg: McConfig) -> 
     check_nonnegative("tau", tau)
     _, _, rate_integral = _terminal(params, v0, 0.0, tau, cfg, with_stock=False)
     return _estimate(np.exp(-rate_integral))
-
-
-def simulate_exercise_prob(
-    params: ModelParams, state: MarketState, opt: OptionSpec, cfg: McConfig
-) -> McEstimate:
-    """Fraction of paths finishing above the strike, with binomial standard error.
-
-    Requires beta = 0: only then is the plain risk-neutral path fraction
-    directly comparable to the inversion's R_2.
-    """
-    validate(params)
-    if params.beta != 0.0:
-        raise InvalidParameter(
-            f"beta: simulate_exercise_prob requires beta = 0, got {params.beta}"
-        )
-    ln_s, _, _ = _terminal(
-        params, state.variance, math.log(state.spot), state.tau, cfg, with_stock=True
-    )
-    hits = float(np.count_nonzero(ln_s > math.log(opt.strike)))
-    p_hat = hits / cfg.n_paths
-    se = math.sqrt(p_hat * (1.0 - p_hat) / cfg.n_paths)
-    return McEstimate(mean=p_hat, std_error=se, n_paths=cfg.n_paths)

@@ -77,6 +77,12 @@ def check_nonnegative_array(name: str, values) -> None:
         raise InvalidParameter(f"{name}: must be finite and >= 0, got {values[bad].flat[0]}")
 
 
+def check_measure(j: int) -> None:
+    """Raise :class:`InvalidParameter` unless ``j`` is a measure index: 1 (stock) or 2 (forward)."""
+    if j not in (1, 2):
+        raise InvalidParameter(f"j: measure index must be 1 or 2, got {j}")
+
+
 @dataclass(frozen=True)
 class MarketState:
     """Current spot, instantaneous variance and time to maturity."""

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bond
-from .model import InvalidParameter, ModelParams, NumericalError, check_nonnegative
+from .model import InvalidParameter, ModelParams, NumericalError, check_measure, check_nonnegative
 
 
 class StepSizeUnderflow(NumericalError):
@@ -86,9 +86,11 @@ class OdeSolution:
 class SirCoefficients:
     """Time-dependent coefficient bundle of the Riccati system.
 
-    ``bond_coeffs is None`` marks the degenerate beta branch where the
-    variance loading G vanishes identically and every coefficient is the
-    constant-rate one.
+    Every time-dependent coefficient is a function of the variance loading
+    G alone: :meth:`g` evaluates it once per time to maturity, and the
+    coefficient rules take that value.  ``bond_coeffs is None`` marks the
+    degenerate beta branch where G vanishes identically and every
+    coefficient is the constant-rate one.
     """
 
     alpha: float
@@ -111,27 +113,28 @@ class SirCoefficients:
         )
 
     def g(self, tau: float) -> float:
+        """Variance loading G(tau) of the bond."""
         if self.bond_coeffs is None:
             return 0.0
         return bond.g_of_tau(self.bond_coeffs, tau)
 
-    def sigma_x_sq(self, tau: float) -> float:
+    def sigma_x_sq(self, g: float) -> float:
         """sx2 = 1 - 2*rho_sv*sigma*G + sigma^2*G^2; strictly positive for |rho_sv| < 1."""
-        sg = self.sigma * self.g(tau)
+        sg = self.sigma * g
         return 1.0 - 2.0 * self.rho_sv * sg + sg * sg
 
-    def cross(self, tau: float) -> float:
+    def cross(self, g: float) -> float:
         """The product rho_xv*sigma_x*sigma = sigma*(rho_sv - sigma*G)."""
-        return self.sigma * (self.rho_sv - self.sigma * self.g(tau))
+        return self.sigma * (self.rho_sv - self.sigma * g)
 
-    def zeta(self, j: int, tau: float) -> float:
-        s = self.sigma_x_sq(tau)
+    def zeta(self, j: int, g: float) -> float:
+        s = self.sigma_x_sq(g)
         return 0.5 * s if j == 1 else -0.5 * s
 
-    def b_j(self, j: int, tau: float) -> float:
+    def b_j(self, j: int, g: float) -> float:
         if j == 1:
             return self.alpha - self.rho_sv * self.sigma
-        return self.alpha - self.sigma * self.sigma * self.g(tau)
+        return self.alpha - self.sigma * self.sigma * g
 
 
 # Dormand-Prince 5(4) tableau (FSAL: stage 7 of an accepted step is stage 1
@@ -170,16 +173,15 @@ class _RiccatiRhs:
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         co = self.coeffs
+        g = co.g(t)  # one bond evaluation per stage
         d = y[1]
-        sx2 = co.sigma_x_sq(t)
-        zj = 0.5 * sx2 if self.j == 1 else -0.5 * sx2
         out = np.empty_like(y)
         out[0] = co.a * d
         out[1] = (
-            -0.5 * sx2 * self.phi2
-            + self.iphi * (co.cross(t) * d + zj)
+            -0.5 * co.sigma_x_sq(g) * self.phi2
+            + self.iphi * (co.cross(g) * d + co.zeta(self.j, g))
             + 0.5 * co.sigma**2 * d * d
-            - co.b_j(self.j, t) * d
+            - co.b_j(self.j, g) * d
         )
         return out
 
@@ -287,8 +289,7 @@ def integrate_cd_batch(
     Frequencies share the step controller, so the worst-behaved phi governs
     the step size; keep batches of comparable magnitude for best speed.
     """
-    if j not in (1, 2):
-        raise InvalidParameter(f"j: measure index must be 1 or 2, got {j}")
+    check_measure(j)
     check_nonnegative("tau", tau)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     coeffs = SirCoefficients.from_params(params)
@@ -321,18 +322,3 @@ def integrate_cd(
     """
     c_vals, d_vals, stats = integrate_cd_batch(params, tau, [phi], j, tol)
     return OdeSolution(c_val=complex(c_vals[0]), d_val=complex(d_vals[0]), stats=stats)
-
-
-def sir_characteristic_fn(
-    params: ModelParams,
-    x: float,
-    v: float,
-    tau: float,
-    phi: float,
-    j: int,
-    tol: ToleranceSpec = ToleranceSpec(),
-) -> complex:
-    """f_j = exp(C + D*v + i*phi*x) at forward log-moneyness x = ln(S/B)."""
-    check_nonnegative("variance", v)
-    sol = integrate_cd(params, tau, phi, j, tol)
-    return complex(np.exp(sol.c_val + sol.d_val * v + 1j * phi * x))

@@ -7,17 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import draw_params
-from svsir import (
-    DegenerateBeta,
-    InvalidParameter,
-    ModelParams,
-    bond_dynamics_coefficients,
-    bond_price,
-    coefficients,
-    f_of_tau,
-    g_of_tau,
-    ode_residual,
-)
+from svsir import InvalidParameter, ModelParams, bond_price, ode_residual
+from svsir.bond import DegenerateBeta, coefficients, g_of_tau, log_f_of_tau
 
 BASE = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
 
@@ -58,11 +49,11 @@ def test_g_limits():
 
 def test_f_limits_and_theta_zero():
     co = coefficients(BASE)
-    assert f_of_tau(BASE, co, 0.0) == 1.0
+    assert np.exp(log_f_of_tau(BASE, co, 0.0)) == 1.0
     p0 = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
     co0 = coefficients(p0)
     for tau in (0.3, 1.0, 7.0):
-        assert f_of_tau(p0, co0, tau) == pytest.approx(math.exp(-0.03 * tau), rel=1e-14)
+        assert np.exp(log_f_of_tau(p0, co0, tau)) == pytest.approx(math.exp(-0.03 * tau), rel=1e-14)
 
 
 def _ode_fg(params, taus):
@@ -86,7 +77,7 @@ def test_closed_form_matches_ode_oracle():
         p = draw_params(rng, beta=rng.uniform(0.25, 2.0))
         co = coefficients(p)
         f_ode, g_ode = _ode_fg(p, taus)
-        np.testing.assert_allclose(f_of_tau(p, co, taus), f_ode, rtol=1e-8)
+        np.testing.assert_allclose(np.exp(log_f_of_tau(p, co, taus)), f_ode, rtol=1e-8)
         np.testing.assert_allclose(g_of_tau(co, taus), g_ode, rtol=1e-8, atol=1e-12)
 
 
@@ -110,20 +101,6 @@ def test_beta_continuity_grid():
     for v in (0.0, 0.04, 0.2, 1.0):
         for tau in (0.1, 1.0, 5.0, 30.0):
             assert abs(bond_price(p, v, tau).price - math.exp(-0.03 * tau)) < 1e-6
-
-
-def test_dynamics_coefficients():
-    drift, diffusion = bond_dynamics_coefficients(BASE, 0.0, 1.0)
-    assert drift == BASE.mu and diffusion == 0.0
-    drift, diffusion = bond_dynamics_coefficients(BASE, 0.09, 0.0)
-    assert diffusion == 0.0
-    v = 0.05
-    drift, diffusion = bond_dynamics_coefficients(BASE, v, 2.0)
-    r = BASE.mu + BASE.beta * v
-    assert drift - r == pytest.approx(BASE.lam * v, abs=1e-15)
-    assert diffusion < 0  # signed: G < 0 for tau > 0
-    co = coefficients(BASE)
-    assert diffusion == pytest.approx(g_of_tau(co, 2.0) * BASE.sigma * math.sqrt(v), rel=1e-14)
 
 
 def test_ode_residual_theta_zero_branch():

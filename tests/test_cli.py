@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from svsir import McConfig, McEstimate, QuadratureSpec, bond_price, price_heston, price_sir
-from svsir import MarketState, ModelParams, OptionSpec
+from svsir import MarketState, McConfig, McEstimate, ModelParams, OptionSpec, bond_price, price_heston, price_sir
 from svsir.cli import build_parser, load_run_config, main, parse_config_text
+from svsir.inversion import QuadratureSpec
 
 BASE_CONFIG = """
 [model]
@@ -229,6 +229,24 @@ def test_verify_exit_4_on_discrepancy(tmp_path, capsys, monkeypatch):
     assert main(["verify", "--config", cfg]) == 4
     rows = capsys.readouterr().out.strip().splitlines()
     assert len(rows) == 2  # rows still emitted for inspection
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def test_verify_json_is_strict_when_mc_se_is_zero(tmp_path, capsys):
+    # no path of 1000 reaches K >= 300 within 0.1 years, so those rows have
+    # mc_se = 0 and an infinite z, which JSON has no number for
+    cfg = write_config(tmp_path, beta=1.0, strikes=[100.0, 300.0, 1000.0], maturities=[0.1],
+                       n_paths=1000, seed=1, fmt="json")
+    assert main(["verify", "--config", cfg, "--tol", "1e-3"]) == 4
+    records = [json.loads(line, parse_constant=_reject_constant)
+               for line in capsys.readouterr().out.splitlines()]
+    assert [r["K"] for r in records] == [100.0, 300.0, 1000.0]
+    assert math.isfinite(records[0]["z"])
+    for record in records[1:]:
+        assert record["mc_se"] == 0.0 and record["z"] is None
 
 
 def test_verify_seed_override_changes_mc(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import draw_params
-from svsir import InvalidParameter, ModelParams, characteristic_fn
-from svsir.heston_cf import cd_arrays
+from svsir import InvalidParameter, ModelParams
+from svsir.heston_cf import cd_arrays, characteristic_fn
 
 BASE = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 
@@ -111,7 +111,8 @@ def test_textbook_form_does_jump_at_long_maturity():
 def test_discount_term_is_the_only_difference_from_ode_route():
     # the ODE route carries no rate term in C; adding r0*phi*i*tau must
     # reproduce the closed form including its discount
-    from svsir import ToleranceSpec, integrate_cd
+    from svsir import ToleranceSpec
+    from svsir.riccati import integrate_cd
 
     tau, phi, j, r0 = 1.0, 1.0, 2, 0.03
     sol = integrate_cd(BASE, tau, phi, j, ToleranceSpec(rel=1e-12, abs=1e-14))

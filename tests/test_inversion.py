@@ -5,22 +5,20 @@ import pytest
 
 from conftest import draw_params
 from svsir import (
-    CfProvider,
     InvalidParameter,
     MarketState,
     McConfig,
     ModelParams,
     OptionSpec,
-    QuadratureSpec,
     SubdivisionExhausted,
     TailNotDecaying,
     bond_price,
-    characteristic_fn,
-    gil_pelaez,
     price_sir,
-    simulate_exercise_prob,
 )
-from svsir.inversion import PHI_LADDER_START, PHI_MIN, _adaptive_integral, _find_phi_max, _ladder, cf_nodes
+from svsir.heston_cf import characteristic_fn
+from svsir.inversion import (PHI_LADDER_START, PHI_MIN, CfProvider, QuadratureSpec, _adaptive_integral,
+                             _find_phi_max, _ladder, cf_nodes, gil_pelaez)
+from svsir.mc import _terminal
 from svsir.pricer import _provider
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
@@ -49,6 +47,16 @@ def test_deep_out_of_the_money():
     assert pair.r2 == pytest.approx(0.0, abs=1e-6)
 
 
+def mc_exercise_prob(params, state, strike, cfg):
+    """(fraction of paths finishing above ``strike``, its binomial standard error).
+
+    Only at beta = 0 is this plain risk-neutral fraction the inversion's R_2.
+    """
+    ln_s, _, _ = _terminal(params, state.variance, math.log(state.spot), state.tau, cfg, with_stock=True)
+    p_hat = np.count_nonzero(ln_s > math.log(strike)) / cfg.n_paths
+    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / cfg.n_paths)
+
+
 def test_r2_matches_mc_exercise_probability():
     state = MarketState(spot=100.0, variance=0.04, tau=1.0)
     opt = OptionSpec(strike=105.0)
@@ -57,8 +65,8 @@ def test_r2_matches_mc_exercise_probability():
         math.log(state.spot),
         math.log(opt.strike),
     )
-    est = simulate_exercise_prob(HESTON, state, opt, McConfig(n_paths=100_000, seed=21))
-    assert abs(pair.r2 - est.mean) <= 3.0 * est.std_error
+    mean, std_error = mc_exercise_prob(HESTON, state, opt.strike, McConfig(n_paths=100_000, seed=21))
+    assert abs(pair.r2 - mean) <= 3.0 * std_error
 
 
 def test_monotone_in_log_strike():

@@ -9,15 +9,14 @@ from svsir import (
     MarketState,
     McConfig,
     ModelParams,
-    OptionKind,
     OptionSpec,
     bond_price,
     price_heston,
     simulate_bond,
-    simulate_exercise_prob,
     simulate_grid,
     simulate_price,
 )
+from svsir.model import OptionKind
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.1, rho_sv=-0.5, mu=0.03, beta=1.0)
@@ -126,18 +125,6 @@ def test_discretization_bias_under_control():
     coarse = simulate_price(SIR, STATE, opt, McConfig(n_paths=50_000, n_steps_per_year=50, seed=12))
     fine = simulate_price(SIR, STATE, opt, McConfig(n_paths=50_000, n_steps_per_year=100, seed=12))
     assert abs(fine.mean - coarse.mean) < 2.0 * math.hypot(coarse.std_error, fine.std_error)
-
-
-def test_exercise_prob_limits():
-    est = simulate_exercise_prob(HESTON, STATE, OptionSpec(strike=1e-9), McConfig(n_paths=2000, seed=13))
-    assert est.mean == 1.0 and est.std_error == 0.0
-    est = simulate_exercise_prob(HESTON, STATE, OptionSpec(strike=1e8), McConfig(n_paths=2000, seed=14))
-    assert est.mean == 0.0
-
-
-def test_exercise_prob_requires_beta_zero():
-    with pytest.raises(InvalidParameter, match="beta"):
-        simulate_exercise_prob(SIR, STATE, OptionSpec(strike=100.0), McConfig(n_paths=2000, seed=15))
 
 
 def test_tau_zero_short_circuit():

@@ -1,22 +1,22 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import svsir
 from svsir import (
     InvalidParameter,
     MarketState,
     ModelParams,
-    OptionKind,
     OptionSpec,
     ToleranceSpec,
-    bond_dynamics_coefficients,
     bond_price,
-    characteristic_fn,
     integrate_cd_batch,
-    sir_characteristic_fn,
-    validate,
 )
+from svsir.heston_cf import cd_arrays, characteristic_fn
+from svsir.model import OptionKind, validate
 
 
 def make(**overrides) -> ModelParams:
@@ -118,20 +118,23 @@ NAN, INF = math.nan, math.inf
     pytest.param("variance", lambda: bond_price(SIR, INF, 1.0), id="bond_price-v-inf"),
     pytest.param("tau", lambda: bond_price(SIR, 0.04, NAN), id="bond_price-tau-nan"),
     pytest.param("tau", lambda: bond_price(SIR, 0.04, INF), id="bond_price-tau-inf"),
-    pytest.param("variance", lambda: bond_dynamics_coefficients(SIR, NAN, 1.0),
-                 id="bond_dynamics_coefficients-v-nan"),
-    pytest.param("tau", lambda: bond_dynamics_coefficients(SIR, 0.04, INF),
-                 id="bond_dynamics_coefficients-tau-inf"),
     pytest.param("variance", lambda: characteristic_fn(SIR, SIR.mu, 4.6, NAN, 1.0, 1.0, 1),
                  id="characteristic_fn-v-nan"),
-    pytest.param("variance", lambda: sir_characteristic_fn(SIR, 4.6, NAN, 1.0, 1.0, 1),
-                 id="sir_characteristic_fn-v-nan"),
     # a small step budget, so that a solve that starts anyway ends fast
     pytest.param("tau", lambda: integrate_cd_batch(SIR, NAN, [1.0], 1, ToleranceSpec(max_steps=50)),
                  id="integrate_cd_batch-tau-nan"),
 ])
 def test_bare_variance_and_maturity_inputs_must_be_finite(name, call):
     with pytest.raises(InvalidParameter, match=f"^{name}: must be finite and >= 0"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: cd_arrays(SIR, SIR.mu, 1.0, 1.0, 3), id="cd_arrays"),
+    pytest.param(lambda: integrate_cd_batch(SIR, 1.0, [1.0], 0), id="integrate_cd_batch"),
+])
+def test_measure_index_must_be_1_or_2(call):
+    with pytest.raises(InvalidParameter, match="^j: measure index must be 1 or 2"):
         call()
 
 
@@ -147,3 +150,26 @@ def test_params_are_immutable():
     params = make()
     with pytest.raises(Exception):
         params.kappa = 3.0  # type: ignore[misc]
+
+
+PUBLIC_SURFACE = {
+    # what the acceptance gate imports from the package
+    "MarketState", "McConfig", "ModelParams", "OptionSpec", "ToleranceSpec", "bond_price",
+    "integrate_cd_batch", "ode_residual", "price_heston", "price_sir", "put_from_parity",
+    "simulate_bond", "simulate_price",
+    # the README's library quick start
+    "price_grid", "simulate_grid",
+    # what those return and raise
+    "BondValue", "McEstimate", "PriceGrid", "PriceResult", "InvalidParameter", "NumericalError",
+    "InversionError", "SubdivisionExhausted", "TailNotDecaying", "StepSizeUnderflow",
+}
+
+
+def test_public_surface():
+    assert set(svsir.__all__) == PUBLIC_SURFACE and len(svsir.__all__) == len(PUBLIC_SURFACE)
+    for name in svsir.__all__:
+        assert getattr(svsir, name) is not None, name
+    gate = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(gate)
+                if isinstance(node, ast.ImportFrom) and node.module == "svsir" for alias in node.names}
+    assert imported and imported <= set(svsir.__all__)

@@ -9,19 +9,18 @@ from svsir import (
     MarketState,
     McConfig,
     ModelParams,
-    OptionKind,
     OptionSpec,
-    QuadratureSpec,
     SubdivisionExhausted,
     TailNotDecaying,
     bond_price,
-    gil_pelaez,
     price_grid,
     price_heston,
     price_sir,
     put_from_parity,
     simulate_price,
 )
+from svsir.inversion import QuadratureSpec, gil_pelaez
+from svsir.model import OptionKind
 from svsir.pricer import MODEL_HESTON, MODEL_SIR, _provider
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)

@@ -11,23 +11,27 @@ from svsir import (
     StepSizeUnderflow,
     ToleranceSpec,
     bond_price,
-    integrate_cd,
     integrate_cd_batch,
-    sir_characteristic_fn,
 )
 from svsir.heston_cf import affine_cd, cd_arrays
 from svsir.inversion import cf_nodes
 from svsir.pricer import _provider
-from svsir.riccati import SirCoefficients
+from svsir.riccati import SirCoefficients, integrate_cd
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
 
 
+def _assembled_f(params, tau, phi, j, x, v, tol=ToleranceSpec()):
+    """f_j = exp(C + D*v + i*phi*x) from the integrated (C, D), at forward log-moneyness x = ln(S/B)."""
+    sol = integrate_cd(params, tau, phi, j, tol)
+    return np.exp(sol.c_val + sol.d_val * v + 1j * phi * x)
+
+
 def test_phi_zero_gives_exact_zero_solution():
     sol = integrate_cd(SIR, 3.0, 0.0, 2)
     assert sol.c_val == 0.0 and sol.d_val == 0.0
-    assert sir_characteristic_fn(SIR, 4.6, 0.04, 3.0, 0.0, 1) == 1.0
+    assert _assembled_f(SIR, 3.0, 0.0, 1, 4.6, 0.04) == 1.0
 
 
 def test_tau_zero_initial_condition():
@@ -50,19 +54,22 @@ def test_beta_zero_matches_closed_form():
 def test_coefficients_reduce_to_constant_rate_table_at_beta_zero():
     co = SirCoefficients.from_params(HESTON)
     for tau in (0.0, 0.7, 4.0):
-        assert co.sigma_x_sq(tau) == 1.0
-        assert co.cross(tau) == HESTON.rho_sv * HESTON.sigma
-        assert co.b_j(1, tau) == HESTON.alpha - HESTON.rho_sv * HESTON.sigma
-        assert co.b_j(2, tau) == HESTON.alpha
-        assert co.zeta(1, tau) == 0.5 and co.zeta(2, tau) == -0.5
+        g = co.g(tau)
+        assert g == 0.0
+        assert co.sigma_x_sq(g) == 1.0
+        assert co.cross(g) == HESTON.rho_sv * HESTON.sigma
+        assert co.b_j(1, g) == HESTON.alpha - HESTON.rho_sv * HESTON.sigma
+        assert co.b_j(2, g) == HESTON.alpha
+        assert co.zeta(1, g) == 0.5 and co.zeta(2, g) == -0.5
 
 
 def test_coefficients_time_dependence_with_rates():
     co = SirCoefficients.from_params(SIR)
-    assert co.sigma_x_sq(0.0) == 1.0  # G(0) = 0: no bond volatility at maturity
-    assert co.sigma_x_sq(1.0) != 1.0
-    assert co.b_j(2, 1.0) > SIR.alpha  # G < 0 raises b_2
-    assert co.b_j(1, 1.0) == co.b_j(1, 0.0)  # b_1 stays constant
+    assert co.g(0.0) == 0.0  # G(0) = 0: no bond volatility at maturity
+    assert co.sigma_x_sq(co.g(0.0)) == 1.0
+    assert co.sigma_x_sq(co.g(1.0)) != 1.0
+    assert co.b_j(2, co.g(1.0)) > SIR.alpha  # G < 0 raises b_2
+    assert co.b_j(1, co.g(1.0)) == co.b_j(1, co.g(0.0))  # b_1 stays constant
 
 
 @settings(max_examples=40, deadline=None)
@@ -74,7 +81,7 @@ def test_coefficients_time_dependence_with_rates():
 def test_sigma_x_sq_positive(beta, tau, rho):
     params = ModelParams(kappa=2.0, theta=0.04, sigma=0.6, lam=0.0, rho_sv=rho, mu=0.03, beta=beta)
     co = SirCoefficients.from_params(params)
-    assert co.sigma_x_sq(tau) > 0.0
+    assert co.sigma_x_sq(co.g(tau)) > 0.0
 
 
 def test_solver_order_at_least_four():
@@ -128,8 +135,8 @@ def test_hermitian_symmetry_sampled():
         phi = rng.uniform(0.1, 40.0)
         tau = rng.uniform(0.1, 3.0)
         j = int(rng.integers(1, 3))
-        f_pos = sir_characteristic_fn(p, 4.5, 0.06, tau, phi, j)
-        f_neg = sir_characteristic_fn(p, 4.5, 0.06, tau, -phi, j)
+        f_pos = _assembled_f(p, tau, phi, j, 4.5, 0.06)
+        f_neg = _assembled_f(p, tau, -phi, j, 4.5, 0.06)
         assert f_neg == pytest.approx(f_pos.conjugate(), rel=1e-8, abs=1e-10)
 
 
@@ -168,11 +175,6 @@ def test_d_path_regularity():
             assert np.all(np.isfinite(reals))
 
 
-def _assembled_f(params, tau, phi, j, x, v, tol):
-    sol = integrate_cd(params, tau, phi, j, tol)
-    return np.exp(sol.c_val + sol.d_val * v + 1j * phi * x)
-
-
 def test_assembled_cf_satisfies_pricing_pde():
     # finite-difference residual of the pricing PDE at sampled interior
     # points; x- and v-derivatives are exact in the affine form, tau by
@@ -191,12 +193,13 @@ def test_assembled_cf_satisfies_pricing_pde():
         f_xv = 1j * phi * sol.d_val * f
         f_tau = (_assembled_f(SIR, tau + h, phi, j, x, v, tol)
                  - _assembled_f(SIR, tau - h, phi, j, x, v, tol)) / (2 * h)
+        g = co.g(tau)
         residual = (
-            0.5 * co.sigma_x_sq(tau) * v * f_xx
-            + co.cross(tau) * v * f_xv
+            0.5 * co.sigma_x_sq(g) * v * f_xx
+            + co.cross(g) * v * f_xv
             + 0.5 * SIR.sigma**2 * v * f_vv
-            + co.zeta(j, tau) * v * f_x
-            + (co.a - co.b_j(j, tau) * v) * f_v
+            + co.zeta(j, g) * v * f_x
+            + (co.a - co.b_j(j, g) * v) * f_v
             - f_tau
         )
         assert abs(residual) < 1e-4
