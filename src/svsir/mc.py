@@ -1,38 +1,57 @@
 """Monte Carlo oracle under the risk-neutral dynamics.
 
-Simulates the joint system
+The model is the joint system
 
-    d ln S = (r - v+/2) dt + sqrt(v+) dz1,
-    dv     = (kappa*theta - (kappa+lam)*v+) dt + sigma*sqrt(v+) dz2,
-    r      = mu + beta*v+,        corr(dz1, dz2) = rho_sv,
+    d ln S = (r - v/2) dt + sqrt(v) dz1,
+    dv     = (kappa*theta - (kappa+lam)*v) dt + sigma*sqrt(v) dz2,
+    r      = mu + beta*v,        corr(dz1, dz2) = rho_sv.
 
-with the full-truncation Euler scheme: v+ = max(v, 0) wherever the variance
-enters a coefficient, while the carried state v itself is left uncapped.
-The stochastic discount exp(-Integral r dt) is accumulated by the trapezoid
-rule on the short-rate path.  The bond never needs its own driver: with
-rho_bv = 1 it is a deterministic function of (tau, v) along each path.
+Two simulators, one scheme each:
+
+* :func:`simulate_price` and :func:`simulate_bond` run full-truncation Euler:
+  v+ = max(v, 0) wherever the variance enters a coefficient, while the
+  carried state v itself is left uncapped.  The stochastic discount
+  exp(-Integral r dt) is accumulated by the trapezoid rule on the short-rate
+  path, and the payoff is read off the simulated stock.  Each step draws two
+  normals (one with ``simulate_bond``, which needs no stock).  The bond never
+  needs its own driver: with rho_bv = 1 it is a deterministic function of
+  (tau, v) along each path.
+
+* :func:`simulate_grid`, the oracle behind ``svsir verify``, is a conditional
+  (mixing) estimator on Andersen's (2008) quadratic-exponential (QE) variance
+  paths.  Each step draws one uniform u and takes one QE step of v: the
+  quadratic branch maps u to a normal by inverse CDF, the exponential branch
+  (psi > 1.5) uses u itself.  The loop accumulates I_v = Integral v dt by the
+  trapezoid rule.  Given the variance path, ln S_T is Gaussian with mean
+  ln S + I_r - I_v/2 + rho*W and variance (1 - rho^2)*I_v, where
+  I_r = mu*tau + beta*I_v and W = Integral sqrt(v) dz2
+  = (v_T - v0 - kappa*theta*tau + (kappa+lam)*I_v)/sigma.  So every path has
+  a Black-type call price, exp(-I_r)*(F*N(d1) - K*N(d2)), and the estimate is
+  its mean over paths; no stock is simulated.  A path whose conditional
+  variance is 0 (rho = +-1, or I_v = 0) prices at the discounted intrinsic
+  value of its conditional forward.
 
 One path set prices a whole grid: :func:`simulate_grid` runs the paths once
 to the last maturity, stops at a checkpoint at each sorted maturity, and reads
-the discounted payoff of every strike off the same paths there.  The segment
-between two checkpoints takes ``max(1, ceil(length * n_steps_per_year))``
-equal steps, so no step is longer than a one-maturity run's; a segment of
-zero length (a repeated maturity) takes none.  A one-maturity run
-(``simulate_price``, ``simulate_bond``) is the one-checkpoint case of the
-same loop.  Estimates on one path set share their noise, so the errors of a
-grid's points are correlated.
+every strike off the same paths there.  The segment between two checkpoints
+takes ``max(1, ceil(length * n_steps_per_year))`` equal steps, so no step is
+longer than a one-maturity run's; a segment of zero length (a repeated
+maturity) takes none.  Estimates on one path set share their noise, so the
+errors of a grid's points are correlated.
 
 Determinism contract: a counter-based Philox stream keyed by the seed, with
 normal variates by inverse CDF, so identical (seed, inputs) give bit-identical
-estimates on a platform; summation is numpy's pairwise reduction.  For
+estimates on a platform; summation is numpy's pairwise reduction.  A QE step
+draws exactly one uniform per path, an Euler step one or two normals.  For
 maturities on the step lattice, such as 0.5 and 1 year at 250 steps a year,
-each grid estimate equals the one-maturity estimate at the same seed bit for
-bit.  The loop reuses preallocated buffers in place but keeps the operand
+each grid estimate equals the one-maturity grid estimate at the same seed bit
+for bit.  The loops reuse preallocated buffers in place but keep the operand
 order of the plain expressions, so that reuse does not change a path.
 
-scipy is imported only here, inside :func:`_normals`, for ``ndtri``: loading
-``scipy.special`` costs about 0.3 s, and ``import svsir`` and the CLI's
-``price``, ``sweep`` and ``bond`` never simulate a path, so they never pay it.
+scipy is imported only here, inside :func:`_to_normals` (``ndtri``) and
+:func:`simulate_grid` (``ndtr``): loading ``scipy.special`` costs about 0.3 s,
+and ``import svsir`` and the CLI's ``price``, ``sweep`` and ``bond`` never
+simulate a path, so they never pay it.
 """
 from __future__ import annotations
 
@@ -44,6 +63,12 @@ import numpy as np
 
 from .model import (InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec,
                     check_nonnegative, validate)
+
+# Andersen's switch between the quadratic (psi <= PSI_C) and exponential QE branches
+PSI_C = 1.5
+# psi = s^2/m^2 is floored here before the quadratic branch divides by it: at
+# psi = 0 (v = 0 absorbing, theta = 0) the step must stay finite and give m = 0
+PSI_FLOOR = 1e-100
 
 
 @dataclass(frozen=True)
@@ -85,32 +110,38 @@ def _estimate(samples: np.ndarray) -> McEstimate:
     )
 
 
-def _normals(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` with standard normals by inverse CDF."""
+def _to_normals(u: np.ndarray) -> None:
+    """Map the uniforms in ``u`` to standard normals in place, by inverse CDF."""
     from scipy.special import ndtri
 
-    rng.random(out=out)
     # rng.random() can emit exactly 0.0; keep ndtri finite
-    np.maximum(out, 2.0**-53, out=out)
-    ndtri(out, out=out)
+    np.maximum(u, 2.0**-53, out=u)
+    ndtri(u, out=u)
 
 
-def _euler(params: ModelParams, v0: float, ln_spot: float, maturities: Sequence[float],
-           cfg: McConfig, with_stock: bool) -> Iterator[tuple[np.ndarray, ...]]:
-    """Full-truncation Euler on one Philox path set, stopping at each maturity.
+def _normals(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` with standard normals by inverse CDF."""
+    rng.random(out=out)
+    _to_normals(out)
 
-    ``maturities`` must be sorted.  Yields ``(ln S, v, Integral r dt, scratch)``
-    at each of them, where ``scratch`` holds three free buffers of the path
-    count.  All of them are the loop's own buffers: read them before resuming.
-    The segment since the previous checkpoint takes
-    ``max(1, ceil(length * n_steps_per_year))`` equal steps, or none if its
-    length is zero.
-    """
+
+def _steps(length: float, cfg: McConfig) -> tuple[int, float]:
+    """Step count and step size of a segment: ``max(1, ceil(length * n_steps_per_year))``
+    equal steps, or none if ``length`` is 0."""
+    n_steps = max(1, math.ceil(length * cfg.n_steps_per_year)) if length > 0 else 0
+    return n_steps, length / max(n_steps, 1)
+
+
+def _terminal(params: ModelParams, v0: float, ln_spot: float, tau: float, cfg: McConfig,
+              with_stock: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terminal (ln S, v, Integral r dt) arrays after full-truncation Euler to ``tau``."""
     n = cfg.n_paths
     rho = params.rho_sv
     rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
     drift_level = params.kappa * params.theta
     alpha = params.alpha
+    n_steps, dt = _steps(tau, cfg)
+    sqrt_dt = math.sqrt(dt)
 
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     v = np.full(n, float(v0))
@@ -125,53 +156,117 @@ def _euler(params: ModelParams, v0: float, ln_spot: float, maturities: Sequence[
     #   v = v + (drift_level - alpha*v_pos)*dt + sigma*vol*sqrt_dt*z2
     #   rate_integral += 0.5*(r_now + r_next)*dt
     # so the paths do not depend on how the buffers are reused
+    for _ in range(n_steps):
+        np.sqrt(v_pos, out=vol)
+        _normals(rng, z2)
+        if with_stock:
+            _normals(rng, z1)
+            z1 *= rho_perp
+            np.multiply(z2, rho, out=tmp)
+            z1 += tmp
+            np.multiply(vol, sqrt_dt, out=tmp)
+            z1 *= tmp
+            np.multiply(v_pos, 0.5, out=tmp)
+            np.subtract(r_now, tmp, out=tmp)
+            tmp *= dt
+            tmp += z1
+            ln_s += tmp
+        np.multiply(v_pos, alpha, out=tmp)
+        np.subtract(drift_level, tmp, out=tmp)
+        tmp *= dt
+        v += tmp
+        vol *= params.sigma
+        vol *= sqrt_dt
+        vol *= z2
+        v += vol
+        np.maximum(v, 0.0, out=v_pos)
+        r_next = z1  # z1 is free again: it takes r at the end of the step
+        np.multiply(v_pos, params.beta, out=r_next)
+        r_next += params.mu
+        np.add(r_now, r_next, out=tmp)
+        tmp *= 0.5
+        tmp *= dt
+        rate_integral += tmp
+        r_now, z1 = r_next, r_now
+    return ln_s, v, rate_integral
+
+
+def _qe_coefficients(params: ModelParams, dt: float) -> tuple[float, float, float, float]:
+    """``(c0, c1, c2, c3)`` of the conditional moments of one QE step of length ``dt``:
+    ``E[v_next | v] = c0 + c1*v`` and ``Var[v_next | v] = c2*v + c3``."""
+    alpha, sigma2 = params.alpha, params.sigma * params.sigma
+    decay = math.exp(-alpha * dt)
+    one_minus = -math.expm1(-alpha * dt)
+    theta_rn = params.kappa * params.theta / alpha  # risk-neutral long-run variance
+    return (theta_rn * one_minus, decay, sigma2 * decay * one_minus / alpha,
+            theta_rn * sigma2 * one_minus * one_minus / (2.0 * alpha))
+
+
+def _qe(params: ModelParams, v0: float, maturities: Sequence[float],
+        cfg: McConfig) -> Iterator[tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]]:
+    """QE variance paths on one Philox path set, stopping at each maturity.
+
+    ``maturities`` must be sorted.  Yields ``(v, Integral v dt, scratch)`` at
+    each of them, where ``scratch`` holds six free buffers of the path count.
+    All of them are the loop's own buffers: read them before resuming.
+    """
+    n = cfg.n_paths
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    v = np.full(n, float(v0))
+    var_integral = np.zeros(n)
+    u, mean, psi, tmp, v_next, spare = (np.empty(n) for _ in range(6))
+
+    # each line keeps the operand order of the plain expressions
+    #   m = c0 + c1*v;  psi = (c3 + c2*v) / max(m**2, tiny)
+    #   quadratic:   q = 2/clip(psi, PSI_FLOOR, PSI_C);  b2 = q - 1 + sqrt((q - 1)*q)
+    #                v_next = m/(b2 + 1) * (sqrt(b2) + ndtri(u))**2
+    #   exponential: with 1 - p = 2/(psi + 1), v_next = log((1 - p)/(1 - u)) * m/(1 - p)
+    #                if u > p, else 0
+    #   var_integral += (v + v_next)*(0.5*dt)
+    # so the paths do not depend on how the buffers are reused
+    tiny = np.finfo(float).tiny
     done = 0.0
     for tau in maturities:
-        length = tau - done
-        n_steps = max(1, math.ceil(length * cfg.n_steps_per_year)) if length > 0 else 0
-        dt = length / max(n_steps, 1)
-        sqrt_dt = math.sqrt(dt)
+        n_steps, dt = _steps(tau - done, cfg)
+        c0, c1, c2, c3 = _qe_coefficients(params, dt)
+        half_dt = 0.5 * dt
         for _ in range(n_steps):
-            np.sqrt(v_pos, out=vol)
-            _normals(rng, z2)
-            if with_stock:
-                _normals(rng, z1)
-                z1 *= rho_perp
-                np.multiply(z2, rho, out=tmp)
-                z1 += tmp
-                np.multiply(vol, sqrt_dt, out=tmp)
-                z1 *= tmp
-                np.multiply(v_pos, 0.5, out=tmp)
-                np.subtract(r_now, tmp, out=tmp)
-                tmp *= dt
-                tmp += z1
-                ln_s += tmp
-            np.multiply(v_pos, alpha, out=tmp)
-            np.subtract(drift_level, tmp, out=tmp)
-            tmp *= dt
-            v += tmp
-            vol *= params.sigma
-            vol *= sqrt_dt
-            vol *= z2
-            v += vol
-            np.maximum(v, 0.0, out=v_pos)
-            r_next = z1  # z1 is free again: it takes r at the end of the step
-            np.multiply(v_pos, params.beta, out=r_next)
-            r_next += params.mu
-            np.add(r_now, r_next, out=tmp)
-            tmp *= 0.5
-            tmp *= dt
-            rate_integral += tmp
-            r_now, z1 = r_next, r_now
+            rng.random(out=u)
+            np.multiply(v, c1, out=mean)
+            mean += c0
+            np.multiply(v, c2, out=psi)
+            psi += c3
+            np.square(mean, out=tmp)
+            np.maximum(tmp, tiny, out=tmp)
+            psi /= tmp
+            exp_paths = np.flatnonzero(psi > PSI_C)
+            if exp_paths.size:
+                # Andersen's p = (psi - 1)/(psi + 1), held as 1 - p so that it cannot round to 0
+                not_p = 2.0 / (psi[exp_paths] + 1.0)
+                not_u = 1.0 - u[exp_paths]
+                v_exp = np.where(not_u < not_p,
+                                 np.log(not_p / not_u) * mean[exp_paths] / not_p, 0.0)
+            np.clip(psi, PSI_FLOOR, PSI_C, out=psi)
+            np.divide(2.0, psi, out=psi)
+            np.subtract(psi, 1.0, out=tmp)
+            psi *= tmp
+            np.sqrt(psi, out=psi)
+            psi += tmp  # b^2
+            np.add(psi, 1.0, out=tmp)
+            mean /= tmp  # a = m/(b^2 + 1)
+            np.sqrt(psi, out=psi)
+            _to_normals(u)
+            psi += u
+            np.square(psi, out=v_next)
+            v_next *= mean
+            if exp_paths.size:
+                v_next[exp_paths] = v_exp
+            np.add(v, v_next, out=tmp)
+            tmp *= half_dt
+            var_integral += tmp
+            v, v_next = v_next, v
         done = tau
-        yield ln_s, v, rate_integral, (vol, z2, tmp)
-
-
-def _terminal(params: ModelParams, v0: float, ln_spot: float, tau: float, cfg: McConfig,
-              with_stock: bool):
-    """Terminal (ln S, v, Integral r dt) arrays after full-truncation Euler."""
-    ((ln_s, v, rate_integral, _),) = _euler(params, v0, ln_spot, (tau,), cfg, with_stock)
-    return ln_s, v, rate_integral
+        yield v, var_integral, (u, mean, psi, tmp, v_next, spare)
 
 
 def simulate_grid(
@@ -182,38 +277,65 @@ def simulate_grid(
     maturities: Sequence[float],
     cfg: McConfig,
 ) -> list[McEstimate]:
-    """Discounted call-payoff estimates over a (maturity x strike) grid.
+    """Call-price estimates over a (maturity x strike) grid, by the conditional
+    estimator on QE variance paths.
 
     One path set runs to the last maturity; every strike is read off the
     same paths at each maturity's checkpoint.  Returns maturities outer,
     strikes inner, in the order given.  At ``tau = 0`` the estimate is the
     intrinsic value with standard error 0.
     """
+    from scipy.special import ndtr
+
     validate(params)
     for tau in maturities:
         MarketState(spot=spot, variance=v0, tau=tau)
     for strike in strikes:
         OptionSpec(strike=strike)
+    rho, sigma = params.rho_sv, params.sigma
+    var_share = max(0.0, 1.0 - rho * rho)
     order = sorted(range(len(maturities)), key=lambda m: maturities[m])
-    checkpoints = _euler(
-        params, v0, math.log(spot), [maturities[m] for m in order], cfg, with_stock=True
-    )
+    checkpoints = _qe(params, v0, [maturities[m] for m in order], cfg)
     rows: list[list[McEstimate]] = [[] for _ in maturities]
-    for m, (ln_s, _, rate_integral, (discount, s_t, payoff)) in zip(order, checkpoints):
-        if maturities[m] == 0.0:
-            rows[m] = [
-                McEstimate(mean=max(spot - strike, 0.0), std_error=0.0, n_paths=cfg.n_paths)
-                for strike in strikes
-            ]
-            continue
-        np.negative(rate_integral, out=discount)
-        np.exp(discount, out=discount)
-        np.exp(ln_s, out=s_t)
+    for m, (v, var_integral, scratch) in zip(order, checkpoints):
+        tau = maturities[m]
+        log_fwd, fwd, disc, std, d1, n2 = scratch
+        # ln(F e^{-I_r}/S) = rho*W - rho^2*I_v/2, with W read off the variance path
+        np.subtract(v, v0 + params.kappa * params.theta * tau, out=fwd)
+        fwd *= rho / sigma
+        np.multiply(var_integral, rho * params.alpha / sigma - 0.5 * rho * rho, out=d1)
+        fwd += d1
+        np.multiply(var_integral, params.beta, out=disc)
+        disc += params.mu * tau  # I_r
+        np.add(fwd, disc, out=log_fwd)  # ln(F/S)
+        np.exp(fwd, out=fwd)
+        fwd *= spot  # F e^{-I_r}
+        np.negative(disc, out=disc)
+        np.exp(disc, out=disc)  # e^{-I_r}
+        np.multiply(var_integral, var_share, out=std)
+        np.sqrt(std, out=std)
+        flat = std == 0.0
+        any_flat = bool(flat.any())
         for strike in strikes:
-            np.subtract(s_t, strike, out=payoff)
-            np.maximum(payoff, 0.0, out=payoff)
-            payoff *= discount
-            rows[m].append(_estimate(payoff))
+            np.add(log_fwd, math.log(spot / strike), out=d1)
+            # a flat path (std = 0) divides by 0 here; its payoff is replaced below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d1 /= std
+            np.multiply(std, 0.5, out=n2)
+            d1 += n2
+            np.subtract(d1, std, out=n2)
+            ndtr(n2, out=n2)
+            n2 *= disc
+            n2 *= strike
+            ndtr(d1, out=d1)
+            d1 *= fwd
+            d1 -= n2  # e^{-I_r} (F N(d1) - K N(d2))
+            if any_flat:
+                np.multiply(disc, strike, out=n2)
+                np.subtract(fwd, n2, out=n2)
+                np.maximum(n2, 0.0, out=n2)
+                np.copyto(d1, n2, where=flat)
+            rows[m].append(_estimate(d1))
     return [est for row in rows for est in row]
 
 

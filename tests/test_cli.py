@@ -235,18 +235,39 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON constant {name}")
 
 
-def test_verify_json_is_strict_when_mc_se_is_zero(tmp_path, capsys):
-    # no path of 1000 reaches K >= 300 within 0.1 years, so those rows have
-    # mc_se = 0 and an infinite z, which JSON has no number for
-    cfg = write_config(tmp_path, beta=1.0, strikes=[100.0, 300.0, 1000.0], maturities=[0.1],
-                       n_paths=1000, seed=1, fmt="json")
-    assert main(["verify", "--config", cfg, "--tol", "1e-3"]) == 4
+def test_verify_json_is_strict_when_mc_se_is_zero(tmp_path, capsys, monkeypatch):
+    # an oracle with mc_se = 0 and a biased mean gives an infinite z, which
+    # JSON has no number for
+    import svsir.cli as cli_mod
+
+    def biased(params, spot, v0, strikes, maturities, cfg):
+        return [McEstimate(mean=0.0 if strike > 100.0 else 50.0, std_error=0.0, n_paths=cfg.n_paths)
+                for _ in maturities for strike in strikes]
+
+    monkeypatch.setattr(cli_mod, "simulate_grid", biased)
+    cfg = write_config(tmp_path, strikes=[100.0, 300.0, 1000.0], fmt="json")
+    assert main(["verify", "--config", cfg]) == 4
     records = [json.loads(line, parse_constant=_reject_constant)
                for line in capsys.readouterr().out.splitlines()]
     assert [r["K"] for r in records] == [100.0, 300.0, 1000.0]
-    assert math.isfinite(records[0]["z"])
+    assert records[0]["mc_se"] == 0.0 and records[0]["z"] is None
+    # deep out of the money, the price is 0 within abs_tol, and so is the biased mean
     for record in records[1:]:
-        assert record["mc_se"] == 0.0 and record["z"] is None
+        assert record["mc_se"] == 0.0 and record["z"] == 0.0
+
+
+def test_verify_z_is_zero_within_the_requested_tolerance(tmp_path, capsys):
+    # the K = 300 and 1000 rows price within --tol of 0, and the oracle's
+    # deep out-of-the-money estimates are tiny with a tinier standard error:
+    # a gap inside (S + K*bond)*abs_tol is not a discrepancy
+    cfg = write_config(tmp_path, beta=1.0, strikes=[100.0, 300.0, 1000.0], maturities=[0.1],
+                       n_paths=1000, seed=1, fmt="json")
+    assert main(["verify", "--config", cfg, "--tol", "1e-6"]) == 0
+    records = [json.loads(line, parse_constant=_reject_constant)
+               for line in capsys.readouterr().out.splitlines()]
+    assert [r["K"] for r in records] == [100.0, 300.0, 1000.0]
+    assert abs(records[0]["z"]) <= 3.0
+    assert [r["z"] for r in records[1:]] == [0.0, 0.0]
 
 
 def test_verify_seed_override_changes_mc(tmp_path, capsys):

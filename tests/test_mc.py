@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,16 +12,24 @@ from svsir import (
     ModelParams,
     OptionSpec,
     bond_price,
+    price_grid,
     price_heston,
     simulate_bond,
     simulate_grid,
     simulate_price,
 )
+from svsir.mc import PSI_C, PSI_FLOOR
 from svsir.model import OptionKind
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.1, rho_sv=-0.5, mu=0.03, beta=1.0)
 STATE = MarketState(spot=100.0, variance=0.04, tau=1.0)
+# violates Feller (2*kappa*theta = 0.04 < sigma^2 = 0.64), so v often nears 0
+# and QE takes its exponential branch
+FELLER_CORNER = ModelParams(kappa=2.0, theta=0.01, sigma=0.8, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
+# the model and grid of configs/example.cfg
+EXAMPLE = dataclasses.replace(HESTON, beta=1.0)
+EXAMPLE_STRIKES, EXAMPLE_MATURITIES = (80.0, 100.0, 120.0), (0.5, 1.0)
 
 
 def test_config_invariants():
@@ -134,14 +143,13 @@ def test_tau_zero_short_circuit():
 
 
 def test_grid_matches_per_point_simulation():
-    # lattice maturities: each checkpoint sees the same steps and normals as a
+    # lattice maturities: each checkpoint sees the same steps and uniforms as a
     # one-maturity run at the same seed, so the estimates are bit-identical
     cfg = McConfig(n_paths=5_000, seed=17)
     strikes, maturities = (80.0, 100.0, 120.0), (0.5, 1.0)
     grid = simulate_grid(SIR, 100.0, 0.04, strikes, maturities, cfg)
-    points = [simulate_price(SIR, MarketState(spot=100.0, variance=0.04, tau=tau),
-                             OptionSpec(strike=strike), cfg)
-              for tau in maturities for strike in strikes]
+    points = [est for tau in maturities
+              for est in simulate_grid(SIR, 100.0, 0.04, strikes, (tau,), cfg)]
     assert grid == points
 
 
@@ -163,9 +171,8 @@ def test_grid_tau_zero_and_repeated_maturity():
     at_half, at_zero, again = grid[:3], grid[3:6], grid[6:]
     assert [(e.mean, e.std_error) for e in at_zero] == [(10.0, 0.0), (0.0, 0.0), (0.0, 0.0)]
     assert at_half == again
-    # zero-length segments take no steps, so they draw no normals either
-    state = MarketState(spot=100.0, variance=0.04, tau=0.5)
-    assert at_half == [simulate_price(SIR, state, OptionSpec(strike=k), cfg) for k in strikes]
+    # zero-length segments take no steps, so they draw no uniforms either
+    assert at_half == simulate_grid(SIR, 100.0, 0.04, strikes, (0.5,), cfg)
 
 
 def _plain_euler(params, v0, ln_spot, tau, cfg):
@@ -203,3 +210,77 @@ def test_in_place_loop_matches_plain_expressions(tau):
     got = _terminal(SIR, 0.04, math.log(100.0), tau, cfg, with_stock=True)
     for a, b in zip(got, _plain_euler(SIR, 0.04, math.log(100.0), tau, cfg), strict=True):
         assert np.array_equal(a, b)
+
+
+def _plain_qe(params, v0, maturities, cfg):
+    """Reference: the QE step as plain expressions, one fresh array per operation.
+
+    Returns ``(v, Integral v dt)`` at each maturity and the number of path-steps
+    that took the exponential branch."""
+    n = cfg.n_paths
+    alpha, sigma2 = params.alpha, params.sigma * params.sigma
+    theta_rn = params.kappa * params.theta / alpha
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    v, var_integral = np.full(n, v0), np.zeros(n)
+    out, done, exp_steps = [], 0.0, 0
+    for tau in maturities:
+        n_steps = max(1, math.ceil((tau - done) * cfg.n_steps_per_year)) if tau > done else 0
+        dt = (tau - done) / max(n_steps, 1)
+        decay, one_minus = math.exp(-alpha * dt), -math.expm1(-alpha * dt)
+        for _ in range(n_steps):
+            u = rng.random(n)
+            m = theta_rn * one_minus + decay * v
+            s2 = (sigma2 * decay * one_minus / alpha * v
+                  + theta_rn * sigma2 * one_minus * one_minus / (2.0 * alpha))
+            psi = s2 / np.maximum(m * m, np.finfo(float).tiny)
+            q = 2.0 / np.clip(psi, PSI_FLOOR, PSI_C)
+            b2 = q - 1.0 + np.sqrt((q - 1.0) * q)
+            v_quad = m / (b2 + 1.0) * (np.sqrt(b2) + ndtri(np.maximum(u, 2.0**-53)))**2
+            not_p = 2.0 / (psi + 1.0)
+            v_exp = np.where(1.0 - u < not_p, np.log(not_p / (1.0 - u)) * m / not_p, 0.0)
+            exp_steps += int(np.count_nonzero(psi > PSI_C))
+            v_next = np.where(psi > PSI_C, v_exp, v_quad)
+            var_integral = var_integral + (v + v_next) * (0.5 * dt)
+            v = v_next
+        done = tau
+        out.append((v, var_integral))
+    return out, exp_steps
+
+
+@pytest.mark.parametrize("params", [SIR, FELLER_CORNER], ids=["sir", "feller_corner"])
+def test_in_place_qe_loop_matches_plain_expressions(params):
+    from svsir.mc import _qe
+
+    cfg = McConfig(n_paths=1000, seed=20)
+    maturities = (0.02, 0.3, 0.3, 1.0)
+    got = [(v.copy(), var_integral.copy()) for v, var_integral, _ in _qe(params, 0.04, maturities, cfg)]
+    expected, exp_steps = _plain_qe(params, 0.04, maturities, cfg)
+    if params is FELLER_CORNER:
+        assert exp_steps > 0  # both branches are exercised
+    for got_pair, expected_pair in zip(got, expected, strict=True):
+        for a, b in zip(got_pair, expected_pair, strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_grid_standard_errors_below_plain_simulation():
+    # conditioning on the variance path takes the stock's own noise out of every point
+    cfg = McConfig(n_paths=10_000, seed=31)
+    grid = simulate_grid(EXAMPLE, 100.0, 0.04, EXAMPLE_STRIKES, EXAMPLE_MATURITIES, cfg)
+    plain = [simulate_price(EXAMPLE, MarketState(spot=100.0, variance=0.04, tau=tau),
+                            OptionSpec(strike=strike), cfg)
+             for tau in EXAMPLE_MATURITIES for strike in EXAMPLE_STRIKES]
+    for est, ref in zip(grid, plain, strict=True):
+        assert 0.0 < est.std_error < ref.std_error
+
+
+@pytest.mark.parametrize("params", [dataclasses.replace(SIR, rho_sv=-1.0), FELLER_CORNER],
+                         ids=["rho_minus_one", "feller_corner"])
+def test_grid_edge_rows_match_pricer(params):
+    # at rho = -1 the conditional variance is 0 and every path prices at its
+    # conditional intrinsic value
+    grid = simulate_grid(params, 100.0, 0.04, EXAMPLE_STRIKES, EXAMPLE_MATURITIES,
+                         McConfig(n_paths=20_000, seed=23))
+    prices = price_grid(params, 100.0, 0.04, EXAMPLE_STRIKES, EXAMPLE_MATURITIES).price.ravel()
+    for est, price in zip(grid, prices.tolist(), strict=True):
+        assert math.isfinite(est.mean) and math.isfinite(est.std_error) and est.std_error > 0
+        assert abs(price - est.mean) <= 3.0 * est.std_error, (price, est)
