@@ -42,22 +42,36 @@ errors of a grid's points are correlated.
 Determinism contract: a counter-based Philox stream keyed by the seed, with
 normal variates by inverse CDF, so identical (seed, inputs) give bit-identical
 estimates on a platform; summation is numpy's pairwise reduction.  A QE step
-draws exactly one uniform per path, an Euler step one or two normals.  For
-maturities on the step lattice, such as 0.5 and 1 year at 250 steps a year,
-each grid estimate equals the one-maturity grid estimate at the same seed bit
-for bit.  The loops reuse preallocated buffers in place but keep the operand
-order of the plain expressions, so that reuse does not change a path.
+draws exactly one uniform per path, an Euler step one or two normals.  Each
+draw has a fixed index in the stream: with n paths, path i reads draw
+s*n + i at QE step s; at Euler step s it reads 2*s*n + i for z2 and
+2*s*n + n + i for z1 (with stock), or s*n + i (without).  For maturities on
+the step lattice, such as 0.5 and 1 year at 250 steps a year, each grid
+estimate equals the one-maturity grid estimate at the same seed bit for bit.
+The loops reuse preallocated buffers in place but keep the operand order of
+the plain expressions, so that reuse does not change a path.
+
+Every operation of a step is elementwise per path, so the step loops run on
+contiguous path slices at once, one slice per CPU the process may use (its
+affinity mask, which ``taskset`` and cgroups bound; there is no setting) and
+none shorter than ``MIN_SLICE_PATHS``.  Each slice draws from its own Philox
+positioned at its draws' indices and writes into views of the full-length
+buffers, so the results are bit-identical at any slice count.  With one slice
+the loop runs in the calling thread and starts none.
 
 scipy is imported only here, inside :func:`_to_normals` (``ndtri``) and
 :func:`simulate_grid` (``ndtr``): loading ``scipy.special`` costs about 0.3 s,
 and ``import svsir`` and the CLI's ``price``, ``sweep`` and ``bond`` never
-simulate a path, so they never pay it.
+simulate a path, so they never pay it.  The thread pool behind the slices is
+imported as lazily, only when a run has more than one slice.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+import os
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -69,6 +83,12 @@ PSI_C = 1.5
 # psi = s^2/m^2 is floored here before the quadratic branch divides by it: at
 # psi = 0 (v = 0 absorbing, theta = 0) the step must stay finite and give m = 0
 PSI_FLOOR = 1e-100
+# the shortest path slice given a thread of its own: on a 2-CPU host, two
+# slices broke even with one at ~3k paths each (the per-step Python calls
+# and stream seeks no longer amortised), so 8k keeps a margin
+MIN_SLICE_PATHS = 8192
+# sqrt of the smallest normal double (2**-1022): below it, squares are subnormal or 0
+_SQRT_TINY = 2.0**-511
 
 
 @dataclass(frozen=True)
@@ -103,9 +123,16 @@ def _estimate(samples: np.ndarray) -> McEstimate:
     # standard error of exactly zero
     first = samples[0]
     samples -= first
+    std = samples.std(ddof=1)
+    if std < _SQRT_TINY:
+        # the squares underflow (to 0 for all samples below ~1e-162): take the
+        # moments of the samples scaled by their largest magnitude instead
+        scale = float(np.abs(samples).max())
+        if scale > 0.0:
+            std = (samples / scale).std(ddof=1) * scale
     return McEstimate(
         mean=float(first + samples.mean()),
-        std_error=float(samples.std(ddof=1) / math.sqrt(n)),
+        std_error=float(std / math.sqrt(n)),
         n_paths=n,
     )
 
@@ -119,10 +146,75 @@ def _to_normals(u: np.ndarray) -> None:
     ndtri(u, out=u)
 
 
-def _normals(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` with standard normals by inverse CDF."""
-    rng.random(out=out)
-    _to_normals(out)
+class _Stream:
+    """The Philox uniforms of ``seed`` from absolute draw index ``start`` on.
+
+    Philox makes its uniforms in blocks of four, and ``advance`` skips whole
+    blocks after dropping what is left of a partly drawn one; so a seek to
+    draw k advances to k's block and discards ``k % 4`` uniforms.
+    """
+
+    def __init__(self, seed: int, start: int = 0) -> None:
+        self._bits = np.random.Philox(seed)
+        self._rng = np.random.Generator(self._bits)
+        self._at = 0
+        self.seek(start)
+
+    def seek(self, k: int) -> None:
+        """Move on to draw ``k``, which must not lie before the next draw."""
+        if k == self._at:
+            return
+        blocks = k // 4 - -(-self._at // 4)  # whole blocks after the partly drawn one
+        if blocks >= 0:
+            self._bits.advance(blocks)
+            self._at = k - k % 4
+        if k > self._at:
+            self._rng.random(k - self._at)
+        self._at = k
+
+    def uniforms(self, out: np.ndarray) -> None:
+        """Fill ``out`` with the next ``out.size`` uniforms."""
+        self._rng.random(out=out)
+        self._at += out.size
+
+    def normals(self, out: np.ndarray) -> None:
+        """Fill ``out`` with standard normals by inverse CDF."""
+        self.uniforms(out)
+        _to_normals(out)
+
+
+def _slice_count(n_paths: int) -> int:
+    """Path slices to run at once: one per CPU this process may use, but none
+    shorter than ``MIN_SLICE_PATHS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, n_paths // MIN_SLICE_PATHS))
+
+
+def _slices(n_paths: int) -> list[slice]:
+    """Contiguous path slices of near-equal length covering ``range(n_paths)``."""
+    k = _slice_count(n_paths)
+    return [slice(n_paths * j // k, n_paths * (j + 1) // k) for j in range(k)]
+
+
+def _run(tasks: Sequence[Callable[[], object]]) -> None:
+    """Run ``tasks`` at once: the calling thread takes the first, a worker
+    thread each of the others.  Numpy releases the interpreter lock inside its
+    loops, so the slices' array work overlaps."""
+    if len(tasks) == 1:
+        tasks[0]()
+        return
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(len(tasks) - 1) as pool:
+        # each worker runs in a copy of the caller's context, which holds numpy's error state
+        futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
+        tasks[0]()
+        for future in futures:
+            future.result()
 
 
 def _steps(length: float, cfg: McConfig) -> tuple[int, float]:
@@ -136,31 +228,48 @@ def _terminal(params: ModelParams, v0: float, ln_spot: float, tau: float, cfg: M
               with_stock: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Terminal (ln S, v, Integral r dt) arrays after full-truncation Euler to ``tau``."""
     n = cfg.n_paths
+    ln_s = np.full(n, float(ln_spot))
+    v = np.full(n, float(v0))
+    rate_integral = np.zeros(n)
+    scratch = [np.empty(n) for _ in range(6)]
+    _run([partial(_euler_paths, params, tau, cfg, with_stock, part,
+                  ln_s[part], v[part], rate_integral[part], *(b[part] for b in scratch))
+          for part in _slices(n)])
+    return ln_s, v, rate_integral
+
+
+def _euler_paths(params: ModelParams, tau: float, cfg: McConfig, with_stock: bool, part: slice,
+                 ln_s: np.ndarray, v: np.ndarray, rate_integral: np.ndarray, v_pos: np.ndarray,
+                 r_now: np.ndarray, vol: np.ndarray, z1: np.ndarray, z2: np.ndarray,
+                 tmp: np.ndarray) -> None:
+    """Full-truncation Euler to ``tau`` on the paths ``part``, in place on their
+    views of the state (``ln_s``, ``v``, ``rate_integral``) and of six scratch buffers."""
     rho = params.rho_sv
     rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
     drift_level = params.kappa * params.theta
     alpha = params.alpha
     n_steps, dt = _steps(tau, cfg)
     sqrt_dt = math.sqrt(dt)
+    n = cfg.n_paths
+    draws = 2 * n if with_stock else n  # uniforms a step takes over all paths
 
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    v = np.full(n, float(v0))
-    ln_s = np.full(n, float(ln_spot))
-    rate_integral = np.zeros(n)
-    v_pos = np.maximum(v, 0.0)
-    r_now = params.beta * v_pos + params.mu  # r at the start of each step
-    vol, z1, z2, tmp = (np.empty(n) for _ in range(4))
+    stream = _Stream(cfg.seed, part.start)
+    np.maximum(v, 0.0, out=v_pos)
+    np.multiply(v_pos, params.beta, out=r_now)
+    r_now += params.mu  # r at the start of each step
 
     # each line keeps the operand order of the plain expressions
     #   ln_s += (r_now - 0.5*v_pos)*dt + vol*sqrt_dt*(rho*z2 + rho_perp*z1)
     #   v = v + (drift_level - alpha*v_pos)*dt + sigma*vol*sqrt_dt*z2
     #   rate_integral += 0.5*(r_now + r_next)*dt
     # so the paths do not depend on how the buffers are reused
-    for _ in range(n_steps):
+    for step in range(n_steps):
         np.sqrt(v_pos, out=vol)
-        _normals(rng, z2)
+        stream.seek(step * draws + part.start)
+        stream.normals(z2)
         if with_stock:
-            _normals(rng, z1)
+            stream.seek(step * draws + n + part.start)
+            stream.normals(z1)
             z1 *= rho_perp
             np.multiply(z2, rho, out=tmp)
             z1 += tmp
@@ -188,7 +297,6 @@ def _terminal(params: ModelParams, v0: float, ln_spot: float, tau: float, cfg: M
         tmp *= dt
         rate_integral += tmp
         r_now, z1 = r_next, r_now
-    return ln_s, v, rate_integral
 
 
 def _qe_coefficients(params: ModelParams, dt: float) -> tuple[float, float, float, float]:
@@ -211,10 +319,31 @@ def _qe(params: ModelParams, v0: float, maturities: Sequence[float],
     All of them are the loop's own buffers: read them before resuming.
     """
     n = cfg.n_paths
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
     v = np.full(n, float(v0))
     var_integral = np.zeros(n)
     u, mean, psi, tmp, v_next, spare = (np.empty(n) for _ in range(6))
+    slices = [_qe_paths(params, maturities, cfg, part, v[part], var_integral[part],
+                        u[part], mean[part], psi[part], tmp[part], v_next[part])
+              for part in _slices(n)]
+    done = 0.0
+    for tau in maturities:
+        _run([partial(next, paths) for paths in slices])
+        # every slice took the same steps: after an odd count, v and v_next
+        # have swapped buffers in all of them
+        if _steps(tau - done, cfg)[0] % 2:
+            v, v_next = v_next, v
+        done = tau
+        yield v, var_integral, (u, mean, psi, tmp, v_next, spare)
+
+
+def _qe_paths(params: ModelParams, maturities: Sequence[float], cfg: McConfig, part: slice,
+              v: np.ndarray, var_integral: np.ndarray, u: np.ndarray, mean: np.ndarray,
+              psi: np.ndarray, tmp: np.ndarray, v_next: np.ndarray) -> Iterator[None]:
+    """The QE loop of :func:`_qe` on the paths ``part``, in place on their views
+    of the state (``v``, ``var_integral``) and of five scratch buffers; stops
+    at each maturity."""
+    n = cfg.n_paths
+    stream = _Stream(cfg.seed, part.start)
 
     # each line keeps the operand order of the plain expressions
     #   m = c0 + c1*v;  psi = (c3 + c2*v) / max(m**2, tiny)
@@ -225,13 +354,14 @@ def _qe(params: ModelParams, v0: float, maturities: Sequence[float],
     #   var_integral += (v + v_next)*(0.5*dt)
     # so the paths do not depend on how the buffers are reused
     tiny = np.finfo(float).tiny
-    done = 0.0
+    done, steps_done = 0.0, 0
     for tau in maturities:
         n_steps, dt = _steps(tau - done, cfg)
         c0, c1, c2, c3 = _qe_coefficients(params, dt)
         half_dt = 0.5 * dt
-        for _ in range(n_steps):
-            rng.random(out=u)
+        for step in range(steps_done, steps_done + n_steps):
+            stream.seek(step * n + part.start)
+            stream.uniforms(u)
             np.multiply(v, c1, out=mean)
             mean += c0
             np.multiply(v, c2, out=psi)
@@ -265,8 +395,8 @@ def _qe(params: ModelParams, v0: float, maturities: Sequence[float],
             tmp *= half_dt
             var_integral += tmp
             v, v_next = v_next, v
-        done = tau
-        yield v, var_integral, (u, mean, psi, tmp, v_next, spare)
+        done, steps_done = tau, steps_done + n_steps
+        yield
 
 
 def simulate_grid(

@@ -418,8 +418,9 @@ def test_feller_warning_goes_to_stderr_once(tmp_path, capsys):
 
 
 def test_price_path_never_imports_scipy():
-    # scipy.special only makes Monte Carlo normals; a fresh process that
-    # prices, sweeps and tabulates bonds must not load any of scipy
+    # scipy.special only makes Monte Carlo normals, and the thread pool only
+    # runs Monte Carlo path slices; a fresh process that prices, sweeps and
+    # tabulates bonds must load neither
     script = textwrap.dedent(f"""
         import contextlib, io, sys
         import svsir, svsir.cli
@@ -431,6 +432,7 @@ def test_price_path_never_imports_scipy():
                 assert svsir.cli.main(argv) == 0, argv
         loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         assert not loaded, loaded
+        assert "concurrent.futures" not in sys.modules
         params = svsir.ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5,
                                    mu=0.03, beta=1.0)
         svsir.simulate_bond(params, 0.04, 1.0, svsir.McConfig(n_paths=1000))

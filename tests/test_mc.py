@@ -18,7 +18,7 @@ from svsir import (
     simulate_grid,
     simulate_price,
 )
-from svsir.mc import PSI_C, PSI_FLOOR
+from svsir.mc import PSI_C, PSI_FLOOR, _estimate, _Stream
 from svsir.model import OptionKind
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
@@ -284,3 +284,89 @@ def test_grid_edge_rows_match_pricer(params):
     for est, price in zip(grid, prices.tolist(), strict=True):
         assert math.isfinite(est.mean) and math.isfinite(est.std_error) and est.std_error > 0
         assert abs(price - est.mean) <= 3.0 * est.std_error, (price, est)
+
+
+def test_estimate_keeps_the_standard_error_of_tiny_samples():
+    # squared deviations of ~1e-200 underflow to 0; the estimate must not
+    samples = 1e-200 * np.array([1.0, 2.0, 3.0])
+    est = _estimate(samples.copy())
+    expected = 1e-200 * np.std([1.0, 2.0, 3.0], ddof=1) / math.sqrt(3)
+    assert est.std_error == pytest.approx(expected, rel=1e-15, abs=0.0)
+    assert est.mean == pytest.approx(2e-200, rel=1e-15, abs=0.0)
+    assert _estimate(np.full(5, 1e-200)).std_error == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("k", [*range(8), 50_000_003])
+def test_stream_positioned_at_draw_k(seed, k):
+    # the reference draws every uniform up to k, in chunks that keep memory small
+    full = np.random.Generator(np.random.Philox(seed))
+    for _ in range(k // 1_000_000):
+        full.random(1_000_000)
+    expected = full.random(k % 1_000_000 + 1100)[k % 1_000_000:]
+    got = np.empty(11)
+    stream = _Stream(seed, k)
+    stream.uniforms(got)
+    assert np.array_equal(got, expected[:11])
+    # later seeks, within a Philox block of four and across blocks, land on the same draws
+    at = k + 11
+    for gap in (0, 1, 2, 5, 990):
+        at += gap
+        stream.seek(at)
+        stream.uniforms(got)
+        assert np.array_equal(got, expected[at - k:at - k + 11])
+        at += 11
+
+
+@pytest.fixture
+def slice_counts(monkeypatch):
+    """Run a callable at 1, 2 and 3 path slices; return its three results."""
+    import svsir.mc
+
+    def run(fn):
+        results = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(svsir.mc, "_slice_count", lambda n_paths, count=count: count)
+            results.append(fn())
+        return results
+
+    return run
+
+
+SLICED_MATURITIES = (0.0, 0.02, 0.3, 0.3, 1.0)
+
+
+@pytest.mark.parametrize("params", [SIR, FELLER_CORNER], ids=["sir", "feller_corner"])
+@pytest.mark.parametrize("n_paths", [1001, 5003])
+def test_qe_is_bit_identical_at_any_slice_count(slice_counts, params, n_paths):
+    from svsir.mc import _qe
+
+    cfg = McConfig(n_paths=n_paths, seed=24)
+    one, *others = slice_counts(lambda: [
+        (v.copy(), var_integral.copy())
+        for v, var_integral, _ in _qe(params, 0.04, SLICED_MATURITIES, cfg)])
+    for other in others:
+        for got, expected in zip(other, one, strict=True):
+            assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+    one, *others = slice_counts(lambda: simulate_grid(params, 100.0, 0.04, EXAMPLE_STRIKES,
+                                                      SLICED_MATURITIES, cfg))
+    assert all(other == one for other in others)
+
+
+@pytest.mark.parametrize("params", [SIR, FELLER_CORNER], ids=["sir", "feller_corner"])
+@pytest.mark.parametrize("n_paths", [1001, 5003])
+@pytest.mark.parametrize("tau", [0.0, 0.02, 0.3])
+def test_euler_is_bit_identical_at_any_slice_count(slice_counts, params, n_paths, tau):
+    from svsir.mc import _terminal
+
+    cfg = McConfig(n_paths=n_paths, seed=25)
+    for with_stock in (True, False):
+        one, *others = slice_counts(
+            lambda: _terminal(params, 0.04, math.log(100.0), tau, cfg, with_stock))
+        for other in others:
+            for got, expected in zip(other, one, strict=True):
+                assert np.array_equal(got, expected)
+    state = MarketState(spot=100.0, variance=0.04, tau=tau)
+    one, *others = slice_counts(lambda: (simulate_price(params, state, OptionSpec(strike=95.0), cfg),
+                                         simulate_bond(params, 0.04, tau, cfg)))
+    assert all(other == one for other in others)
