@@ -247,8 +247,10 @@ def _json_value(value: object) -> object:
 def _emit(rows: list[dict[str, object]], columns: tuple[str, ...], out_format: str) -> None:
     if out_format == "csv":
         print(",".join(columns))
-        for row in rows:
-            print(",".join(_fmt(row[c]) if isinstance(row[c], float) else str(row[c]) for c in columns))
+        if rows:
+            # one format per table, as _fmt and str would give: each column holds one type
+            line = ",".join("%.12g" if isinstance(rows[0][c], float) else "%s" for c in columns)
+            print("\n".join(line % tuple(row[c] for c in columns) for row in rows))
     else:
         for row in rows:
             print(json.dumps({c: _json_value(row[c]) for c in columns}, allow_nan=False))

@@ -2,34 +2,48 @@
 
 The pricer needs, for every maturity m and strike K, the pair
 
-    R_j = 1/2 + (1/pi) * Integral_0^inf Re[ exp(-i*phi*ln K) * f_j(phi) / (i*phi) ] dphi,
+    R_j = 1/2 + (1/pi) * Integral_0^inf Re[ exp(-i*phi*k) * f_j(phi) / (i*phi) ] dphi,   k = ln K,
 
-where f_j is supplied by a provider (the closed-form affine characteristic
+where f_j comes from a function (the closed-form affine characteristic
 function of :mod:`svsir.heston_cf` for every beta) at (maturity, frequency)
-node pairs.  f_j does not depend on the strike, so one adaptive pass inverts
-a whole maturity x strike surface: each maturity has one integrand row per
-(measure j, strike), formed in real arithmetic as
-(Im f_j cos(phi k) - Re f_j sin(phi k)) / phi with k = ln K.  Its
-singularity at phi = 0 is removable, and Gauss-Kronrod 7(15) panels
-integrate it on [PHI_MIN, phi_max_m]:
+node pairs.  Each maturity is inverted against a Black-Scholes control with
+the location x_m and variance w_m the pricer passes (Joshi & Yang 2011;
+Andersen & Lake 2018),
 
-* f_j is evaluated once per measure on PHI_MIN and the doubling ladder
-  PHI_LADDER_START, 2*PHI_LADDER_START, ... up to the spec's budget, for
-  every maturity at once;
-* each maturity gets its own phi_max_m, the first rung where
-  |f_j(phi)| / phi < abs_tol/10 holds for both j (TailNotDecaying if none
-  does), and its own initial panel count;
+    f_BS_j(phi) = exp(i*phi*(x_m +- w_m/2) - phi^2*w_m/2),   + for j = 1, - for j = 2,
+
+whose own integral is N(d_j) with d_j = (x_m - k +- w_m/2) / sqrt(w_m), so
+
+    R_j = N(d_j) + (1/pi) * Integral_0^inf Re[ exp(-i*phi*k) * (f_j - f_BS_j) / (i*phi) ] dphi.
+
+The integral runs on the scaled axis s = phi*sqrt(w_m), where the difference
+decays on a scale of order one at every maturity; its integrand
+(Im g cos(phi k) - Re g sin(phi k)) / s with g = f_j - f_BS_j is finite at
+s = 0, which no Gauss-Kronrod node touches.  f_j does not depend on the
+strike, so one adaptive pass inverts a whole maturity x strike surface, one
+integrand row per (maturity, measure j, strike), and Gauss-Kronrod 7(15)
+panels integrate it on [0, s_max_m]:
+
+* f_1 and f_2 are evaluated in one call on the ladder ``S_LADDER``
+  (0.5, 1, 2, ..., 2^16 in s) for every maturity at once;
+* each maturity gets its own s_max_m, the first rung where
+  |f_j - f_BS_j| / s < abs_tol/10 holds for both j (TailNotDecaying if none
+  does), and its own initial panel count: one per 3*pi radians of the
+  strike phase, and at least one per unit of s;
 * each maturity keeps its own panel set, error target and panel budget: a
   panel splits when its maturity misses the target and its worst row holds
   more than its share, and every round evaluates the new halves of all
-  maturities together, one provider call per measure for every
-  ``PANELS_PER_CALL`` panels;
-* the [0, PHI_MIN] sliver is added back as a one-term rectangle correction.
+  maturities together, one call for every ``PANELS_PER_CALL`` panels.
 
-A one-maturity inversion is the same pass with one maturity.  When the
-accumulated variance over a maturity is negligible, f_j never decays and R_j
-collapses to an indicator; that degenerate row skips the quadrature and reads
-the law's location off the phase of f_j at PHI_MIN.
+A one-maturity inversion is the same pass with one maturity.  Where
+w_m = 0 (tau = 0, or v = theta = 0) the law of the log price is a point
+mass at x_m: R_j is 1, 1/2 or 0 as x_m is above, at or below k, and the
+maturity makes no characteristic-function call.
+
+Known limit: a strike many sqrt(w_m) from the money in log terms, as at a
+tiny w_m, needs about |x_m - k| * s_max / (2*pi*sqrt(w_m)) oscillation
+cycles; past the panel budget its maturity raises SubdivisionExhausted.
+Only a contour shift removes that.
 """
 from __future__ import annotations
 
@@ -41,19 +55,18 @@ import numpy as np
 
 from .model import InvalidParameter, NumericalError
 
-PHI_MIN = 1e-6
-# First rung of the phi_max ladder, which doubles from here up to the budget.
-PHI_LADDER_START = 32.0
-# Accumulated-variance proxy below which the law of the log price is treated
-# as a point mass and R_j returned as an indicator.
-DEGENERATE_PROXY = 1e-6
-# Most 15-node panels evaluated per provider call; bounds the temporaries of
+# The truncation ladder on the scaled axis s = phi*sqrt(w): 0.5, 1, 2, ..., 2^16.
+S_LADDER = 0.5 * 2.0 ** np.arange(18)
+# Most 15-node panels evaluated per characteristic-function call; bounds the temporaries of
 # a round that refines many maturities at once.
 PANELS_PER_CALL = 64
 NODES_PER_CALL = 15 * PANELS_PER_CALL
 
-# The nodes handed to a provider: the maturity index and the frequency of each.
+# The nodes handed to the characteristic function: the maturity index and the frequency of each.
 NODE = np.dtype([("m", np.intp), ("phi", float)])
+
+# erfc over arrays without scipy, which the price path does not load
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 class InversionError(NumericalError):
@@ -65,7 +78,7 @@ class InversionError(NumericalError):
 
 
 class TailNotDecaying(InversionError):
-    """|f_j| did not fall below threshold within the phi budget."""
+    """|f_j - f_BS_j| / s did not fall below threshold on the s ladder."""
 
 
 class SubdivisionExhausted(InversionError):
@@ -77,17 +90,11 @@ class QuadratureSpec:
     """Error target and budgets for one inversion, applied to each maturity on its own."""
 
     abs_tol: float = 1e-9
-    phi_max: float = 1e4
     max_subdivisions: int = 2048
 
     def __post_init__(self) -> None:
         if not 1e-12 <= self.abs_tol <= 1e-3:
             raise InvalidParameter(f"abs_tol: must lie in [1e-12, 1e-3], got {self.abs_tol}")
-        if not PHI_LADDER_START <= self.phi_max < math.inf:
-            raise InvalidParameter(
-                f"phi_max: must be finite and >= {PHI_LADDER_START:g} (the first truncation "
-                f"frequency tried), got {self.phi_max}"
-            )
         if self.max_subdivisions < 4:
             raise InvalidParameter(f"max_subdivisions: must be >= 4, got {self.max_subdivisions}")
 
@@ -99,23 +106,6 @@ class ProbabilityPair:
     r1: float | np.ndarray
     r2: float | np.ndarray
     achieved_error_estimate: float | np.ndarray
-
-
-@dataclass(frozen=True)
-class CfProvider:
-    """Characteristic-function interface consumed by :func:`gil_pelaez`.
-
-    ``eval(j, nodes)`` returns f_j at ``nodes``, a 1-D array of dtype
-    :data:`NODE` (see :func:`cf_nodes`) pairing a maturity index ``m`` with a
-    real positive frequency ``phi``; f_j includes the exp(i*phi*x) factor.
-    ``decay_proxy`` holds, per maturity, the accumulated variance scale of
-    the underlying law (for the square-root variance models here,
-    tau*v0 + kappa*theta*tau^2/2); a vanishing proxy flags a pure-phase
-    characteristic function whose inversion is an indicator.
-    """
-
-    eval: Callable[[int, np.ndarray], np.ndarray]
-    decay_proxy: float | np.ndarray
 
 
 # Gauss-Kronrod 7(15): Kronrod nodes/weights plus the embedded 7-point Gauss
@@ -165,8 +155,8 @@ def _adaptive_integral(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Adaptive panel quadrature of every row of g on [lo, hi_m] for each maturity m, each row to absolute target.
 
-    ``hi`` and ``n_init`` hold one entry per maturity.  ``g(m, phi)`` maps
-    node arrays (maturity index, frequency) to values whose last axis runs
+    ``hi`` and ``n_init`` hold one entry per maturity.  ``g(m, s)`` maps
+    node arrays (maturity index, abscissa) to values whose last axis runs
     over the nodes.  Each maturity keeps its own panel set and its own
     budget of ``budget`` panels: while some row of a maturity misses the
     target, every panel of it whose worst row holds more than its share
@@ -223,105 +213,112 @@ def _adaptive_integral(
         errors = np.concatenate([errors[..., keep], errs_new], axis=-1)[..., regroup]
 
 
-def _ladder(spec: QuadratureSpec) -> np.ndarray:
-    return PHI_LADDER_START * 2.0 ** np.arange(int(math.log2(spec.phi_max / PHI_LADDER_START)) + 1)
+def _find_s_max(diff: np.ndarray, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per maturity, the first ``S_LADDER`` rung where |f_j - f_BS_j|/s < abs_tol/10 for both j, and the tail term there.
 
-
-def _find_phi_max(f_ladder: np.ndarray, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per maturity, the first ladder rung where |f_j(phi)|/phi < abs_tol/10 for both j, and the larger tail term there.
-
-    ``f_ladder`` holds f_1 and f_2 on ``_ladder(spec)``: measures first,
-    rungs last, and any maturity axis between them.
+    ``diff`` holds f_j - f_BS_j on ``S_LADDER``: measures first, rungs last,
+    and any maturity axis between them.
     """
     threshold = spec.abs_tol / 10.0
-    ladder = _ladder(spec)
-    tails = np.abs(f_ladder).max(axis=0) / ladder
+    tails = np.abs(diff).max(axis=0) / S_LADDER
     passed = tails < threshold
     failed = np.flatnonzero(~passed.any(axis=-1))
     if failed.size:
         m = int(failed[0])
         raise TailNotDecaying(
-            f"max_j |f_j|/phi stayed >= {threshold:.3e} up to the phi budget {spec.phi_max:.3g} "
-            f"(smallest {tails.reshape(-1, ladder.size)[m].min():.3e}); characteristic function "
-            "decays too slowly (near-degenerate variance?)",
+            f"max_j |f_j - f_BS_j|/s stayed >= {threshold:.3e} up to the top of the s ladder, "
+            f"{S_LADDER[-1]:g} (smallest {tails.reshape(-1, S_LADDER.size)[m].min():.3e}); "
+            "characteristic function decays too slowly (near-degenerate variance?)",
             maturity=m,
         )
     first = passed.argmax(axis=-1)
-    return ladder[first], np.take_along_axis(tails, first[..., None], axis=-1)[..., 0]
+    return S_LADDER[first], np.take_along_axis(tails, first[..., None], axis=-1)[..., 0]
 
 
 def cf_nodes(m, phi) -> np.ndarray:
-    """Provider nodes pairing maturity indices ``m`` with frequencies ``phi``, broadcast to one 1-D array."""
+    """Nodes pairing maturity indices ``m`` with frequencies ``phi``, broadcast to one 1-D array."""
     m, phi = np.broadcast_arrays(m, phi)
     nodes = np.empty(phi.size, dtype=NODE)
     nodes["m"], nodes["phi"] = m.ravel(), phi.ravel()
     return nodes
 
 
-def _cf(cf_provider: CfProvider, m: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _cf(cf: Callable, m: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """f_1 and f_2 stacked, at the node pairs (m_i, phi_i); at most ``NODES_PER_CALL`` nodes per call."""
     nodes = cf_nodes(m, phi)
-    # an empty surface still makes one (empty) call per measure
-    return np.concatenate([np.stack([cf_provider.eval(j, nodes[s:s + NODES_PER_CALL]) for j in (1, 2)])
-                           for s in range(0, max(nodes.size, 1), NODES_PER_CALL)], axis=-1)
+    return np.concatenate([cf(nodes[s:s + NODES_PER_CALL]) for s in range(0, nodes.size, NODES_PER_CALL)], axis=-1)
 
 
-def _integrand(f: np.ndarray, phi: np.ndarray, log_k: np.ndarray) -> np.ndarray:
-    """Re[exp(-i*phi*k) * f_j / (i*phi)] = (Im f_j cos(phi*k) - Re f_j sin(phi*k)) / phi, shaped (measure, strike, node).
+def _control(w: np.ndarray, phi: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Centred f_BS_1 and f_BS_2 stacked, exp(+-i*phi*w/2 - s^2/2): complex conjugates of each other."""
+    f_bs = np.exp(0.5j * phi * w - 0.5 * s * s)
+    return np.stack([f_bs, f_bs.conj()])
 
-    One complex exponential gives cos and sin together, faster than numpy's
-    separate real cos and sin; the rest is real arithmetic.
+
+def _integrand(g: np.ndarray, phase: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Re[phase * g_j / (i*s)] = (Im g_j Re phase + Re g_j Im phase) / s, shaped (measure, strike, node).
+
+    ``phase`` is exp(i*phi*(x - k)) on (strike, node): one complex exponential
+    is faster than numpy's separate real cos and sin.
     """
-    phase = np.exp(-1j * (log_k[:, None] * phi))
-    return (f.imag[:, None] * phase.real + f.real[:, None] * phase.imag) / phi
+    return (g.imag[:, None] * phase.real + g.real[:, None] * phase.imag) / s
 
 
 def gil_pelaez(
-    cf_provider: CfProvider,
+    cf: Callable[[np.ndarray], np.ndarray],
     x: float | np.ndarray,
+    w: float | np.ndarray,
     log_strike: float | np.ndarray,
     spec: QuadratureSpec = QuadratureSpec(),
 ) -> ProbabilityPair:
-    """Exercise probabilities R_1, R_2 from a characteristic-function provider, over a maturity x strike surface.
+    """Exercise probabilities R_1, R_2 from a characteristic function, over a maturity x strike surface.
 
-    ``x`` holds, per maturity, the log-moneyness the provider's phase is
-    anchored at (a float for one maturity); it only scales that maturity's
-    initial panel count.  ``log_strike`` is a float or a 1-D array shared by
-    every maturity.  r1, r2 and the error estimate come back shaped
-    ``shape(x) + shape(log_strike)``.  Raises :class:`TailNotDecaying` or
-    :class:`SubdivisionExhausted`, with context and the failing maturity's index.
+    ``x`` and ``w`` hold, per maturity, the location and the variance (>= 0)
+    of the Black-Scholes control (floats for one maturity).  ``cf(nodes)``
+    returns f_1 and f_2 stacked, each times exp(-i*phi*x_m): row j - 1 is the
+    characteristic function of ln S_T - x_m under measure j at ``nodes``, a
+    1-D :data:`NODE` array (see :func:`cf_nodes`) pairing a maturity index
+    ``m`` with a frequency ``phi`` > 0.  ``log_strike`` is a float or a 1-D
+    array shared by every maturity; r1, r2 and the error estimate come back
+    shaped ``shape(x) + shape(log_strike)``.  Raises :class:`TailNotDecaying`
+    or :class:`SubdivisionExhausted` with context and the failing maturity's index.
     """
     shape = np.shape(x) + np.shape(log_strike)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    log_k = np.asarray(log_strike, dtype=float).reshape(-1)
-    phis = np.concatenate([[PHI_MIN], _ladder(spec)])
-    f_table = _cf(cf_provider, np.arange(x.size)[:, None], phis).reshape(2, x.size, phis.size)
-    r = np.empty((2, x.size, log_k.size))
-    err = np.zeros((x.size, log_k.size))
+    w = np.broadcast_to(np.asarray(w, dtype=float), x.shape)
+    moneyness = x[:, None] - np.asarray(log_strike, dtype=float).reshape(-1)
+    # where w = 0 the law is a point mass at x
+    r = np.stack([0.5 + 0.5 * np.sign(moneyness)] * 2)
+    err = np.zeros(moneyness.shape)
 
-    degenerate = np.broadcast_to(cf_provider.decay_proxy, x.shape) < DEGENERATE_PROXY
-    if degenerate.any():
-        # point-mass law: the phase slope at a tiny frequency is its location
-        centers = np.log(f_table[:, degenerate, :1]).imag / PHI_MIN
-        r[:, degenerate] = np.where(np.abs(centers - log_k) <= 1e-12, 0.5, centers > log_k)
+    live = np.flatnonzero(w > 0.0)
+    if live.size:
+        w, moneyness = w[live], moneyness[live]
+        root_w = np.sqrt(w)
 
-    regular = np.flatnonzero(~degenerate)
-    if regular.size:
+        def difference(m, s):
+            phi = s / root_w[m]
+            return phi, _cf(cf, live[m], phi) - _control(w[m], phi, s)
+
+        def integrand(m, s):
+            phi, g = difference(m, s)
+            return _integrand(g, np.exp(1j * (moneyness[m].T * phi)), s)
+
         try:
-            phi_max, tail_est = _find_phi_max(f_table[:, regular, 1:], spec)
-            oscillation = np.abs(x[regular, None] - log_k).max(axis=1, initial=1.0)
-            n_init = np.clip(np.ceil((phi_max - PHI_MIN) * oscillation / (3.0 * math.pi)),
+            ladder = difference(np.repeat(np.arange(live.size), S_LADDER.size), np.tile(S_LADDER, live.size))[1]
+            s_max, tail_est = _find_s_max(ladder.reshape(2, live.size, S_LADDER.size), spec)
+            # at least one panel per unit of s, the scale on which the control's exp(-s^2/2) varies
+            oscillation = np.abs(moneyness).max(axis=1, initial=0.0) / root_w
+            n_init = np.clip(np.ceil(s_max * np.maximum(oscillation / (3.0 * math.pi), 1.0)),
                              8, spec.max_subdivisions // 2).astype(int)
             integral, quad_err = _adaptive_integral(
-                lambda m, phi: _integrand(_cf(cf_provider, regular[m], phi), phi, log_k),
-                PHI_MIN, phi_max, 0.25 * spec.abs_tol * math.pi, spec.max_subdivisions, n_init,
+                integrand, 0.0, s_max, 0.25 * spec.abs_tol * math.pi, spec.max_subdivisions, n_init,
             )
         except InversionError as exc:
-            exc.maturity = int(regular[exc.maturity])
+            exc.maturity = int(live[exc.maturity])
             raise
-        # rectangle correction for the [0, PHI_MIN] sliver (finite limit there)
-        integral += PHI_MIN * _integrand(f_table[:, regular, 0], np.full(regular.size, PHI_MIN), log_k)
-        r[:, regular] = np.swapaxes(0.5 + integral / math.pi, 1, 2)
-        err[regular] = ((quad_err.max(axis=0) + tail_est) / math.pi).T
+        d = (moneyness + np.array([0.5, -0.5])[:, None, None] * w[:, None]) / root_w[:, None]
+        r[:, live] = 0.5 * _erfc(-d / math.sqrt(2.0)).astype(float) + np.swapaxes(integral, 1, 2) / math.pi
+        err[live] = ((quad_err.max(axis=0) + tail_est) / math.pi).T
     return ProbabilityPair(r1=r[0].reshape(shape)[()], r2=r[1].reshape(shape)[()],
                            achieved_error_estimate=err.reshape(shape)[()])

@@ -7,16 +7,17 @@ Every beta >= 0 prices through one decomposition
 with B the discount bond of :mod:`svsir.bond` and R_j the exercise
 probabilities from :mod:`svsir.inversion`.  The probabilities invert the
 closed-form characteristic functions f_1 = Psi(phi - i)/S and
-f_2 = Psi(phi)/B of :mod:`svsir.heston_cf`, anchored at forward log-moneyness
-x = ln(S / B(tau, v)), so that exp(x)*B = S and the discounting lives
-entirely in the bond leg.  At beta = 0 the bond is exp(-mu*tau) and the
-route reduces to the constant-rate model.  The bond and the characteristic
-function share one parameter set: the lam entering the bond is the same
-risk-premium constant entering b.  Neither B nor f_j depends on the strike,
-so :func:`price_grid` prices a whole maturity x strike grid with one bond
-per maturity and one inversion for the surface, whose provider evaluates
-f_j at (maturity, frequency) node pairs; it returns maturity x strike
-arrays.  :func:`price_sir` is its one-point case.
+f_2 = Psi(phi)/B of :mod:`svsir.heston_cf` against a Black-Scholes control
+with the risk-neutral expected integrated variance w of each maturity, at
+forward log-moneyness x = ln(S / B(tau, v)), so that exp(x)*B = S and the
+discounting lives entirely in the bond leg.  At beta = 0 the bond is
+exp(-mu*tau) and the route reduces to the constant-rate model.  The bond and
+the characteristic function share one parameter set: the lam entering the
+bond is the same risk-premium constant entering b.  Neither B nor f_j
+depends on the strike, so :func:`price_grid` prices a whole maturity x
+strike grid with one bond per maturity and one inversion for the surface,
+which evaluates f_j at (maturity, frequency) node pairs; it returns maturity
+x strike arrays.  :func:`price_sir` is its one-point case.
 
 Puts come from parity, put = call - S + K*B, which is exact by construction.
 """
@@ -28,8 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import bond, heston_cf
-from .inversion import CfProvider, InversionError, QuadratureSpec, gil_pelaez
+# gil_pelaez is looked up on its module, so that a patch of svsir.inversion.gil_pelaez sees every call
+from . import bond, heston_cf, inversion
+from .inversion import InversionError, QuadratureSpec
 from .model import InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec, validate
 
 MODEL_HESTON = "heston"
@@ -64,20 +66,25 @@ class PriceGrid:
     err_estimate: np.ndarray
 
 
-def _provider(params: ModelParams, spot: float, variance: float, taus: np.ndarray,
-              log_bonds: np.ndarray) -> CfProvider:
-    """f_j for the maturities ``taus`` (with log bond prices ``log_bonds``), at (maturity, frequency) nodes."""
-    log_spot = math.log(spot)
+def _provider(params: ModelParams, variance: float, taus: np.ndarray, log_bonds: np.ndarray):
+    """f_1 and f_2 times exp(-i*phi*x), at (maturity, frequency) nodes of ``taus`` (log bond prices ``log_bonds``).
 
-    def eval_fn(j: int, nodes: np.ndarray) -> np.ndarray:
-        # f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B, formed in log space
-        phi = nodes["phi"]
-        a_val, d_val = heston_cf.affine_cd(params, taus[nodes["m"]], phi - 1j if j == 1 else phi)
-        log_norm = 0.0 if j == 1 else log_bonds[nodes["m"]]
-        return np.exp(a_val + d_val * variance + 1j * phi * log_spot - log_norm)
+    With x = ln(S/B) the spot drops out: S^{i*phi} * exp(-i*phi*x) = B^{i*phi}.
+    """
+    def eval_fn(nodes: np.ndarray) -> np.ndarray:
+        # f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B, formed in log space, both contours in one call
+        phi, log_bond = nodes["phi"], log_bonds[nodes["m"]]
+        a_val, d_val = heston_cf.affine_cd(params, taus[nodes["m"]], np.stack([phi - 1j, phi]))
+        return np.exp(a_val + d_val * variance + 1j * phi * log_bond - np.outer([0.0, 1.0], log_bond))
 
-    # leading-order accumulated variance; ~0 means a pure-phase CF
-    return CfProvider(eval=eval_fn, decay_proxy=taus * variance + 0.5 * params.kappa * params.theta * taus**2)
+    return eval_fn
+
+
+def _expected_variance(params: ModelParams, variance: float, taus: np.ndarray) -> np.ndarray:
+    """Risk-neutral Integral_0^tau E[v_t] dt = tb*tau + (v - tb)*(1 - exp(-alpha*tau))/alpha, tb = kappa*theta/alpha."""
+    # as two terms that are >= 0 in floating point too
+    alpha, decay = params.alpha, -np.expm1(-params.alpha * taus)
+    return (variance * decay + params.kappa * params.theta / alpha * (alpha * taus - decay)) / alpha
 
 
 def price_heston(
@@ -114,10 +121,12 @@ def price_grid(
     MarketState(spot=spot, variance=variance, tau=0.0)  # range-checks spot and v; bond_price checks each tau
     bonds = tuple(bond.bond_price(params, variance, tau) for tau in maturities)
     log_strikes = np.array([math.log(strike) for strike in strikes])
-    provider = _provider(params, spot, variance, np.array(maturities, dtype=float),
-                         np.array([math.log(b.price) for b in bonds]))
+    taus = np.array(maturities, dtype=float)
+    log_bonds = np.array([math.log(b.price) for b in bonds])
+    cf = _provider(params, variance, taus, log_bonds)
+    x = math.log(spot) - log_bonds
     try:
-        pair = gil_pelaez(provider, np.array([math.log(spot / b.price) for b in bonds]), log_strikes, quad)
+        pair = inversion.gil_pelaez(cf, x, _expected_variance(params, variance, taus), log_strikes, quad)
     except InversionError as exc:
         raise type(exc)(f"at K={','.join(f'{k:.12g}' for k in strikes)}, tau={maturities[exc.maturity]}: {exc}",
                         exc.maturity) from exc

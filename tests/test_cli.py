@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -7,6 +6,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from svsir import MarketState, McConfig, McEstimate, ModelParams, OptionSpec, bond_price, price_heston, price_sir
@@ -135,38 +135,37 @@ def test_numerical_failure_names_the_strike_row(tmp_path, capsys):
 
 def test_price_makes_one_surface_inversion_within_the_panel_cap(tmp_path, capsys, monkeypatch):
     import svsir.bond
-    import svsir.pricer
-    from svsir.inversion import NODES_PER_CALL, PHI_MIN
+    import svsir.inversion
+    from svsir.inversion import NODES_PER_CALL, S_LADDER
 
     inversions, bonds, calls = [], [], []
-    inner_inversion, inner_bond = svsir.pricer.gil_pelaez, svsir.bond.bond_price
+    inner_inversion, inner_bond = svsir.inversion.gil_pelaez, svsir.bond.bond_price
 
-    def gil_pelaez(provider, *args, **kwargs):
-        def eval_fn(j, nodes):
-            calls.append((j, nodes.copy()))
-            return provider.eval(j, nodes)
+    def gil_pelaez(cf, *args, **kwargs):
+        def eval_fn(nodes):
+            calls.append(nodes.copy())
+            return cf(nodes)
 
         inversions.append(args)
-        return inner_inversion(dataclasses.replace(provider, eval=eval_fn), *args, **kwargs)
+        return inner_inversion(eval_fn, *args, **kwargs)
 
     def bond_price(*args):
         bonds.append(args)
         return inner_bond(*args)
 
-    monkeypatch.setattr(svsir.pricer, "gil_pelaez", gil_pelaez)
+    monkeypatch.setattr(svsir.inversion, "gil_pelaez", gil_pelaez)
     monkeypatch.setattr(svsir.bond, "bond_price", bond_price)
     maturities = [0.02, 0.25, 0.5, 1.0, 2.0, 5.0]
     cfg = write_config(tmp_path, beta=1.0, strikes=[80.0, 100.0, 120.0], maturities=maturities)
     assert main(["price", "--config", cfg, "--tol", "1e-12"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * len(maturities)
     assert len(inversions) == 1 and len(bonds) == len(maturities)
-    # one ladder call per measure, holding every maturity (only the ladder evaluates at PHI_MIN)
-    ladder = [(j, nodes) for j, nodes in calls if PHI_MIN in nodes["phi"]]
-    assert [j for j, _ in ladder] == [1, 2]
-    for _, nodes in ladder:
-        assert sorted(set(nodes["m"])) == list(range(len(maturities)))
-    # at this tolerance a refinement round outgrows one call, and is split at the cap
-    assert max(nodes.size for _, nodes in calls) == NODES_PER_CALL
+    # one ladder call for both measures, first, holding the whole s ladder of every maturity
+    w = inversions[0][1]
+    np.testing.assert_array_equal(calls[0]["m"], np.repeat(range(len(maturities)), S_LADDER.size))
+    np.testing.assert_array_equal(calls[0]["phi"], (S_LADDER / np.sqrt(w)[:, None]).ravel())
+    # at this tolerance a round of panels outgrows one call, and is split at the cap
+    assert max(nodes.size for nodes in calls) == NODES_PER_CALL
 
 
 def test_json_output_mode(tmp_path, capsys):
@@ -335,9 +334,11 @@ def test_sweep_rejects_unknown_param(tmp_path, capsys):
     (lambda t: t.replace("seed = 7", "seed = 7.9"), ["[mc]", "seed"]),
     (lambda t: t.replace("lambda = 0.0", "lambda = 0.0\nlam = 0.0"), ["[model]", "lam"]),
     (lambda t: t.replace("mu = 0.03", "mu = 0.03\nmu = 0.04"), ["[model]", "mu"]),
-    (lambda t: t + '[quadrature]\nphi_max = 16\n', ["run.cfg [quadrature] phi_max"]),
+    (lambda t: t + '[quadrature]\nmax_subdivisions = 2\n', ["run.cfg [quadrature] max_subdivisions"]),
+    (lambda t: t + '[quadrature]\nphi_max = 10000.0\n', ["run.cfg [quadrature]", "phi_max"]),
 ], ids=["misspelt-section", "old-ode-section", "misspelt-key", "string-number", "bool-number",
-        "scalar-list", "non-integral-int", "lam-and-lambda", "repeated-key", "phi-max-below-ladder"])
+        "scalar-list", "non-integral-int", "lam-and-lambda", "repeated-key", "max-subdivisions-below-floor",
+        "removed-phi-max"])
 def test_schema_rejects_malformed_config(tmp_path, capsys, edit, names):
     path = tmp_path / "run.cfg"
     path.write_text(edit(Path(write_config(tmp_path)).read_text()))

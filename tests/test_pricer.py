@@ -21,11 +21,19 @@ from svsir import (
 )
 from svsir.inversion import QuadratureSpec, gil_pelaez
 from svsir.model import OptionKind
-from svsir.pricer import MODEL_HESTON, MODEL_SIR, _provider
+from svsir.pricer import MODEL_HESTON, MODEL_SIR, _expected_variance, _provider
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
 STATE = MarketState(spot=100.0, variance=0.04, tau=1.0)
+
+
+def one_maturity(params, state):
+    """The characteristic function, x and w of one maturity, as price_grid hands them to gil_pelaez."""
+    log_bond = math.log(bond_price(params, state.variance, state.tau).price)
+    taus = np.array([state.tau])
+    return (_provider(params, state.variance, taus, np.array([log_bond])), math.log(state.spot) - log_bond,
+            _expected_variance(params, state.variance, taus))
 
 
 def test_zero_variance_call_is_discounted_forward():
@@ -125,6 +133,22 @@ def test_call_monotonicity_and_bounds():
     assert all(a <= b + 1e-8 for a, b in zip(prices_s, prices_s[1:]))
 
 
+def test_atm_call_is_continuous_down_to_tau_zero():
+    # the example model's ATM call: finite and increasing in tau, within abs_tol
+    # of its tighter-tolerance price, and S*sqrt(w/(2*pi)) as tau -> 0
+    taus = np.array([0.0, 1e-8, 1e-6, 1e-5, 2.4e-5, 3e-5, 1e-4])
+    loose = price_grid(SIR, 100.0, 0.04, (100.0,), taus, QuadratureSpec(abs_tol=1e-9))
+    tight = price_grid(SIR, 100.0, 0.04, (100.0,), taus, QuadratureSpec(abs_tol=1e-12))
+    price, bonds = loose.price[:, 0], np.array([b.price for b in loose.bond])
+    assert np.all(np.isfinite(price)) and np.all(np.diff(price) > 0), price
+    assert np.all(np.abs(price - tight.price[:, 0]) <= (100.0 + 100.0 * bonds) * 1e-9)
+    small = taus <= 1e-5
+    limit = 100.0 * np.sqrt(_expected_variance(SIR, 0.04, taus[small]) / (2.0 * math.pi))
+    np.testing.assert_allclose(price[small], limit, rtol=0.01)
+    assert price[3] == pytest.approx(0.025266, abs=1e-6)
+    assert price[4] == pytest.approx(0.039172, abs=1e-6)
+
+
 def test_maturity_zero_is_intrinsic():
     state = MarketState(spot=100.0, variance=0.04, tau=0.0)
     assert price_sir(SIR, state, OptionSpec(strike=80.0)).price == pytest.approx(20.0, abs=1e-12)
@@ -187,12 +211,10 @@ def test_empty_grid_gives_empty_arrays():
 
 
 def test_one_element_strike_array_matches_scalar_call():
-    state = MarketState(spot=100.0, variance=0.04, tau=1.0)
-    log_bond = math.log(bond_price(SIR, state.variance, state.tau).price)
-    provider = _provider(SIR, state.spot, state.variance, np.array([state.tau]), np.array([log_bond]))
-    x, log_k = math.log(100.0) - log_bond, math.log(110.0)
-    scalar = gil_pelaez(provider, x, log_k)
-    array = gil_pelaez(provider, x, np.array([log_k]))
+    cf, x, w = one_maturity(SIR, MarketState(spot=100.0, variance=0.04, tau=1.0))
+    log_k = math.log(110.0)
+    scalar = gil_pelaez(cf, x, w, log_k)
+    array = gil_pelaez(cf, x, w, np.array([log_k]))
     assert isinstance(scalar.r1, np.float64) and np.shape(array.r1) == (1,)
     assert array.r1[0] == scalar.r1 and array.r2[0] == scalar.r2
     assert array.achieved_error_estimate[0] == scalar.achieved_error_estimate
@@ -200,19 +222,17 @@ def test_one_element_strike_array_matches_scalar_call():
 
 def test_reversed_strike_row_reverses_results():
     # the panels do not depend on the order of the row, so each strike keeps its own numbers
-    state = MarketState(spot=100.0, variance=0.04, tau=0.5)
-    log_bond = math.log(bond_price(SIR, state.variance, state.tau).price)
-    provider = _provider(SIR, state.spot, state.variance, np.array([state.tau]), np.array([log_bond]))
+    cf, x, w = one_maturity(SIR, MarketState(spot=100.0, variance=0.04, tau=0.5))
     log_k = np.log([60.0, 95.0, 100.0, 160.0])
-    ahead = gil_pelaez(provider, math.log(100.0) - log_bond, log_k)
-    back = gil_pelaez(provider, math.log(100.0) - log_bond, log_k[::-1])
+    ahead = gil_pelaez(cf, x, w, log_k)
+    back = gil_pelaez(cf, x, w, log_k[::-1])
     for field in ("r1", "r2", "achieved_error_estimate"):
         np.testing.assert_array_equal(getattr(ahead, field), getattr(back, field)[::-1])
     assert len(set(ahead.achieved_error_estimate)) > 1
 
 
 def test_surface_rows_match_one_maturity_calls_over_box():
-    # each maturity keeps its own phi_max, initial panels and splits inside the surface pass
+    # each maturity keeps its own s_max, initial panels and splits inside the surface pass
     rng = np.random.default_rng(303)
     quad = QuadratureSpec()
     strikes, maturities = (40.0, 70.0, 100.0, 130.0, 250.0), (0.02, 0.5, 5.0, 1.0)
@@ -243,9 +263,10 @@ def test_degenerate_maturity_keeps_its_indicator_inside_a_surface():
 
 
 @pytest.mark.parametrize("error, params, variance, maturities, quad, tau", [
-    # tiny variance: only the short maturity's characteristic function fails to decay
-    (TailNotDecaying, ModelParams(kappa=2.0, theta=1e-4, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0),
-     2e-6, (5.0, 0.5, 10.0), QuadratureSpec(), 0.5),
+    # tiny variance and theta = 0: f - f_BS fails to decay on the s ladder at tau = 1,
+    # while tau = 0 (w = 0) is a point mass and prices without the ladder
+    (TailNotDecaying, ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0),
+     1e-12, (0.0, 1.0), QuadratureSpec(), 1.0),
     # a tight target: only the short maturity needs more than 16 panels
     (SubdivisionExhausted, HESTON, 0.04, (10.0, 0.02, 1.0), QuadratureSpec(abs_tol=1e-12, max_subdivisions=16), 0.02),
 ], ids=["tail", "budget"])

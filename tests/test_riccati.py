@@ -221,12 +221,13 @@ def test_closed_form_matches_riccati_over_box():
         p = draw_params(rng, beta=rng.uniform(0.25, 2.0))
         rhos.append(p.rho_sv)
         bonds = [bond_price(p, v, tau).price for tau in taus]
-        provider = _provider(p, spot, v, np.array(taus), np.array([math.log(b) for b in bonds]))
+        provider = _provider(p, v, np.array(taus), np.array([math.log(b) for b in bonds]))
         for j in (1, 2):
             c_chk, d_chk, _ = integrate_cd_batch(p, taus[-1], phis, j, tol, checkpoints=taus)
             for m, (tau, b, c_ode, d_ode) in enumerate(zip(taus, bonds, c_chk, d_chk)):
                 f_ode = np.exp(c_ode + d_ode * v + 1j * phis * math.log(spot / b))
-                f_cf = provider.eval(j, cf_nodes(m, phis))
+                # the provider returns f_1 and f_2 times exp(-i*phi*x); put the phase at x back
+                f_cf = provider(cf_nodes(m, phis))[j - 1] * np.exp(1j * phis * math.log(spot / b))
                 assert np.max(np.abs(f_cf - f_ode)) < 1e-9, (p, tau, j)
         for phi in phis:
             a_path, _ = affine_cd(p, grid, phi - 1j)
