@@ -20,7 +20,7 @@ runs before any computation.  stdout is written only once a command has
 succeeded; model warnings (Feller) go to stderr as ``warning: ...``.
 
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical failure
-(non-decaying tail, exhausted subdivisions), naming the failing maturity and
+(non-decaying tail, midpoint node cap reached), naming the failing maturity and
 the strikes of its row on stderr; 4 verification found |z| > 3.
 """
 from __future__ import annotations

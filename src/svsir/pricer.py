@@ -71,10 +71,10 @@ def _provider(params: ModelParams, variance: float, taus: np.ndarray, log_bonds:
 
     With x = ln(S/B) the spot drops out: S^{i*phi} * exp(-i*phi*x) = B^{i*phi}.
     """
-    def eval_fn(nodes: np.ndarray) -> np.ndarray:
+    def eval_fn(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
         # f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B, formed in log space, both contours in one call
-        phi, log_bond = nodes["phi"], log_bonds[nodes["m"]]
-        a_val, d_val = heston_cf.affine_cd(params, taus[nodes["m"]], np.stack([phi - 1j, phi]))
+        log_bond = log_bonds[m]
+        a_val, d_val = heston_cf.affine_cd(params, taus[m], np.stack([phi - 1j, phi]))
         return np.exp(a_val + d_val * variance + 1j * phi * log_bond - np.outer([0.0, 1.0], log_bond))
 
     return eval_fn

@@ -142,9 +142,9 @@ def test_price_makes_one_surface_inversion_within_the_panel_cap(tmp_path, capsys
     inner_inversion, inner_bond = svsir.inversion.gil_pelaez, svsir.bond.bond_price
 
     def gil_pelaez(cf, *args, **kwargs):
-        def eval_fn(nodes):
-            calls.append(nodes.copy())
-            return cf(nodes)
+        def eval_fn(m, phi):
+            calls.append((m.copy(), phi.copy()))
+            return cf(m, phi)
 
         inversions.append(args)
         return inner_inversion(eval_fn, *args, **kwargs)
@@ -162,10 +162,10 @@ def test_price_makes_one_surface_inversion_within_the_panel_cap(tmp_path, capsys
     assert len(inversions) == 1 and len(bonds) == len(maturities)
     # one ladder call for both measures, first, holding the whole s ladder of every maturity
     w = inversions[0][1]
-    np.testing.assert_array_equal(calls[0]["m"], np.repeat(range(len(maturities)), S_LADDER.size))
-    np.testing.assert_array_equal(calls[0]["phi"], (S_LADDER / np.sqrt(w)[:, None]).ravel())
-    # at this tolerance a round of panels outgrows one call, and is split at the cap
-    assert max(nodes.size for nodes in calls) == NODES_PER_CALL
+    np.testing.assert_array_equal(calls[0][0], np.repeat(range(len(maturities)), S_LADDER.size))
+    np.testing.assert_array_equal(calls[0][1], (S_LADDER / np.sqrt(w)[:, None]).ravel())
+    # at this tolerance a round's nodes outgrow one call, and are split at the cap
+    assert max(phi.size for _, phi in calls) == NODES_PER_CALL
 
 
 def test_json_output_mode(tmp_path, capsys):
@@ -334,10 +334,10 @@ def test_sweep_rejects_unknown_param(tmp_path, capsys):
     (lambda t: t.replace("seed = 7", "seed = 7.9"), ["[mc]", "seed"]),
     (lambda t: t.replace("lambda = 0.0", "lambda = 0.0\nlam = 0.0"), ["[model]", "lam"]),
     (lambda t: t.replace("mu = 0.03", "mu = 0.03\nmu = 0.04"), ["[model]", "mu"]),
-    (lambda t: t + '[quadrature]\nmax_subdivisions = 2\n', ["run.cfg [quadrature] max_subdivisions"]),
+    (lambda t: t + '[quadrature]\nmax_subdivisions = 2048\n', ["run.cfg [quadrature]", "max_subdivisions"]),
     (lambda t: t + '[quadrature]\nphi_max = 10000.0\n', ["run.cfg [quadrature]", "phi_max"]),
 ], ids=["misspelt-section", "old-ode-section", "misspelt-key", "string-number", "bool-number",
-        "scalar-list", "non-integral-int", "lam-and-lambda", "repeated-key", "max-subdivisions-below-floor",
+        "scalar-list", "non-integral-int", "lam-and-lambda", "repeated-key", "removed-max-subdivisions",
         "removed-phi-max"])
 def test_schema_rejects_malformed_config(tmp_path, capsys, edit, names):
     path = tmp_path / "run.cfg"

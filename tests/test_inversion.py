@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import draw_params
+from conftest import PARAM_BOX, draw_params
 from svsir import (
     InvalidParameter,
     MarketState,
@@ -17,8 +18,7 @@ from svsir import (
     price_sir,
 )
 from svsir.heston_cf import characteristic_fn
-from svsir.inversion import (S_LADDER, QuadratureSpec, _adaptive_integral, _control, _find_s_max, cf_nodes,
-                             gil_pelaez)
+from svsir.inversion import MAX_NODES, S_LADDER, QuadratureSpec, _control, _find_s_max, gil_pelaez
 from svsir.mc import _terminal
 from svsir.pricer import _expected_variance, _provider
 
@@ -27,8 +27,8 @@ HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=
 
 def heston_cf(params, v, tau):
     """One maturity's characteristic function of ln S_T - ln S, and the variance w of its control."""
-    def eval_fn(nodes):
-        return np.stack([characteristic_fn(params, params.mu, 0.0, v, tau, nodes["phi"], j) for j in (1, 2)])
+    def eval_fn(m, phi):
+        return np.stack([characteristic_fn(params, params.mu, 0.0, v, tau, phi, j) for j in (1, 2)])
 
     return eval_fn, float(_expected_variance(params, v, np.array(tau)))
 
@@ -134,17 +134,17 @@ def test_tail_not_decaying_reported():
     with pytest.raises(TailNotDecaying):
         gil_pelaez(cf, math.log(100.0), w, math.log(100.0))
     # at v = 2e-6 the tail decays on the ladder, but the forward's drift away
-    # from K needs more oscillation cycles than the panel budget holds
+    # from K needs more oscillation cycles than the node cap holds
     cf, w = heston_cf(p, 2e-6, 1.0)
     with pytest.raises(SubdivisionExhausted):
         gil_pelaez(cf, math.log(100.0), w, math.log(100.0))
 
 
 def test_subdivision_exhausted_reported():
-    cf, w = heston_cf(HESTON, 0.04, 1.0)
-    spec = QuadratureSpec(abs_tol=1e-12, max_subdivisions=4)
-    with pytest.raises(SubdivisionExhausted):
-        gil_pelaez(cf, math.log(100.0), w, math.log(100.0) - 20.0, spec)
+    # a far strike at a tiny w: K = 10 at tau = 1e-4 and v = 5e-4 needs more midpoint nodes than the cap
+    sir = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
+    with pytest.raises(SubdivisionExhausted, match=f"> {MAX_NODES} midpoint nodes"):
+        price_grid(sir, 100.0, 5e-4, [10.0], [1e-4])
 
 
 def test_quadrature_spec_validation():
@@ -154,30 +154,27 @@ def test_quadrature_spec_validation():
         QuadratureSpec(abs_tol=1e-13)
     with pytest.raises(TypeError):
         QuadratureSpec(phi_max=1e4)  # no frequency budget: the s ladder has a fixed top
-    with pytest.raises(InvalidParameter):
-        QuadratureSpec(max_subdivisions=2)
+    with pytest.raises(TypeError):
+        QuadratureSpec(max_subdivisions=2048)  # no panel budget: the node cap is a module constant
 
 
-def test_gauss_kronrod_panel_exactness():
-    # the 15-point rule integrates smooth functions to machine precision
-    (value,), _ = _adaptive_integral(lambda m, t: np.cos(t), 0.0, math.pi / 2, 1e-12, 64, 4)
-    assert value == pytest.approx(1.0, abs=1e-13)
-    (value,), _ = _adaptive_integral(lambda m, t: t**7 - 3 * t**2 + 1.0, -1.0, 2.0, 1e-12, 64, 4)
-    exact = (2.0**8 - 1.0) / 8 - (2.0**3 + 1.0) + 3.0
-    assert value == pytest.approx(exact, rel=1e-13)
+@pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
+def test_gaussian_law_inverts_to_its_closed_form(abs_tol):
+    # a Gaussian log price whose variance is 1.7x the control's w: R_j is N(d_j) at the true
+    # variance, to abs_tol on every row, the far strike included
+    w, true_w, x = 0.04, 0.068, math.log(100.0)
+    log_strikes = np.log([5.0, 60.0, 90.0, 100.0, 110.0, 150.0, 400.0])
 
+    def cf(m, phi):
+        return np.stack([np.exp(1j * phi * sign * 0.5 * true_w - 0.5 * phi**2 * true_w) for sign in (1.0, -1.0)])
 
-def test_adaptive_integral_meets_target_on_every_row():
-    # the rows share panels; the fast-oscillating row drives refinement, and
-    # each row must still meet the target on its own
-    target = 1e-10
-    values, errors = _adaptive_integral(
-        lambda m, t: np.stack([np.cos(t), np.cos(40.0 * t)]), 0.0, math.pi / 2, target, 256, 1
-    )
-    exact = np.array([[1.0], [math.sin(20.0 * math.pi) / 40.0]])
-    assert values.shape == errors.shape == (2, 1)
-    assert np.all(np.abs(values - exact) <= target)
-    assert np.all(errors <= target)
+    spec = QuadratureSpec(abs_tol=abs_tol)
+    pair = gil_pelaez(cf, x, w, log_strikes, spec)
+    for r, sign in ((pair.r1, 1.0), (pair.r2, -1.0)):
+        d = (x - log_strikes + sign * 0.5 * true_w) / math.sqrt(true_w)
+        exact = np.array([0.5 * math.erfc(-z / math.sqrt(2.0)) for z in d])
+        assert np.all(np.abs(r - exact) <= abs_tol), np.abs(r - exact)
+    assert np.all(pair.achieved_error_estimate <= abs_tol)
 
 
 def _s_max_by_rung(cf, w, spec):
@@ -186,7 +183,7 @@ def _s_max_by_rung(cf, w, spec):
     for s in S_LADDER:
         phi = np.array([s / math.sqrt(w)])
         f_bs = _control(w, phi, np.array([s]))[:, 0]
-        tail = np.abs(cf(cf_nodes(0, phi))[:, 0] - f_bs).max() / s
+        tail = np.abs(cf(np.zeros(1, dtype=int), phi)[:, 0] - f_bs).max() / s
         if tail < threshold:
             return s, tail
     return None
@@ -195,7 +192,7 @@ def _s_max_by_rung(cf, w, spec):
 def _ladder_difference(cf, w):
     """f_j - f_BS_j on the s ladder of one maturity: measures first, rungs last."""
     phi = S_LADDER / math.sqrt(w)
-    return cf(cf_nodes(0, phi)) - _control(w, phi, S_LADDER)
+    return cf(np.zeros(phi.size, dtype=int), phi) - _control(w, phi, S_LADDER)
 
 
 def test_find_phi_max_matches_per_rung_search():
@@ -272,12 +269,37 @@ def test_short_maturities_stable_under_tighter_tolerance():
         assert np.abs(loose.r2 - tight.r2).max() <= 1e-9, context
 
 
+@st.composite
+def box_params(draw):
+    """A parameter set from PARAM_BOX, kappa + lam >= 0.3 as in draw_params, with beta 0 or in (0, 2)."""
+    values = {name: draw(st.floats(lo, hi)) for name, (lo, hi) in PARAM_BOX.items()}
+    values["lam"] = max(values["lam"], 0.3 - values["kappa"])
+    beta = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0, exclude_min=True)))
+    return ModelParams(beta=beta, **values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=box_params(), variance=st.floats(0.002, 0.5), tau=st.floats(1e-4, 30.0),
+       strikes=st.lists(st.floats(40.0, 200.0), min_size=1, max_size=7))
+# one draw of a box sweep that ran out of Gauss-Kronrod panels at abs_tol = 1e-12
+@example(params=ModelParams(kappa=3.12626975077825, theta=0.1067990010412892, sigma=0.22921908889594328,
+                            lam=-0.12525765878820014, rho_sv=-0.7999629250681491, mu=0.04829092134091322, beta=0.0),
+         variance=0.004397640392812707, tau=1e-4, strikes=list(np.linspace(40.0, 200.0, 7)))
+def test_box_prices_at_both_tolerances_and_agrees_within_the_looser(params, variance, tau, strikes):
+    # neither TailNotDecaying nor SubdivisionExhausted inside the box, and r_j at abs_tol = 1e-9
+    # within 1e-9 of r_j at 1e-12
+    loose = price_grid(params, 100.0, variance, strikes, (tau,), QuadratureSpec(abs_tol=1e-9))
+    tight = price_grid(params, 100.0, variance, strikes, (tau,), QuadratureSpec(abs_tol=1e-12))
+    assert np.abs(loose.r1 - tight.r1).max() <= 1e-9
+    assert np.abs(loose.r2 - tight.r2).max() <= 1e-9
+
+
 def _recording(inner):
     calls = []
 
-    def eval_fn(nodes):
-        calls.append(nodes["phi"].copy())
-        return inner(nodes)
+    def eval_fn(m, phi):
+        calls.append(phi.copy())
+        return inner(m, phi)
 
     return eval_fn, calls
 

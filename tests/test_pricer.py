@@ -262,21 +262,22 @@ def test_degenerate_maturity_keeps_its_indicator_inside_a_surface():
         assert np.abs(grid.r2[m] - one.r2[0]).max() <= 1e-13
 
 
-@pytest.mark.parametrize("error, params, variance, maturities, quad, tau", [
+@pytest.mark.parametrize("error, params, variance, strikes, maturities, tau", [
     # tiny variance and theta = 0: f - f_BS fails to decay on the s ladder at tau = 1,
     # while tau = 0 (w = 0) is a point mass and prices without the ladder
     (TailNotDecaying, ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0),
-     1e-12, (0.0, 1.0), QuadratureSpec(), 1.0),
-    # a tight target: only the short maturity needs more than 16 panels
-    (SubdivisionExhausted, HESTON, 0.04, (10.0, 0.02, 1.0), QuadratureSpec(abs_tol=1e-12, max_subdivisions=16), 0.02),
+     1e-12, (80.0, 100.0, 120.0), (0.0, 1.0), 1.0),
+    # a far strike at a tiny w: only the short maturity needs more midpoint nodes than the cap
+    (SubdivisionExhausted, SIR, 5e-4, (10.0, 100.0), (0.5, 1e-4, 1.0), 1e-4),
 ], ids=["tail", "budget"])
-def test_one_failing_maturity_is_named_with_its_strikes(error, params, variance, maturities, quad, tau):
-    with pytest.raises(error, match=f"^at K=80,100,120, tau={tau}: ") as info:
-        price_grid(params, 100.0, variance, (80.0, 100.0, 120.0), maturities, quad)
+def test_one_failing_maturity_is_named_with_its_strikes(error, params, variance, strikes, maturities, tau):
+    row = ",".join(f"{k:g}" for k in strikes)
+    with pytest.raises(error, match=f"^at K={row}, tau={tau}: ") as info:
+        price_grid(params, 100.0, variance, strikes, maturities)
     assert info.value.maturity == maturities.index(tau)
     for other in maturities:
         if other != tau:
-            price_grid(params, 100.0, variance, (80.0, 100.0, 120.0), (other,), quad)  # prices on its own
+            price_grid(params, 100.0, variance, strikes, (other,))  # prices on its own
 
 
 def test_price_sir_is_the_one_point_grid_bit_for_bit():

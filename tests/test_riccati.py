@@ -14,7 +14,6 @@ from svsir import (
     integrate_cd_batch,
 )
 from svsir.heston_cf import affine_cd, cd_arrays
-from svsir.inversion import cf_nodes
 from svsir.pricer import _provider
 from svsir.riccati import SirCoefficients, integrate_cd
 
@@ -227,7 +226,7 @@ def test_closed_form_matches_riccati_over_box():
             for m, (tau, b, c_ode, d_ode) in enumerate(zip(taus, bonds, c_chk, d_chk)):
                 f_ode = np.exp(c_ode + d_ode * v + 1j * phis * math.log(spot / b))
                 # the provider returns f_1 and f_2 times exp(-i*phi*x); put the phase at x back
-                f_cf = provider(cf_nodes(m, phis))[j - 1] * np.exp(1j * phis * math.log(spot / b))
+                f_cf = provider(np.full(phis.size, m), phis)[j - 1] * np.exp(1j * phis * math.log(spot / b))
                 assert np.max(np.abs(f_cf - f_ode)) < 1e-9, (p, tau, j)
         for phi in phis:
             a_path, _ = affine_cd(p, grid, phi - 1j)
