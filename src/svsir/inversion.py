@@ -18,10 +18,10 @@ whose own integral is N(d_j) with d_j = (x_m - k +- w_m/2) / sqrt(w_m), so
 
 The integral runs on the scaled axis s = phi*sqrt(w_m), where the difference
 decays on a scale of order one at every maturity.  Its integrand
-(Im g cos(phi k) - Re g sin(phi k)) / s with g = f_j - f_BS_j is even and
-analytic in s, so the midpoint rule on [0, s_max_m], which never touches
-s = 0, is the trapezoid rule on the whole line and converges exponentially
-(Trefethen & Weideman 2014).  f_j does not depend on the strike, so one pass
+Im[exp(i*phi*(x_m - k)) * g/s] with g = f_j - f_BS_j is even and analytic in
+s, so the midpoint rule on [0, s_max_m], which never touches s = 0, is the
+trapezoid rule on the whole line and converges exponentially (Trefethen &
+Weideman 2014).  The strike enters only through that phase, so one pass
 inverts a whole maturity x strike surface, one integrand row per (maturity,
 measure j, strike):
 
@@ -36,12 +36,13 @@ measure j, strike):
   nodes join the old ones, and |I_3n - I_n| is the error estimate; a
   maturity whose rows all meet the target stops, and each round evaluates
   the new nodes of the others together, at most ``NODES_PER_CALL`` per
-  call.
+  call;
+* on a round's equally spaced nodes each phase is the product of two entries
+  of angle-addition tables built once per round, not one exponential.
 
-A one-maturity inversion is the same pass with one maturity.  Where
-w_m = 0 (tau = 0, or v = theta = 0) the law of the log price is a point
-mass at x_m: R_j is 1, 1/2 or 0 as x_m is above, at or below k, and the
-maturity makes no characteristic-function call.
+Where w_m = 0 (tau = 0, or v = theta = 0) the law of the log price is a
+point mass at x_m: R_j is 1, 1/2 or 0 as x_m is above, at or below k, and
+the maturity makes no characteristic-function call.
 
 Known limit: a strike many sqrt(w_m) from the money in log terms, as at a
 tiny w_m, needs about |x_m - k| * s_max / (2*pi*sqrt(w_m)) oscillation
@@ -108,46 +109,55 @@ class ProbabilityPair:
     achieved_error_estimate: float | np.ndarray
 
 
-def _midpoint(g: Callable, rows: tuple, s_max: np.ndarray, n: np.ndarray, target: float):
-    """Midpoint rule of every row of g on [0, s_max_m] for each maturity m, each row to absolute target.
+def _phases(theta: np.ndarray, offsets: np.ndarray, count: int) -> Callable:
+    """exp(i*theta*(i + o)) at node arrays (group, i), i < ``count``, shaped (strike, node), from two tables.
 
-    ``s_max`` and ``n``, the first round's panel count, hold one entry per
-    maturity.  ``g(m, s)`` maps node arrays (maturity index, abscissa) to
-    values of shape ``rows`` plus one last axis over the nodes, at most
-    ``NODES_PER_CALL`` of them per call.  Each round splits the panels of
-    every maturity that some row still misses the target on in three and
-    keeps the old nodes; |I_3n - I_n| is the error estimate.  Returns the
-    integrals and error estimates of every row, with one last axis over the
-    maturities.  Raises :class:`SubdivisionExhausted` naming the first
-    maturity whose next round needs more than ``MAX_NODES`` nodes.
+    ``theta`` is (strike, maturity); group g is maturity g // len(offsets) at offset offsets[g % len(offsets)].
+    With b = ceil(sqrt(count)) and i = q*b + r, a phase is exp(i*theta*q*b) * exp(i*theta*(r + o)): two correctly
+    rounded exponentials, so its error is ~eps*|theta*(i + o)| at every i, where a recurrence's grows with i.
+    """
+    block = math.isqrt(count - 1) + 1
+    angles = (block * np.arange(-(-count // block)), (offsets[:, None] + np.arange(block)).ravel())
+    blocks, steps = (np.exp(1j * theta[..., None] * a).reshape(len(theta), theta.shape[1] * a.size) for a in angles)
+    return lambda group, i: (blocks.take(group // offsets.size * angles[0].size + i // block, axis=1)
+                             * steps.take(group * block + i % block, axis=1))
+
+
+def _midpoint(h: Callable, freq: np.ndarray, s_max: np.ndarray, n: np.ndarray, target: float):
+    """Midpoint rule of Im[exp(i*freq_mk*s) * h_j(m, s)] on [0, s_max_m] per maturity m, strike k and measure j.
+
+    ``freq`` is (maturity, strike); ``s_max`` and ``n``, the first round's panel count, hold one entry per maturity.
+    ``h(m, s)`` maps node arrays (maturity index, abscissa) to (measure, node) values, at most ``NODES_PER_CALL``
+    nodes a call.  Each round splits in three the panels of every maturity with a row above ``target``, keeping
+    the old nodes, and |I_3n - I_n| is the error estimate.  Returns integrals and estimates as (measure, strike,
+    maturity); raises :class:`SubdivisionExhausted` naming the first maturity whose next round needs > ``MAX_NODES``.
     """
     n = n.astype(float)  # a far strike at a tiny w can ask for more panels than an integer holds
     todo, offsets = np.arange(s_max.size), _OFFSETS
-    # per row and maturity, the sum of g over the nodes of the maturity's current n panels
-    total, error = np.zeros((2,) + rows + (s_max.size,))
+    # per row and maturity, the sum of the integrand over the nodes of the maturity's current n panels
+    total, error = np.zeros((2, 2) + freq.T.shape)
     worst = np.full(s_max.size, np.inf)
     while todo.size:
         over = todo[3.0 * n[todo] > MAX_NODES]
         if over.size:
             m = int(over[0])
-            raise SubdivisionExhausted(
-                f"the next round on [0, {s_max[m]:.3g}] needs {3.0 * n[m]:.0f} > {MAX_NODES} midpoint nodes "
-                f"(error {worst[m]:.3e}, target {target:.3e})",
-                maturity=m,
-            )
+            raise SubdivisionExhausted(f"the next round on [0, {s_max[m]:.3g}] needs {3.0 * n[m]:.0f} > {MAX_NODES} "
+                                       f"midpoint nodes (error {worst[m]:.3e}, target {target:.3e})", maturity=m)
         width = s_max / n
         # one group of n_m nodes per (maturity, offset), maturity-major, summed per group
         counts = np.repeat(n[todo].astype(np.intp), offsets.size)
         ends = np.cumsum(counts)
-        sums = np.zeros(rows + (counts.size,))
+        phase = _phases(freq[todo].T * width[todo], offsets, int(counts.max()))
+        sums = np.zeros((2, freq.shape[1], counts.size))
         for start in range(0, int(ends[-1]), NODES_PER_CALL):
             node = np.arange(start, min(start + NODES_PER_CALL, ends[-1]))
             group = np.searchsorted(ends, node, side="right")
-            m = todo[group // offsets.size]
-            vals = g(m, (node - (ends - counts)[group] + offsets[group % offsets.size]) * width[m])
+            m, i = todo[group // offsets.size], node - (ends - counts)[group]
+            vals = h(m, (i + offsets[group % offsets.size]) * width[m])
             first = np.flatnonzero(np.diff(group, prepend=-1))
-            sums[..., group[first]] += np.add.reduceat(vals, first, axis=-1)
-        sums = sums.reshape(rows + (todo.size, offsets.size))
+            p = phase(group, i)  # a measure at a time keeps the (strike, node) temporaries small
+            sums[..., group[first]] += [np.add.reduceat((v * p).imag, first, axis=-1) for v in vals]
+        sums = sums.reshape(sums.shape[:-1] + (todo.size, offsets.size))
         coarse = total[..., todo] + sums[..., :-2].sum(axis=-1)  # the first round's midpoints
         total[..., todo] = coarse + sums[..., -2:].sum(axis=-1)
         error[..., todo] = np.abs(total[..., todo] / 3.0 - coarse) * width[todo]
@@ -220,23 +230,15 @@ def gil_pelaez(
 
         def difference(m, s):
             phi = s / root_w[m]
-            return phi, cf(live[m], phi) - _control(w[m], phi, s)
-
-        def integrand(m, s):
-            # Re[phase * g_j / (i*s)] on (measure, strike, node), phase = exp(i*phi*(x - k)):
-            # one complex exponential is faster than numpy's separate real cos and sin
-            phi, g = difference(m, s)
-            phase = np.exp(1j * (moneyness[m].T * phi))
-            return (g.imag[:, None] * phase.real + g.real[:, None] * phase.imag) / s
+            return cf(live[m], phi) - _control(w[m], phi, s)
 
         try:
-            ladder = difference(np.repeat(np.arange(live.size), S_LADDER.size), np.tile(S_LADDER, live.size))[1]
+            ladder = difference(np.repeat(np.arange(live.size), S_LADDER.size), np.tile(S_LADDER, live.size))
             s_max, tail_est = _find_s_max(ladder.reshape(2, live.size, S_LADDER.size), spec)
-            # two panels per unit of s, the scale on which the control's exp(-s^2/2) varies,
-            # and two per pi radians of the widest strike's phase
-            oscillation = np.abs(moneyness).max(axis=1, initial=0.0) / root_w
-            n = np.ceil(2.0 * s_max * (1.0 + oscillation / math.pi))
-            integral, quad_err = _midpoint(integrand, (2, moneyness.shape[1]), s_max, n,
+            # two panels per unit of s, the control's scale, and two per pi radians of the widest strike's phase
+            freq = moneyness / root_w[:, None]
+            n = np.ceil(2.0 * s_max * (1.0 + np.abs(freq).max(axis=1, initial=0.0) / math.pi))
+            integral, quad_err = _midpoint(lambda m, s: difference(m, s) / s, freq, s_max, n,
                                            0.25 * spec.abs_tol * math.pi)
         except InversionError as exc:
             exc.maturity = int(live[exc.maturity])

@@ -133,7 +133,7 @@ def test_numerical_failure_names_the_strike_row(tmp_path, capsys):
     assert captured.out == "" and "at K=80,100,120, tau=1.0: " in captured.err, captured.err
 
 
-def test_price_makes_one_surface_inversion_within_the_panel_cap(tmp_path, capsys, monkeypatch):
+def test_price_makes_one_surface_inversion_within_the_node_cap(tmp_path, capsys, monkeypatch):
     import svsir.bond
     import svsir.inversion
     from svsir.inversion import NODES_PER_CALL, S_LADDER

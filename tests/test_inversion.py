@@ -18,7 +18,8 @@ from svsir import (
     price_sir,
 )
 from svsir.heston_cf import characteristic_fn
-from svsir.inversion import MAX_NODES, S_LADDER, QuadratureSpec, _control, _find_s_max, gil_pelaez
+from svsir.inversion import (MAX_NODES, S_LADDER, QuadratureSpec, _OFFSETS, _control, _find_s_max, _phases,
+                             gil_pelaez)
 from svsir.mc import _terminal
 from svsir.pricer import _expected_variance, _provider
 
@@ -177,6 +178,37 @@ def test_gaussian_law_inverts_to_its_closed_form(abs_tol):
     assert np.all(pair.achieved_error_estimate <= abs_tol)
 
 
+def test_phase_tables_match_the_direct_exponential():
+    # a round's phases exp(i*freq*s) at s = (i + o)*width, from angle-addition tables, for every node up to the
+    # node cap, every offset and |freq*s| up to ~1e4 rad: within the direct form's rounding, at every i
+    count = MAX_NODES // 3
+    freq = np.array([[-1250.0, -3.3, 0.0, 0.7, 1250.0], [-96.0, -1.0, 0.0, 1e-3, 310.0]]).T  # (strike, maturity)
+    width = np.array([8.0, 0.5]) / count
+    assert np.abs(freq * width).max() * count > 9e3
+    phase = _phases(freq * width, _OFFSETS, count)
+    i = np.arange(count)
+    for group in range(width.size * _OFFSETS.size):
+        t, o = divmod(group, _OFFSETS.size)
+        arg = freq[:, t, None] * ((i + _OFFSETS[o]) * width[t])
+        gap = np.abs(phase(np.full(count, group), i) - np.exp(1j * arg))
+        assert np.all(gap <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(arg))), (group, gap.max())
+
+
+# the example model's CI far-strike grid at abs_tol = 1e-12, which builds the largest phase tables, as
+# priced by one complex exponential per strike and node: rows tau = 1e-4, 0.5, columns K = 50, 80, 100, 120
+FAR_R1 = [[1.0, 1.0, 0.5121285947148709, 3.8822196595901986e-18],
+          [0.9999988385105106, 0.9915547266284915, 0.667724532371632, 0.017366480296872766]]
+FAR_R2 = [[1.0, 1.0, 0.512039108276867, -4.527608196911074e-17],
+          [0.9999974954933626, 0.9885805428687714, 0.6365417750585963, 0.014364030062238024]]
+
+
+def test_far_strikes_price_as_with_one_exponential_per_node():
+    sir = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
+    grid = price_grid(sir, 100.0, 5e-4, [50.0, 80.0, 100.0, 120.0], [1e-4, 0.5], QuadratureSpec(abs_tol=1e-12))
+    assert np.abs(grid.r1 - FAR_R1).max() <= 1e-15
+    assert np.abs(grid.r2 - FAR_R2).max() <= 1e-15
+
+
 def _s_max_by_rung(cf, w, spec):
     """Reference: one single-node evaluation per rung and measure."""
     threshold = spec.abs_tol / 10.0
@@ -195,7 +227,7 @@ def _ladder_difference(cf, w):
     return cf(np.zeros(phi.size, dtype=int), phi) - _control(w, phi, S_LADDER)
 
 
-def test_find_phi_max_matches_per_rung_search():
+def test_find_s_max_matches_per_rung_search():
     # the truncation is found on the s ladder: phi_max = s_max / sqrt(w)
     rng = np.random.default_rng(11)
     found = set()
@@ -219,7 +251,7 @@ def test_find_phi_max_matches_per_rung_search():
     assert len(found) > 2  # the draws reach several rungs
 
 
-def test_find_phi_max_evaluates_whole_ladder_once_per_measure():
+def test_find_s_max_evaluates_whole_ladder_once_per_measure():
     inner, w = heston_cf(HESTON, 0.04, 1.0)
     cf, calls = _recording(inner)
     gil_pelaez(cf, math.log(100.0), w, math.log(100.0))
@@ -228,7 +260,7 @@ def test_find_phi_max_evaluates_whole_ladder_once_per_measure():
     assert _find_s_max(_ladder_difference(inner, w), QuadratureSpec())[0] in S_LADDER
 
 
-def test_find_phi_max_needs_both_measures_on_one_rung():
+def test_find_s_max_needs_both_measures_on_one_rung():
     # f_1 - f_BS_1 vanishes only on even rungs, f_2 - f_BS_2 only on odd ones
     odd = np.arange(S_LADDER.size) % 2 == 1
     diff = np.stack([np.where(odd == (j == 2), 0.0, 1.0) for j in (1, 2)]).astype(complex)
@@ -292,6 +324,33 @@ def test_box_prices_at_both_tolerances_and_agrees_within_the_looser(params, vari
     tight = price_grid(params, 100.0, variance, strikes, (tau,), QuadratureSpec(abs_tol=1e-12))
     assert np.abs(loose.r1 - tight.r1).max() <= 1e-9
     assert np.abs(loose.r2 - tight.r2).max() <= 1e-9
+
+
+def _spaced(strikes, gap=5.0):
+    """The sorted strikes, each kept only if it lies at least ``gap`` above the last one kept."""
+    kept = []
+    for strike in sorted(strikes):
+        if not kept or strike >= kept[-1] + gap:
+            kept.append(strike)
+    return kept
+
+
+@settings(max_examples=30, deadline=None)
+@given(params=box_params(), variance=st.floats(0.002, 0.5),
+       strikes=st.lists(st.floats(40.0, 200.0), min_size=3, max_size=8).map(_spaced).filter(lambda ks: len(ks) >= 3),
+       maturities=st.lists(st.floats(1e-3, 30.0), min_size=2, max_size=3, unique=True).map(sorted))
+def test_box_calls_fall_and_are_convex_in_strike_and_rise_with_maturity(params, variance, strikes, maturities):
+    # no-arbitrage shape of the call surface, each to a slack of 4*(S + K*B)*abs_tol: non-increasing and convex
+    # in K, and non-decreasing in tau since the short rate mu + beta*v is never negative
+    spec = QuadratureSpec()
+    grid = price_grid(params, 100.0, variance, strikes, maturities, spec)
+    k, bond = np.array(strikes), np.array([b.price for b in grid.bond])
+    slack = 4.0 * (100.0 + k * bond[:, None]) * spec.abs_tol
+    assert np.all(np.diff(grid.price, axis=1) <= slack[:, 1:]), grid.price
+    left, right = (k[1:-1] - k[:-2]) / (k[2:] - k[:-2]), (k[2:] - k[1:-1]) / (k[2:] - k[:-2])
+    chord = right * grid.price[:, :-2] + left * grid.price[:, 2:]
+    assert np.all(grid.price[:, 1:-1] <= chord + slack[:, 1:-1]), grid.price
+    assert np.all(np.diff(grid.price, axis=0) >= -slack.max(axis=0)), grid.price
 
 
 def _recording(inner):
