@@ -114,7 +114,7 @@ def _phases(theta: np.ndarray, offsets: np.ndarray, count: int) -> Callable:
 
     ``theta`` is (strike, maturity); group g is maturity g // len(offsets) at offset offsets[g % len(offsets)].
     With b = ceil(sqrt(count)) and i = q*b + r, a phase is exp(i*theta*q*b) * exp(i*theta*(r + o)): two correctly
-    rounded exponentials, so its error is ~eps*|theta*(i + o)| at every i, where a recurrence's grows with i.
+    rounded exponentials, so its error is ~eps*|theta*(i + o)| at every i; along a cos/sin recurrence it grows with i.
     """
     block = math.isqrt(count - 1) + 1
     angles = (block * np.arange(-(-count // block)), (offsets[:, None] + np.arange(block)).ravel())
@@ -147,7 +147,7 @@ def _midpoint(h: Callable, freq: np.ndarray, s_max: np.ndarray, n: np.ndarray, t
         # one group of n_m nodes per (maturity, offset), maturity-major, summed per group
         counts = np.repeat(n[todo].astype(np.intp), offsets.size)
         ends = np.cumsum(counts)
-        phase = _phases(freq[todo].T * width[todo], offsets, int(counts.max()))
+        phases = _phases(freq[todo].T * width[todo], offsets, int(counts.max()))
         sums = np.zeros((2, freq.shape[1], counts.size))
         for start in range(0, int(ends[-1]), NODES_PER_CALL):
             node = np.arange(start, min(start + NODES_PER_CALL, ends[-1]))
@@ -155,8 +155,8 @@ def _midpoint(h: Callable, freq: np.ndarray, s_max: np.ndarray, n: np.ndarray, t
             m, i = todo[group // offsets.size], node - (ends - counts)[group]
             vals = h(m, (i + offsets[group % offsets.size]) * width[m])
             first = np.flatnonzero(np.diff(group, prepend=-1))
-            p = phase(group, i)  # a measure at a time keeps the (strike, node) temporaries small
-            sums[..., group[first]] += [np.add.reduceat((v * p).imag, first, axis=-1) for v in vals]
+            phase = phases(group, i)  # a measure at a time keeps the (strike, node) temporaries small
+            sums[..., group[first]] += [np.add.reduceat((v * phase).imag, first, axis=-1) for v in vals]
         sums = sums.reshape(sums.shape[:-1] + (todo.size, offsets.size))
         coarse = total[..., todo] + sums[..., :-2].sum(axis=-1)  # the first round's midpoints
         total[..., todo] = coarse + sums[..., -2:].sum(axis=-1)

@@ -185,12 +185,12 @@ def test_phase_tables_match_the_direct_exponential():
     freq = np.array([[-1250.0, -3.3, 0.0, 0.7, 1250.0], [-96.0, -1.0, 0.0, 1e-3, 310.0]]).T  # (strike, maturity)
     width = np.array([8.0, 0.5]) / count
     assert np.abs(freq * width).max() * count > 9e3
-    phase = _phases(freq * width, _OFFSETS, count)
+    phases = _phases(freq * width, _OFFSETS, count)
     i = np.arange(count)
     for group in range(width.size * _OFFSETS.size):
         t, o = divmod(group, _OFFSETS.size)
         arg = freq[:, t, None] * ((i + _OFFSETS[o]) * width[t])
-        gap = np.abs(phase(np.full(count, group), i) - np.exp(1j * arg))
+        gap = np.abs(phases(np.full(count, group), i) - np.exp(1j * arg))
         assert np.all(gap <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(arg))), (group, gap.max())
 
 
