@@ -31,22 +31,27 @@ must match that module's constant-rate (C, D).
 No discount term appears in C: discounting lives in the bond factor of the
 price decomposition, absorbed by the x variable.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with PI step control,
-batched over many phi values at once so a whole set of frequencies shares
-one solve.
+The integrator is scipy's ``solve_ivp(method="RK45")``, the Dormand-Prince
+5(4) pair, batched over many phi values at once so a whole set of
+frequencies shares one solve and one step-size controller.  Its local error
+is the RMS norm over the batch's 2m components (C and D per frequency),
+scaled by ``abs + rel*|y|``.  scipy is imported inside the solve, so
+importing :mod:`svsir` loads numpy only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bond
-from .model import InvalidParameter, ModelParams, NumericalError, check_measure, check_nonnegative
+from .model import (InvalidParameter, ModelParams, NumericalError, check_measure, check_nonnegative,
+                    check_nonnegative_array)
 
 
 class StepSizeUnderflow(NumericalError):
-    """The error controller cannot meet the tolerance (near-singular inputs)."""
+    """The integrator cannot meet the tolerance (near-singular inputs)."""
 
 
 @dataclass(frozen=True)
@@ -55,22 +60,20 @@ class ToleranceSpec:
 
     rel: float = 1e-8
     abs: float = 1e-10
-    max_steps: int = 1_000_000
 
     def __post_init__(self) -> None:
         if not 1e-12 <= self.rel <= 1e-4:
             raise InvalidParameter(f"rel: relative tolerance must lie in [1e-12, 1e-4], got {self.rel}")
-        if self.abs <= 0:
-            raise InvalidParameter(f"abs: absolute tolerance must be > 0, got {self.abs}")
-        if self.max_steps < 1:
-            raise InvalidParameter(f"max_steps: must be >= 1, got {self.max_steps}")
+        if not (math.isfinite(self.abs) and self.abs > 0):
+            raise InvalidParameter(f"abs: absolute tolerance must be finite and > 0, got {self.abs}")
 
 
 @dataclass(frozen=True)
 class SolverStats:
+    """Accepted steps and right-hand-side evaluations of one batched solve."""
+
     steps_taken: int
-    steps_rejected: int
-    max_local_error: float
+    rhs_evals: int
 
 
 @dataclass(frozen=True)
@@ -137,30 +140,6 @@ class SirCoefficients:
         return self.alpha - self.sigma * self.sigma * g
 
 
-# Dormand-Prince 5(4) tableau (FSAL: stage 7 of an accepted step is stage 1
-# of the next).
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_ERR = (
-    71 / 57600,
-    0.0,
-    -71 / 16695,
-    71 / 1920,
-    -17253 / 339200,
-    22 / 525,
-    -1 / 40,
-)
-
-
 class _RiccatiRhs:
     """Right-hand side, batched over a fixed array of frequencies."""
 
@@ -172,12 +151,14 @@ class _RiccatiRhs:
         self.iphi = 1j * phis
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
+        """d[C, D]/dtau' for y = [C, D], the m values of each laid end to end."""
         co = self.coeffs
         g = co.g(t)  # one bond evaluation per stage
-        d = y[1]
+        m = self.phi.size
+        d = y[m:]
         out = np.empty_like(y)
-        out[0] = co.a * d
-        out[1] = (
+        out[:m] = co.a * d
+        out[m:] = (
             -0.5 * co.sigma_x_sq(g) * self.phi2
             + self.iphi * (co.cross(g) * d + co.zeta(self.j, g))
             + 0.5 * co.sigma**2 * d * d
@@ -186,91 +167,31 @@ class _RiccatiRhs:
         return out
 
 
-def _integrate(
-    rhs: _RiccatiRhs,
-    checkpoints: np.ndarray,
-    tol: ToleranceSpec,
-    fixed_step: float | None = None,
-) -> tuple[list[np.ndarray], SolverStats]:
-    """Advance y = [C, D] from 0 through each checkpoint; return y at each.
+def _integrate(rhs: _RiccatiRhs, checkpoints: np.ndarray, tol: ToleranceSpec) -> tuple[list[np.ndarray], SolverStats]:
+    """Advance y = [C, D] from 0 through each checkpoint; return y, shaped (2, m), at each.
 
-    Embedded 5(4) pair; the scaled max-norm local error of every accepted
-    step is kept <= 1.  ``fixed_step`` disables adaptivity (used by the
-    order-verification tests).
+    One ``solve_ivp`` call per checkpoint segment, so every returned value
+    is the end of a step, never a dense-output interpolant.
     """
-    m = rhs.phi.size
-    y = np.zeros((2, m), dtype=complex)
+    from scipy.integrate import solve_ivp
+
+    y = np.zeros(2 * rhs.phi.size, dtype=complex)
     t = 0.0
-    t_end = float(checkpoints[-1])
+    steps = evals = 0
     outputs: list[np.ndarray] = []
-
-    if t_end == 0.0:
-        return [y.copy() for _ in checkpoints], SolverStats(0, 0, 0.0)
-
-    k = np.empty((7, 2, m), dtype=complex)
-    k[0] = rhs(t, y)
-    n_acc = 0
-    n_rej = 0
-    max_err = 0.0
-
-    if fixed_step is not None:
-        h_prop = float(fixed_step)
-    else:
-        # modest first step; the controller adapts within a few steps
-        h_prop = min(0.1, t_end, 1.0 / (1.0 + float(np.max(np.abs(rhs.phi)))))
-    h_floor = 1e-13 * max(1.0, t_end)
-
-    ci = 0
-    while ci < len(checkpoints) and float(checkpoints[ci]) == 0.0:
-        outputs.append(y.copy())
-        ci += 1
-
-    while ci < len(checkpoints):
-        target = float(checkpoints[ci])
-        h = min(h_prop, target - t)
-        capped = h < h_prop
-        if n_acc + n_rej >= tol.max_steps:
-            raise StepSizeUnderflow(
-                f"step budget {tol.max_steps} exhausted at tau'={t:.6g} "
-                f"(phi up to {float(np.max(np.abs(rhs.phi))):.6g}, j={rhs.j})"
-            )
-
-        for s in range(1, 7):
-            acc = sum(a * k[q] for q, a in enumerate(_DP_A[s]) if a != 0.0)
-            k[s] = rhs(t + _DP_C[s] * h, y + h * acc)
-        y_new = y + h * sum(b * k[q] for q, b in enumerate(_DP_B5) if b != 0.0)
-        err_vec = h * sum(e * k[q] for q, e in enumerate(_DP_ERR) if e != 0.0)
-
-        scale = tol.abs + tol.rel * np.maximum(np.abs(y), np.abs(y_new))
-        err = float(np.max(np.abs(err_vec) / scale))
-
-        accepted = fixed_step is not None or err <= 1.0
-        if accepted:
-            t += h
-            y = y_new
-            k[0] = k[6]  # FSAL
-            n_acc += 1
-            max_err = max(max_err, err)
-            if t >= target - 1e-15 * max(1.0, target):
-                t = target
-                outputs.append(y.copy())
-                ci += 1
-        else:
-            n_rej += 1
-
-        if fixed_step is None:
-            factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
-            if not accepted or not capped:
-                # a checkpoint-capped accepted step says nothing about the
-                # natural step size; keep the previous proposal then
-                h_prop = h * factor
-            if h_prop < h_floor:
+    for target in checkpoints:
+        if target > t:
+            sol = solve_ivp(rhs, (t, target), y, method="RK45", rtol=tol.rel, atol=tol.abs)
+            if sol.status != 0:
                 raise StepSizeUnderflow(
-                    f"step size underflow at tau'={t:.6g} "
+                    f"{sol.message} at tau'={sol.t[-1]:.6g} "
                     f"(phi up to {float(np.max(np.abs(rhs.phi))):.6g}, j={rhs.j})"
                 )
-
-    return outputs, SolverStats(n_acc, n_rej, max_err)
+            t, y = target, sol.y[:, -1]
+            steps += sol.t.size - 1
+            evals += sol.nfev
+        outputs.append(y.reshape(2, -1))
+    return outputs, SolverStats(steps, evals)
 
 
 def integrate_cd_batch(
@@ -280,14 +201,16 @@ def integrate_cd_batch(
     j: int,
     tol: ToleranceSpec = ToleranceSpec(),
     checkpoints=None,
-    fixed_step: float | None = None,
 ):
     """Integrate (C, D) for an array of frequencies in one batched solve.
 
     Returns ``(c_vals, d_vals, stats)`` at tau, or, if ``checkpoints`` is
-    given (increasing, ending at tau), lists of arrays at every checkpoint.
-    Frequencies share the step controller, so the worst-behaved phi governs
-    the step size; keep batches of comparable magnitude for best speed.
+    given (finite, >= 0, increasing, ending at tau), lists of arrays at
+    every checkpoint.  The frequencies share scipy's RK45 step controller,
+    whose error norm is the RMS over all 2m components, so the
+    worst-behaved phi governs the step size; keep batches of comparable
+    magnitude for best speed.  There is no step budget: a solve the
+    controller cannot finish raises :class:`StepSizeUnderflow`.
     """
     check_measure(j)
     check_nonnegative("tau", tau)
@@ -298,9 +221,10 @@ def integrate_cd_batch(
         cps = np.array([tau])
     else:
         cps = np.asarray(checkpoints, dtype=float)
+        check_nonnegative_array("checkpoints", cps)
         if cps.size == 0 or abs(cps[-1] - tau) > 1e-15 * max(1.0, tau) or np.any(np.diff(cps) <= 0):
             raise InvalidParameter("checkpoints: must be increasing and end at tau")
-    outs, stats = _integrate(rhs, cps, tol, fixed_step=fixed_step)
+    outs, stats = _integrate(rhs, cps, tol)
     if checkpoints is None:
         return outs[0][0], outs[0][1], stats
     return [o[0] for o in outs], [o[1] for o in outs], stats
@@ -317,7 +241,7 @@ def integrate_cd(
 
     phi = 0 propagates the exact solution C = D = 0 (every forcing term
     carries a phi or D factor).  Raises :class:`StepSizeUnderflow` if the
-    controller cannot meet the tolerance; the failure is reported, never
+    integrator cannot meet the tolerance; the failure is reported, never
     silently clamped.
     """
     c_vals, d_vals, stats = integrate_cd_batch(params, tau, [phi], j, tol)

@@ -11,7 +11,6 @@ from svsir import (
     MarketState,
     ModelParams,
     OptionSpec,
-    ToleranceSpec,
     bond_price,
     integrate_cd_batch,
 )
@@ -120,9 +119,11 @@ NAN, INF = math.nan, math.inf
     pytest.param("tau", lambda: bond_price(SIR, 0.04, INF), id="bond_price-tau-inf"),
     pytest.param("variance", lambda: characteristic_fn(SIR, SIR.mu, 4.6, NAN, 1.0, 1.0, 1),
                  id="characteristic_fn-v-nan"),
-    # a small step budget, so that a solve that starts anyway ends fast
-    pytest.param("tau", lambda: integrate_cd_batch(SIR, NAN, [1.0], 1, ToleranceSpec(max_steps=50)),
-                 id="integrate_cd_batch-tau-nan"),
+    pytest.param("tau", lambda: integrate_cd_batch(SIR, NAN, [1.0], 1), id="integrate_cd_batch-tau-nan"),
+    pytest.param("checkpoints", lambda: integrate_cd_batch(SIR, 3.0, [1.0], 1, checkpoints=[-1.0, 3.0]),
+                 id="integrate_cd_batch-checkpoint-negative"),
+    pytest.param("checkpoints", lambda: integrate_cd_batch(SIR, 3.0, [1.0], 1, checkpoints=[0.5, NAN, 3.0]),
+                 id="integrate_cd_batch-checkpoint-nan"),
 ])
 def test_bare_variance_and_maturity_inputs_must_be_finite(name, call):
     with pytest.raises(InvalidParameter, match=f"^{name}: must be finite and >= 0"):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import draw_params
 from svsir import (
@@ -147,6 +148,35 @@ def test_atm_call_is_continuous_down_to_tau_zero():
     np.testing.assert_allclose(price[small], limit, rtol=0.01)
     assert price[3] == pytest.approx(0.025266, abs=1e-6)
     assert price[4] == pytest.approx(0.039172, abs=1e-6)
+
+
+def _black_call(spot, strike, bond_price, w):
+    """Black call on the forward spot/bond with total variance w > 0, discounted by the bond."""
+    root_w = math.sqrt(w)
+    d1 = (math.log(spot / (strike * bond_price)) + 0.5 * w) / root_w
+    n1, n2 = (0.5 * math.erfc(-d / math.sqrt(2.0)) for d in (d1, d1 - root_w))
+    return spot * n1 - strike * bond_price * n2
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), beta=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+       variance=st.floats(0.002, 0.5))
+def test_spot_atm_call_is_continuous_down_to_tau_zero_over_box(seed, beta, variance):
+    # finite, exactly intrinsic at tau = 0, non-decreasing in tau within the
+    # quadrature target, and the Black call with the same w and bond as tau -> 0
+    params = draw_params(np.random.default_rng(seed), beta=beta)
+    spot = strike = 100.0
+    taus = np.array([0.0, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3])
+    quad = QuadratureSpec()
+    grid = price_grid(params, spot, variance, (strike,), taus, quad)
+    price, bonds = grid.price[:, 0], np.array([b.price for b in grid.bond])
+    context = (params, variance, price)
+    assert np.all(np.isfinite(price)), context
+    assert price[0] == max(spot - strike * bonds[0], 0.0), context
+    assert np.all(np.diff(price) >= -4.0 * (spot + strike * bonds[1:]) * quad.abs_tol), context
+    w = _expected_variance(params, variance, taus)
+    for m in np.flatnonzero((taus > 0.0) & (taus <= 1e-5)):
+        assert price[m] == pytest.approx(_black_call(spot, strike, bonds[m], w[m]), rel=1e-3), (context, taus[m])
 
 
 def test_maturity_zero_is_intrinsic():

@@ -15,7 +15,7 @@ from svsir import (
 )
 from svsir.heston_cf import affine_cd, cd_arrays
 from svsir.pricer import _provider
-from svsir.riccati import SirCoefficients, integrate_cd
+from svsir.riccati import SirCoefficients, _RiccatiRhs, integrate_cd
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
@@ -83,21 +83,6 @@ def test_sigma_x_sq_positive(beta, tau, rho):
     assert co.sigma_x_sq(co.g(tau)) > 0.0
 
 
-def test_solver_order_at_least_four():
-    # fixed-step runs against a tight-tolerance reference: halving h must
-    # shrink the error like h^5 (the propagating solution's order)
-    phi, tau, j = 6.0, 1.0, 2
-    ref = integrate_cd(SIR, tau, phi, j, ToleranceSpec(rel=1e-12, abs=1e-14))
-    errors = []
-    for h in (0.02, 0.01):
-        c_vals, d_vals, _ = integrate_cd_batch(
-            SIR, tau, [phi], j, ToleranceSpec(rel=1e-4, abs=1e-6), fixed_step=h
-        )
-        errors.append(abs(complex(d_vals[0]) - ref.d_val) + abs(complex(c_vals[0]) - ref.c_val))
-    ratio = errors[0] / errors[1]
-    assert ratio > 12.0  # order >= 4 would give >= 16 up to constants
-
-
 def test_adaptive_tolerance_tracks_error():
     phi, tau, j = 20.0, 2.0, 1
     ref = integrate_cd(SIR, tau, phi, j, ToleranceSpec(rel=1e-12, abs=1e-14))
@@ -107,9 +92,14 @@ def test_adaptive_tolerance_tracks_error():
     assert err_tight < 1e-7
 
 
-def test_step_budget_exhaustion_reported():
-    with pytest.raises(StepSizeUnderflow, match="budget"):
-        integrate_cd(SIR, 5.0, 60.0, 2, ToleranceSpec(rel=1e-10, abs=1e-12, max_steps=3))
+def test_failed_solve_is_reported_with_context(monkeypatch):
+    # a right-hand side that turns NaN past tau' = 0.5 stalls the controller
+    # there; the failure names where it stopped, the frequency and the measure
+    rhs = _RiccatiRhs.__call__
+    monkeypatch.setattr(_RiccatiRhs, "__call__", lambda self, t, y: rhs(self, t, y) * (np.nan if t > 0.5 else 1.0))
+    with np.errstate(invalid="ignore"), pytest.raises(StepSizeUnderflow) as info:
+        integrate_cd(SIR, 1.0, 5.0, 1)
+    assert "at tau'=0.5 (phi up to 5, j=1)" in str(info.value)
 
 
 def test_tolerance_validation():
@@ -117,14 +107,15 @@ def test_tolerance_validation():
         ToleranceSpec(rel=1e-2)
     with pytest.raises(InvalidParameter):
         ToleranceSpec(rel=1e-13)
-    with pytest.raises(InvalidParameter):
-        ToleranceSpec(abs=0.0)
+    for bad_abs in (0.0, math.inf, math.nan):
+        with pytest.raises(InvalidParameter, match="^abs: "):
+            ToleranceSpec(abs=bad_abs)
 
 
 def test_solution_stats_populated():
     sol = integrate_cd(SIR, 2.0, 30.0, 2, ToleranceSpec(rel=1e-9, abs=1e-11))
     assert sol.stats.steps_taken > 10
-    assert 0.0 < sol.stats.max_local_error <= 1.0
+    assert sol.stats.rhs_evals >= 6 * sol.stats.steps_taken
 
 
 def test_hermitian_symmetry_sampled():
