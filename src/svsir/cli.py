@@ -244,32 +244,35 @@ def _json_value(value: object) -> object:
     return float(_fmt(value)) if math.isfinite(value) else None
 
 
-def _emit(rows: list[dict[str, object]], columns: tuple[str, ...], out_format: str) -> None:
+def _emit(table: dict[str, list[Any]], out_format: str) -> None:
+    """Write a table given as columns of equal length, headed by its keys, one row per line."""
+    rows = zip(*table.values())
     if out_format == "csv":
-        print(",".join(columns))
-        if rows:
+        print(",".join(table))
+        if any(table.values()):
             # one format per table, as _fmt and str would give: each column holds one type
-            line = ",".join("%.12g" if isinstance(rows[0][c], float) else "%s" for c in columns)
-            print("\n".join(line % tuple(row[c] for c in columns) for row in rows))
+            line = ",".join("%.12g" if isinstance(values[0], float) else "%s" for values in table.values())
+            print("\n".join(line % row for row in rows))
     else:
         for row in rows:
-            print(json.dumps({c: _json_value(row[c]) for c in columns}, allow_nan=False))
+            print(json.dumps({c: _json_value(value) for c, value in zip(table, row)}, allow_nan=False))
 
 
-def _price_rows(run: RunConfig) -> list[dict[str, object]]:
+def _price_table(run: RunConfig) -> dict[str, list[Any]]:
+    """The ``PRICE_COLUMNS`` of the grid's rows, maturities outer, straight from the ``PriceGrid`` arrays."""
     grid = price_grid(run.params, run.spot, run.variance, run.strikes, run.maturities, run.quad)
-    return [{"model_tag": grid.model_tag, "S": run.spot, "K": strike, "tau": tau, "v0": run.variance,
-             "price": price, "r1": r1, "r2": r2, "bond": bond.price, "err_estimate": err}
-            for tau, bond, *row in zip(run.maturities, grid.bond, grid.price.tolist(), grid.r1.tolist(),
-                                       grid.r2.tolist(), grid.err_estimate.tolist())
-            for strike, price, r1, r2, err in zip(run.strikes, *row)]
+    count, per_tau = grid.price.size, len(run.strikes)
+    return dict(zip(PRICE_COLUMNS, (
+        [grid.model_tag] * count, [run.spot] * count, list(run.strikes) * len(run.maturities),
+        [tau for tau in run.maturities for _ in range(per_tau)], [run.variance] * count,
+        grid.price.ravel().tolist(), grid.r1.ravel().tolist(), grid.r2.ravel().tolist(),
+        [bond.price for bond in grid.bond for _ in range(per_tau)], grid.err_estimate.ravel().tolist())))
 
 
 def cmd_price(args: argparse.Namespace) -> int:
     run = _load(args)
     _warn(run.params)
-    rows = _price_rows(run)
-    _emit(rows, PRICE_COLUMNS, run.out_format)
+    _emit(_price_table(run), run.out_format)
     return 0
 
 
@@ -280,11 +283,9 @@ def cmd_bond(args: argparse.Namespace) -> int:
     _ranged("--variance:", check_nonnegative, "variance", args.variance)
     for tau in taus:
         _ranged("--tau-grid:", check_nonnegative, "tau", tau)
-    rows = []
-    for tau in taus:
-        value = bond_mod.bond_price(params, args.variance, tau)
-        rows.append({"tau": tau, "F": value.f_factor, "G": value.g_factor, "B": value.price})
-    _emit(rows, BOND_COLUMNS, args.output or "csv")
+    values = [bond_mod.bond_price(params, args.variance, tau) for tau in taus]
+    _emit(dict(zip(BOND_COLUMNS, (taus, [value.f_factor for value in values], [value.g_factor for value in values],
+                                  [value.price for value in values]))), args.output or "csv")
     return 0
 
 
@@ -293,24 +294,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if run.mc is None:
         raise ConfigError(f"{args.config}: verify requires an [mc] section")
     _warn(run.params)
-    rows = _price_rows(run)
-    # one path set for the whole grid, in _price_rows' order: maturities outer
+    table = _price_table(run)
+    # one path set for the whole grid, in _price_table's order: maturities outer
     estimates = simulate_grid(run.params, run.spot, run.variance, run.strikes, run.maturities, run.mc)
-    worst = 0.0
-    for row, est in zip(rows, estimates):
-        diff = row["price"] - est.mean
+    scores = []
+    for price, spot, strike, bond, est in zip(table["price"], table["S"], table["K"], table["bond"], estimates):
+        diff = price - est.mean
         # the price is only asked to be right to abs_tol in probability, that is
         # to (S + K*bond)*abs_tol in price: a gap inside that is no discrepancy
-        if abs(diff) <= (row["S"] + row["K"] * row["bond"]) * run.quad.abs_tol:
-            z = 0.0
+        if abs(diff) <= (spot + strike * bond) * run.quad.abs_tol:
+            scores.append(0.0)
         elif est.std_error == 0.0:
-            z = math.copysign(math.inf, diff)
+            scores.append(math.copysign(math.inf, diff))
         else:
-            z = diff / est.std_error
-        worst = max(worst, abs(z))
-        row.update(mc_mean=est.mean, mc_se=est.std_error, z=z)
-    _emit(rows, VERIFY_COLUMNS, run.out_format)
-    return 0 if worst <= 3.0 else 4
+            scores.append(diff / est.std_error)
+    table.update(mc_mean=[est.mean for est in estimates], mc_se=[est.std_error for est in estimates], z=scores)
+    _emit({c: table[c] for c in VERIFY_COLUMNS}, run.out_format)
+    return 0 if max(map(abs, scores)) <= 3.0 else 4
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -322,9 +322,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _comma_numbers(args.values, "--values")
     swept = [dataclasses.replace(run.params, **{field: value}) for value in values]
     _warn(*swept)
-    rows = [{"param": args.param, "value": value, **row} for value, params in zip(values, swept)
-            for row in _price_rows(dataclasses.replace(run, params=params))]
-    _emit(rows, ("param", "value") + PRICE_COLUMNS, run.out_format)
+    parts = [_price_table(dataclasses.replace(run, params=params)) for params in swept]
+    _emit({"param": [args.param for part in parts for _ in part["price"]],
+           "value": [value for value, part in zip(values, parts) for _ in part["price"]],
+           **{c: [cell for part in parts for cell in part[c]] for c in PRICE_COLUMNS}}, run.out_format)
     return 0
 
 

@@ -63,18 +63,44 @@ def affine_cd(params: ModelParams, tau, u):
     iu = 1j * u
 
     b = params.alpha - iu * params.rho_sv * params.sigma
-    c = -0.5 * (u * u + iu) + params.beta * (iu - 1.0)
-    d = np.sqrt(b * b - 2.0 * sigma2 * c)
-    h = (b - d) / (b + d)
-    e = np.exp(-d * tau)
-    ratio = (1.0 - h * e) / (1.0 - h)
-    # the principal log, from real parts: numpy's complex log costs ~4x as much
-    log_term = np.log(np.abs(ratio)) + 1j * np.angle(ratio)
-    a_val = params.mu * (iu - 1.0) * tau + (params.kappa * params.theta / sigma2) * (
-        (b - d) * tau - 2.0 * log_term
-    )
-    d_val = (b - d) / sigma2 * (1.0 - e) / (1.0 - h * e)
+    c = iu * (0.5 * iu + (params.beta - 0.5)) - params.beta
+    two_sigma2_c = 2.0 * sigma2 * c
+    d = np.sqrt(b * b - two_sigma2_c)
+    # b - d without cancellation: (b - d)*(b + d) = 2*sigma^2*c, and the larger of b -+ d does not cancel (b - d is
+    # the larger where Re(b*conj(d)) < 0); as u -> 0 on u = phi, b - d ~ c lies many digits below b
+    b_minus_d = np.where(b.real * d.real + b.imag * d.imag < 0.0, b - d, two_sigma2_c / (b + d))
+    # em1 = exp(-d*tau) - 1 to full relative accuracy: 1 - exp(-d*tau) by subtraction loses it as d*tau -> 0
+    em1 = np.expm1(-d * tau)
+    # (1 - h*e)/(1 - h) = 1 + x with e = 1 + em1, as h/(1 - h) = (b - d)/(2*d); its principal log from real parts
+    # (numpy's complex log costs ~4x as much) and log1p, so that its rounding stays at eps*|x| where
+    # 2*kappa*theta/sigma^2 multiplies it
+    x = -0.5 * b_minus_d * em1 / d
+    log_term = 0.5 * np.log1p(x.real * (2.0 + x.real) + x.imag * x.imag) + 1j * np.arctan2(x.imag, 1.0 + x.real)
+    a_val = params.mu * (iu - 1.0) * tau + (params.kappa * params.theta / sigma2) * (b_minus_d * tau - 2.0 * log_term)
+    # D = (b - d)/sigma^2 * (1 - e)/(1 - h*e), where (b - d)/(1 - h) = sigma^2*c/d
+    d_val = -c * em1 / (d * (1.0 + x))
     return a_val, d_val
+
+
+def explosion_time(params: ModelParams, p):
+    """T*(p): the first tau at which the moment E[exp(-Int_0^tau r dt) * S_T^p] = Psi(-i*p) is infinite; inf if never.
+
+    On u = -i*p the Riccati equation of D is real, D' = sigma^2/2*D^2 - b*D + c with b = alpha - p*rho_sv*sigma and
+    c = (p^2 - p)/2 + beta*(p - 1), and D alone can blow up (Andersen & Piterbarg 2007).  It never does where c <= 0,
+    or where b > 0 and the discriminant b^2 - 2*sigma^2*c >= 0 puts a root of the right-hand side above D = 0.
+    Otherwise, with g = sqrt(|b^2 - 2*sigma^2*c|), T* = 2*atanh(g/-b)/g for a positive discriminant and
+    2*atan2(g, -b)/g for a negative one.  Orders with finite moments form an interval holding [0, 1] that shrinks
+    as tau grows, so phi = -i*p is inside the strip of f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B at tau while tau
+    is below T*(1 + p) for p > 0 and T*(p) for p < 0.  Vectorised over real ``p``.
+    """
+    p = np.asarray(p, dtype=float)
+    b = params.alpha - params.rho_sv * params.sigma * p
+    c = (p - 1.0) * (0.5 * p + params.beta)
+    disc = b * b - 2.0 * params.sigma**2 * c
+    g = np.sqrt(np.abs(disc))
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branches np.where drops
+        time = np.where(disc > 0.0, 2.0 * np.arctanh(g / -b), 2.0 * np.arctan2(g, -b)) / g
+    return np.where((c <= 0.0) | ((b > 0.0) & (disc >= 0.0)), np.inf, time)
 
 
 def cd_arrays(params: ModelParams, r0: float, tau, phi, j: int):

@@ -4,50 +4,30 @@ The pricer needs, for every maturity m and strike K, the pair
 
     R_j = 1/2 + (1/pi) * Integral_0^inf Re[ exp(-i*phi*k) * f_j(phi) / (i*phi) ] dphi,   k = ln K,
 
-where f_j comes from a function (the closed-form affine characteristic
-function of :mod:`svsir.heston_cf` for every beta) at (maturity, frequency)
-node pairs.  Each maturity is inverted against a Black-Scholes control with
-the location x_m and variance w_m the pricer passes (Joshi & Yang 2011;
-Andersen & Lake 2018),
+from a function giving f_j (the closed-form affine characteristic function of :mod:`svsir.heston_cf`) at
+(maturity, frequency) node pairs.  Each maturity is inverted against a Black-Scholes control with the location x_m
+and variance w_m the pricer passes (Joshi & Yang 2011; Andersen & Lake 2018): f_BS_j(phi) = exp(i*phi*(x_m +- w_m/2)
+- phi^2*w_m/2), + for j = 1, inverts to N(d_j) with d_j = (x_m - k +- w_m/2)/sqrt(w_m), and R_j is N(d_j) plus the
+integral above of f_j - f_BS_j.  It runs on the scaled axis s = phi*sqrt(w_m); write Z = (ln S_T - x_m)/sqrt(w_m)
+and freq = (x_m - k)/sqrt(w_m).  With step h the midpoint sum of (1/pi) * Integral_0^inf sin(a*s)/s ds is
+sgn(sin(a*h/2))/2, exact for |a| < L = 2*pi/h, so the rule over all its nodes misses R_j by at most the mass f_j and
+f_BS_j put on |Z + freq| >= L.  Chernoff bounds each side by E[exp(t*Z)]*exp(-|t|*(L -+ freq)), and E_j[exp(t*Z)]
+is f_j at phi = -i*t/sqrt(w_m), finite inside the strip of analyticity that the moment-explosion times set
+(Lee 2004; Andersen & Piterbarg 2007).  So, with every maturity in one pass:
 
-    f_BS_j(phi) = exp(i*phi*(x_m +- w_m/2) - phi^2*w_m/2),   + for j = 1, - for j = 2,
+* one call evaluates f_1 and f_2 on the ladder ``S_LADDER`` (0.5, 1, ..., 2^16 in s) and at each side's
+  ``MOMENTS_PER_SIDE`` largest orders of ``MOMENT_ORDERS`` inside the caller's strip; s_max_m is the first rung
+  where |f_j - f_BS_j|/s < abs_tol/10 for both j (TailNotDecaying if none);
+* a row beyond the bound's reach across its strike is N(d_j) to abs_tol/16 and takes no node; the other rows set
+  the largest step that keeps each of their four tails within abs_tol/32, and so n_m midpoint panels on
+  [0, s_max_m], evaluated once, at most ``NODES_PER_CALL`` a call, maturities mixed;
+* each strike phase is the product of two entries of angle-addition tables;
+* the error estimate is the bound at the step taken, plus the tail term |f_j - f_BS_j|/(pi*s) at s_max_m and a
+  rounding allowance.
 
-whose own integral is N(d_j) with d_j = (x_m - k +- w_m/2) / sqrt(w_m), so
-
-    R_j = N(d_j) + (1/pi) * Integral_0^inf Re[ exp(-i*phi*k) * (f_j - f_BS_j) / (i*phi) ] dphi.
-
-The integral runs on the scaled axis s = phi*sqrt(w_m), where the difference
-decays on a scale of order one at every maturity.  Its integrand
-Im[exp(i*phi*(x_m - k)) * g/s] with g = f_j - f_BS_j is even and analytic in
-s, so the midpoint rule on [0, s_max_m], which never touches s = 0, is the
-trapezoid rule on the whole line and converges exponentially (Trefethen &
-Weideman 2014).  The strike enters only through that phase, so one pass
-inverts a whole maturity x strike surface, one integrand row per (maturity,
-measure j, strike):
-
-* f_1 and f_2 are evaluated in one call on the ladder ``S_LADDER``
-  (0.5, 1, 2, ..., 2^16 in s) for every maturity at once;
-* each maturity gets its own s_max_m, the first rung where
-  |f_j - f_BS_j| / s < abs_tol/10 holds for both j (TailNotDecaying if none
-  does), and its own n_m = ceil(2*s_max_m*(1 + max|x_m - k|/(pi*sqrt(w_m))))
-  midpoint panels: two per unit of s, plus two per pi radians of the
-  strike phase;
-* each round splits every panel of a maturity in three, so that the new
-  nodes join the old ones, and |I_3n - I_n| is the error estimate; a
-  maturity whose rows all meet the target stops, and each round evaluates
-  the new nodes of the others together, at most ``NODES_PER_CALL`` per
-  call;
-* on a round's equally spaced nodes each phase is the product of two entries
-  of angle-addition tables built once per round, not one exponential.
-
-Where w_m = 0 (tau = 0, or v = theta = 0) the law of the log price is a
-point mass at x_m: R_j is 1, 1/2 or 0 as x_m is above, at or below k, and
-the maturity makes no characteristic-function call.
-
-Known limit: a strike many sqrt(w_m) from the money in log terms, as at a
-tiny w_m, needs about |x_m - k| * s_max / (2*pi*sqrt(w_m)) oscillation
-cycles; past ``MAX_NODES`` nodes its maturity raises SubdivisionExhausted.
-Only a contour shift removes that.
+Where w_m = 0 (tau = 0, or v = theta = 0) the law is a point mass at x_m: R_j is 1, 1/2 or 0 as x_m is above, at
+or below k, and the maturity makes no characteristic-function call.  A maturity with a row on a side where the strip
+admits no order of ``MOMENT_ORDERS``, or whose step needs more than ``MAX_NODES`` nodes, raises SubdivisionExhausted.
 """
 from __future__ import annotations
 
@@ -61,13 +41,15 @@ from .model import InvalidParameter, NumericalError
 
 # The truncation ladder on the scaled axis s = phi*sqrt(w): 0.5, 1, 2, ..., 2^16.
 S_LADDER = 0.5 * 2.0 ** np.arange(18)
-# Most midpoint nodes of one maturity; a maturity whose next round needs more raises SubdivisionExhausted.
+# Scaled moment orders t = p*sqrt(w) the aliasing bound may use, lower side then upper: +-2^-10, ..., +-2^3 by
+# factors of sqrt(2).
+MOMENT_ORDERS = np.multiply.outer([-1.0, 1.0], 2.0 ** (np.arange(-20, 7) / 2.0))
+# How many of a maturity's largest orders inside its strip are evaluated per side.
+MOMENTS_PER_SIDE = 3
+# Most midpoint nodes of one maturity; a maturity whose step needs more raises SubdivisionExhausted.
 MAX_NODES = 2**17
-# Most nodes per characteristic-function call; bounds the temporaries of a round of many maturities.
+# Most nodes per characteristic-function call; bounds the temporaries of a pass over many maturities.
 NODES_PER_CALL = 960
-# Where a round's nodes sit in each panel, in panel widths: the first round takes the midpoint
-# and the two nodes that split the midpoint rule in three, a later round only those two.
-_OFFSETS = np.array([3.0, 1.0, 5.0]) / 6.0
 
 # erfc over arrays without scipy, which the price path does not load
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -86,7 +68,7 @@ class TailNotDecaying(InversionError):
 
 
 class SubdivisionExhausted(InversionError):
-    """The node cap ``MAX_NODES`` was reached before meeting the error target."""
+    """The node cap ``MAX_NODES`` is below the node count the aliasing bound asks for."""
 
 
 @dataclass(frozen=True)
@@ -109,63 +91,50 @@ class ProbabilityPair:
     achieved_error_estimate: float | np.ndarray
 
 
-def _phases(theta: np.ndarray, offsets: np.ndarray, count: int) -> Callable:
-    """exp(i*theta*(i + o)) at node arrays (group, i), i < ``count``, shaped (strike, node), from two tables.
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Owner m and index i < counts[m] of every item when each m numbers its own items, m-major."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
 
-    ``theta`` is (strike, maturity); group g is maturity g // len(offsets) at offset offsets[g % len(offsets)].
-    With b = ceil(sqrt(count)) and i = q*b + r, a phase is exp(i*theta*q*b) * exp(i*theta*(r + o)): two correctly
-    rounded exponentials, so its error is ~eps*|theta*(i + o)| at every i; along a cos/sin recurrence it grows with i.
+
+def _phases(theta: np.ndarray, counts: np.ndarray) -> Callable:
+    """exp(i*theta_km*(i + 1/2)) at node arrays (maturity m, i < counts_m), shaped (strike, node), from two tables.
+
+    ``theta`` is (strike, maturity).  With b_m = ceil(sqrt(counts_m)) and i = q*b_m + r, a phase is
+    exp(i*theta*q*b_m) * exp(i*theta*(r + 1/2)): two correctly rounded exponentials, so its error is
+    ~eps*|theta*(i + 1/2)| at every i; along a cos/sin recurrence it grows with i.
     """
-    block = math.isqrt(count - 1) + 1
-    angles = (block * np.arange(-(-count // block)), (offsets[:, None] + np.arange(block)).ravel())
-    blocks, steps = (np.exp(1j * theta[..., None] * a).reshape(len(theta), theta.shape[1] * a.size) for a in angles)
-    return lambda group, i: (blocks.take(group // offsets.size * angles[0].size + i // block, axis=1)
-                             * steps.take(group * block + i % block, axis=1))
+    block = np.ceil(np.sqrt(counts)).astype(np.intp)
+    rows = -(-counts // block)
+    (qm, q), (rm, r) = _ragged(rows), _ragged(block)
+    blocks, steps = np.exp(1j * theta[:, qm] * (q * block[qm])), np.exp(1j * theta[:, rm] * (r + 0.5))
+    first_q, first_r = np.cumsum(rows) - rows, np.cumsum(block) - block
+    return lambda m, i: (blocks.take(first_q[m] + i // block[m], axis=1)
+                         * steps.take(first_r[m] + i % block[m], axis=1))
 
 
-def _midpoint(h: Callable, freq: np.ndarray, s_max: np.ndarray, n: np.ndarray, target: float):
-    """Midpoint rule of Im[exp(i*freq_mk*s) * h_j(m, s)] on [0, s_max_m] per maturity m, strike k and measure j.
+def _midpoint(h: Callable, freq: np.ndarray, s_max: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint rule of Im[exp(i*freq_mk*s) * h_j(m, s)] on [0, s_max_m] in n_m panels, per maturity, strike, measure.
 
-    ``freq`` is (maturity, strike); ``s_max`` and ``n``, the first round's panel count, hold one entry per maturity.
-    ``h(m, s)`` maps node arrays (maturity index, abscissa) to (measure, node) values, at most ``NODES_PER_CALL``
-    nodes a call.  Each round splits in three the panels of every maturity with a row above ``target``, keeping
-    the old nodes, and |I_3n - I_n| is the error estimate.  Returns integrals and estimates as (measure, strike,
-    maturity); raises :class:`SubdivisionExhausted` naming the first maturity whose next round needs > ``MAX_NODES``.
+    ``freq`` is (maturity, strike); ``s_max`` and ``n`` hold one entry per maturity.  ``h(m, s)`` maps node arrays
+    (maturity index, abscissa) to (measure, node) values, at most ``NODES_PER_CALL`` nodes a call, maturities mixed.
+    Returns the integrals as (measure, maturity, strike) and the rule's sums of |h_j| and |h_j|*s as (2, measure,
+    maturity), which scale its rounding.
     """
-    n = n.astype(float)  # a far strike at a tiny w can ask for more panels than an integer holds
-    todo, offsets = np.arange(s_max.size), _OFFSETS
-    # per row and maturity, the sum of the integrand over the nodes of the maturity's current n panels
-    total, error = np.zeros((2, 2) + freq.T.shape)
-    worst = np.full(s_max.size, np.inf)
-    while todo.size:
-        over = todo[3.0 * n[todo] > MAX_NODES]
-        if over.size:
-            m = int(over[0])
-            raise SubdivisionExhausted(f"the next round on [0, {s_max[m]:.3g}] needs {3.0 * n[m]:.0f} > {MAX_NODES} "
-                                       f"midpoint nodes (error {worst[m]:.3e}, target {target:.3e})", maturity=m)
-        width = s_max / n
-        # one group of n_m nodes per (maturity, offset), maturity-major, summed per group
-        counts = np.repeat(n[todo].astype(np.intp), offsets.size)
-        ends = np.cumsum(counts)
-        phases = _phases(freq[todo].T * width[todo], offsets, int(counts.max()))
-        sums = np.zeros((2, freq.shape[1], counts.size))
-        for start in range(0, int(ends[-1]), NODES_PER_CALL):
-            node = np.arange(start, min(start + NODES_PER_CALL, ends[-1]))
-            group = np.searchsorted(ends, node, side="right")
-            m, i = todo[group // offsets.size], node - (ends - counts)[group]
-            vals = h(m, (i + offsets[group % offsets.size]) * width[m])
-            first = np.flatnonzero(np.diff(group, prepend=-1))
-            phase = phases(group, i)  # a measure at a time keeps the (strike, node) temporaries small
-            sums[..., group[first]] += [np.add.reduceat((v * phase).imag, first, axis=-1) for v in vals]
-        sums = sums.reshape(sums.shape[:-1] + (todo.size, offsets.size))
-        coarse = total[..., todo] + sums[..., :-2].sum(axis=-1)  # the first round's midpoints
-        total[..., todo] = coarse + sums[..., -2:].sum(axis=-1)
-        error[..., todo] = np.abs(total[..., todo] / 3.0 - coarse) * width[todo]
-        n[todo] *= 3.0
-        offsets = _OFFSETS[1:]
-        worst[todo] = error[..., todo].reshape(-1, todo.size).max(axis=0, initial=0.0)
-        todo = todo[worst[todo] > target]
-    return total * (s_max / n), error
+    width = s_max / n
+    phases = _phases(freq.T * width, n)
+    owner, index = _ragged(n)
+    sums, sizes = np.zeros((2, freq.shape[1], n.size)), np.zeros((2, 2, n.size))
+    for start in range(0, owner.size, NODES_PER_CALL):
+        m, i = owner[start:start + NODES_PER_CALL], index[start:start + NODES_PER_CALL]
+        s = (i + 0.5) * width[m]
+        vals = h(m, s)
+        first = np.flatnonzero(np.diff(m, prepend=-1))
+        size = np.abs(vals)
+        sizes[..., m[first]] += np.add.reduceat(np.stack([size, size * s]), first, axis=-1)
+        phase = phases(m, i)  # a measure at a time keeps the (strike, node) temporaries small
+        sums[..., m[first]] += [np.add.reduceat((v * phase).imag, first, axis=-1) for v in vals]
+    return np.swapaxes(sums * width, 1, 2), sizes * width
 
 
 def _find_s_max(diff: np.ndarray, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -198,6 +167,7 @@ def _control(w: np.ndarray, phi: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def gil_pelaez(
     cf: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    strip: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: float | np.ndarray,
     w: float | np.ndarray,
     log_strike: float | np.ndarray,
@@ -205,14 +175,13 @@ def gil_pelaez(
 ) -> ProbabilityPair:
     """Exercise probabilities R_1, R_2 from a characteristic function, over a maturity x strike surface.
 
-    ``x`` and ``w`` hold, per maturity, the location and the variance (>= 0)
-    of the Black-Scholes control (floats for one maturity).  ``cf(m, phi)``
-    returns f_1 and f_2 stacked, each times exp(-i*phi*x_m): row j - 1 is the
-    characteristic function of ln S_T - x_m under measure j at the nodes
-    given by two 1-D arrays, the maturity index ``m`` and the frequency
-    ``phi`` > 0 of each.  ``log_strike`` is a float or a 1-D array shared by
-    every maturity; r1, r2 and the error estimate come back shaped
-    ``shape(x) + shape(log_strike)``.  Raises :class:`TailNotDecaying` or
+    ``x`` and ``w`` hold, per maturity, the location and the variance (>= 0) of the Black-Scholes control (floats
+    for one maturity).  ``cf(m, phi)`` returns f_1 and f_2 stacked, each times exp(-i*phi*x_m): row j - 1 is the
+    characteristic function of ln S_T - x_m under measure j at the nodes given by two 1-D arrays, the maturity
+    index ``m`` and the frequency ``phi`` of each, real and > 0 or, for a moment, -i*p.  ``strip(m, p)`` says per
+    node whether -i*p lies in the strip where both f_j of maturity m are analytic, that is whether their moments of
+    order p are finite.  ``log_strike`` is a float or a 1-D array shared by every maturity; r1, r2 and the error
+    estimate come back shaped ``shape(x) + shape(log_strike)``.  Raises :class:`TailNotDecaying` or
     :class:`SubdivisionExhausted` with context and the failing maturity's index.
     """
     shape = np.shape(x) + np.shape(log_strike)
@@ -223,28 +192,53 @@ def gil_pelaez(
     r = np.stack([0.5 + 0.5 * np.sign(moneyness)] * 2)
     err = np.zeros(moneyness.shape)
 
-    live = np.flatnonzero(w > 0.0)
+    live, eps = np.flatnonzero(w > 0.0), np.finfo(float).eps
     if live.size:
-        w, moneyness = w[live], moneyness[live]
-        root_w = np.sqrt(w)
-
-        def difference(m, s):
-            phi = s / root_w[m]
-            return cf(live[m], phi) - _control(w[m], phi, s)
-
+        w, root_w, moneyness = w[live], np.sqrt(w[live]), moneyness[live]
+        freq = moneyness / root_w[:, None]
+        # per maturity and side, the largest orders inside the strip: those with finite moments form an interval
+        inside = strip(np.repeat(live, MOMENT_ORDERS.size), (MOMENT_ORDERS.ravel() / root_w[:, None]).ravel())
+        top = inside.reshape((-1,) + MOMENT_ORDERS.shape).sum(axis=-1)[..., None] - np.arange(1, MOMENTS_PER_SIDE + 1)
+        t, used = MOMENT_ORDERS[[[0], [1]], np.maximum(top, 0)], top >= 0
+        m_mom, m_lad = np.nonzero(used)[0], np.repeat(np.arange(live.size), S_LADDER.size)
+        phi = (S_LADDER / root_w[:, None]).ravel()
+        # the moments ride on the ladder's call; one near its order's explosion may overflow, and is then not used
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = cf(live[np.concatenate([m_lad, m_mom])], np.concatenate([phi, -1j * t[used] / root_w[m_mom]]))
         try:
-            ladder = difference(np.repeat(np.arange(live.size), S_LADDER.size), np.tile(S_LADDER, live.size))
+            ladder = values[:, :phi.size] - _control(w[m_lad], phi, np.tile(S_LADDER, live.size))
             s_max, tail_est = _find_s_max(ladder.reshape(2, live.size, S_LADDER.size), spec)
-            # two panels per unit of s, the control's scale, and two per pi radians of the widest strike's phase
-            freq = moneyness / root_w[:, None]
-            n = np.ceil(2.0 * s_max * (1.0 + np.abs(freq).max(axis=1, initial=0.0) / math.pi))
-            integral, quad_err = _midpoint(lambda m, s: difference(m, s) / s, freq, s_max, n,
-                                           0.25 * spec.abs_tol * math.pi)
         except InversionError as exc:
             exc.maturity = int(live[exc.maturity])
             raise
+        # ln of the largest of E[exp(t*Z)] under f_1, f_2, f_BS_1 and f_BS_2, +inf where unused; per maturity and side,
+        # the order of least reach (ln E[exp(t*Z)] + ln(32/abs_tol))/|t| keeps each of the four tails of a row on that
+        # side within abs_tol/32 wherever L - sign(t)*freq is at least the reach
+        moments, log_m, size = values[:, phi.size:].real.max(axis=0), np.full(t.shape, np.inf), np.abs(t)
+        log_m[used] = np.maximum(np.log(moments, out=np.full(moments.shape, np.inf), where=moments > 0.0),
+                                 0.5 * size[used] * (size[used] + root_w[m_mom]))
+        reach = (log_m + math.log(32.0 / spec.abs_tol)) / size
+        row, best = np.arange(live.size)[:, None], reach.argmin(axis=-1)
+        log_m, size, reach = log_m[row, [0, 1], best], size[row, [0, 1], best], reach.min(axis=-1)
+        # a row beyond the reach across its strike is N(d_j) to abs_tol/16 and takes no node; the others set L
+        far = (freq >= reach[:, :1]) | (-freq >= reach[:, 1:])
+        length = np.where(far, 0.0, np.maximum(reach[:, :1] - freq, reach[:, 1:] + freq)).max(axis=1, initial=0.0)
+        n = np.maximum(np.ceil(s_max * length / (2.0 * math.pi)), 1.0)
+        for m in np.flatnonzero(~(n <= MAX_NODES))[:1]:
+            raise SubdivisionExhausted(f"the aliasing bound on [0, {s_max[m]:.3g}] needs {n[m]:.0f} > {MAX_NODES} "
+                                       f"midpoint nodes (target {spec.abs_tol / 8.0:.3e})", maturity=int(live[m]))
+        integral, sizes = _midpoint(lambda m, s: (cf(live[m], s / root_w[m]) - _control(w[m], s / root_w[m], s)) / s,
+                                    freq, s_max, n.astype(np.intp))
+        # twice (for f_j and f_BS_j) the tails at the step taken, and across the strike of a far row
+        distance = 2.0 * math.pi * (n / s_max)[:, None, None] - np.array([-1.0, 1.0]) * freq[..., None]
+        alias = 2.0 * np.exp(np.minimum(log_m[:, None] - size[:, None] * distance, 0.0)).sum(axis=-1)
+        side = (freq < 0.0).astype(np.intp)
+        across = 2.0 * np.exp(np.minimum(log_m[row, side] - size[row, side] * np.abs(freq), 0.0))
+        # rounding: eps for the sum N(d_j) + integral/pi, and a few eps per term of the integral from the phase
+        # (eps*|freq*s| more), the CF and the sum
+        terms = (sizes[0, ..., None] + sizes[1, ..., None] * np.abs(freq)).max(axis=0)
         d = (moneyness + np.array([0.5, -0.5])[:, None, None] * w[:, None]) / root_w[:, None]
-        r[:, live] = 0.5 * _erfc(-d / math.sqrt(2.0)).astype(float) + np.swapaxes(integral, 1, 2) / math.pi
-        err[live] = ((quad_err.max(axis=0) + tail_est) / math.pi).T
+        r[:, live] = 0.5 * _erfc(-d / math.sqrt(2.0)).astype(float) + np.where(far, 0.0, integral) / math.pi
+        err[live] = np.where(far, across, alias + (tail_est[:, None] + 4.0 * eps * terms) / math.pi) + eps
     return ProbabilityPair(r1=r[0].reshape(shape)[()], r2=r[1].reshape(shape)[()],
                            achieved_error_estimate=err.reshape(shape)[()])

@@ -80,6 +80,15 @@ def _provider(params: ModelParams, variance: float, taus: np.ndarray, log_bonds:
     return eval_fn
 
 
+def _strip(params: ModelParams, taus: np.ndarray):
+    """Whether phi = -i*p lies in the strip of f_1 and f_2 at maturity index m: moments of orders 1 + p and p finite."""
+    def in_strip(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+        # the orders with finite moments form an interval holding [0, 1]: 1 + p binds above, p below
+        return heston_cf.explosion_time(params, p + (p > 0.0)) > taus[m]
+
+    return in_strip
+
+
 def _expected_variance(params: ModelParams, variance: float, taus: np.ndarray) -> np.ndarray:
     """Risk-neutral Integral_0^tau E[v_t] dt = tb*tau + (v - tb)*(1 - exp(-alpha*tau))/alpha, tb = kappa*theta/alpha."""
     # as two terms that are >= 0 in floating point too
@@ -126,7 +135,8 @@ def price_grid(
     cf = _provider(params, variance, taus, log_bonds)
     x = math.log(spot) - log_bonds
     try:
-        pair = inversion.gil_pelaez(cf, x, _expected_variance(params, variance, taus), log_strikes, quad)
+        pair = inversion.gil_pelaez(cf, _strip(params, taus), x, _expected_variance(params, variance, taus),
+                                    log_strikes, quad)
     except InversionError as exc:
         raise type(exc)(f"at K={','.join(f'{k:.12g}' for k in strikes)}, tau={maturities[exc.maturity]}: {exc}",
                         exc.maturity) from exc

@@ -155,17 +155,19 @@ def test_price_makes_one_surface_inversion_within_the_node_cap(tmp_path, capsys,
 
     monkeypatch.setattr(svsir.inversion, "gil_pelaez", gil_pelaez)
     monkeypatch.setattr(svsir.bond, "bond_price", bond_price)
-    maturities = [0.02, 0.25, 0.5, 1.0, 2.0, 5.0]
+    maturities = [0.25 * k for k in range(1, 25)]
     cfg = write_config(tmp_path, beta=1.0, strikes=[80.0, 100.0, 120.0], maturities=maturities)
     assert main(["price", "--config", cfg, "--tol", "1e-12"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 3 * len(maturities)
     assert len(inversions) == 1 and len(bonds) == len(maturities)
-    # one ladder call for both measures, first, holding the whole s ladder of every maturity
-    w = inversions[0][1]
-    np.testing.assert_array_equal(calls[0][0], np.repeat(range(len(maturities)), S_LADDER.size))
-    np.testing.assert_array_equal(calls[0][1], (S_LADDER / np.sqrt(w)[:, None]).ravel())
-    # at this tolerance a round's nodes outgrow one call, and are split at the cap
-    assert max(phi.size for _, phi in calls) == NODES_PER_CALL
+    # one first call for both measures, holding the whole s ladder of every maturity and then each maturity's
+    # moments on the imaginary axis
+    w, ladder = inversions[0][2], len(maturities) * S_LADDER.size
+    np.testing.assert_array_equal(calls[0][0][:ladder], np.repeat(range(len(maturities)), S_LADDER.size))
+    np.testing.assert_array_equal(calls[0][1][:ladder], (S_LADDER / np.sqrt(w)[:, None]).ravel())
+    assert np.all(calls[0][1][ladder:].real == 0.0) and calls[0][1].size > ladder
+    # the midpoint nodes of these maturities outgrow one call, and are split at the cap
+    assert max(phi.size for _, phi in calls[1:]) == NODES_PER_CALL
 
 
 def test_json_output_mode(tmp_path, capsys):
@@ -317,6 +319,58 @@ def test_sweep_over_beta(tmp_path, capsys):
     p = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
     ref = price_sir(p, MarketState(spot=100.0, variance=0.04, tau=1.0), OptionSpec(strike=100.0))
     assert float(rows[2][7]) == pytest.approx(ref.price, rel=1e-9)
+
+
+def _dict_path_stdout(argv):
+    """Reference stdout of price, verify and sweep: one dict per row, each row formatted on its own."""
+    from svsir.cli import PRICE_COLUMNS, VERIFY_COLUMNS, _json_value
+    from svsir.mc import simulate_grid
+    from svsir.pricer import price_grid
+
+    args = build_parser().parse_args(argv)
+    run = load_run_config(args.config, {("quadrature", "abs_tol"): args.tol, ("output", "format"): args.output,
+                                        ("mc", "seed"): getattr(args, "seed", None)})
+    swept = [(None, run.params)]
+    if args.command == "sweep":
+        swept = [(float(v), run.params.__class__(**{**run.params.__dict__, args.param: float(v)}))
+                 for v in args.values.split(",")]
+    rows = []
+    for value, params in swept:
+        grid = price_grid(params, run.spot, run.variance, run.strikes, run.maturities, run.quad)
+        for m, tau in enumerate(run.maturities):
+            for k, strike in enumerate(run.strikes):
+                row = {"model_tag": grid.model_tag, "S": run.spot, "K": strike, "tau": tau, "v0": run.variance,
+                       "price": float(grid.price[m, k]), "r1": float(grid.r1[m, k]), "r2": float(grid.r2[m, k]),
+                       "bond": grid.bond[m].price, "err_estimate": float(grid.err_estimate[m, k])}
+                rows.append(row if value is None else {"param": args.param, "value": value, **row})
+    columns = ("param", "value") + PRICE_COLUMNS if args.command == "sweep" else PRICE_COLUMNS
+    if args.command == "verify":
+        columns = VERIFY_COLUMNS
+        estimates = simulate_grid(run.params, run.spot, run.variance, run.strikes, run.maturities, run.mc)
+        for row, est in zip(rows, estimates):
+            diff = row["price"] - est.mean
+            z = 0.0 if abs(diff) <= (row["S"] + row["K"] * row["bond"]) * run.quad.abs_tol else diff / est.std_error
+            row.update(mc_mean=est.mean, mc_se=est.std_error, z=z)
+    if run.out_format == "json":
+        return "".join(json.dumps({c: _json_value(row[c]) for c in columns}) + "\n" for row in rows)
+    cells = [",".join(f"{row[c]:.12g}" if isinstance(row[c], float) else str(row[c]) for c in columns) for row in rows]
+    return "\n".join([",".join(columns)] + cells) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--config", EXAMPLE_CFG],
+    ["price", "--config", EXAMPLE_CFG, "--output", "json", "--tol", "1e-12"],
+    ["sweep", "--config", EXAMPLE_CFG, "--param", "beta", "--values", "0,0.5,1,2"],
+    ["sweep", "--config", EXAMPLE_CFG, "--param", "beta", "--values", "0,2", "--output", "json"],
+    ["verify", "--config", "{small}"],
+    ["verify", "--config", "{small}", "--output", "json"],
+], ids=["price-csv", "price-json", "sweep-csv", "sweep-json", "verify-csv", "verify-json"])
+def test_rows_formatted_from_the_grid_arrays_match_the_dict_path(tmp_path, capsys, argv):
+    # the CLI writes its rows column-wise from the PriceGrid arrays; stdout is byte for byte what per-row dicts give
+    small = write_config(tmp_path, beta=1.0, strikes=[80.0, 100.0, 120.0], maturities=[0.5, 1.0], n_paths=2000)
+    argv = [arg.format(small=small) for arg in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _dict_path_stdout(argv)
 
 
 def test_sweep_rejects_unknown_param(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import draw_params
 from svsir import InvalidParameter, ModelParams
-from svsir.heston_cf import cd_arrays, characteristic_fn
+from svsir.heston_cf import affine_cd, cd_arrays, characteristic_fn, explosion_time
 
 BASE = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 
@@ -131,3 +131,45 @@ def test_invalid_measure_index():
 def test_cd_arrays_rejects_bad_maturities(tau):
     with pytest.raises(InvalidParameter, match="^tau: must be finite and >= 0"):
         cd_arrays(BASE, 0.03, tau, 1.0, 1)
+
+
+def test_d_keeps_its_relative_accuracy_as_tau_goes_to_zero():
+    # D = c*tau - b*c*tau^2/2 + (b^2*c/6 + sigma^2*c^2/6)*tau^3 + O(tau^4) on both pricing contours; forming
+    # 1 - exp(-d*tau) by subtraction lost eps/|d*tau| of D's relative accuracy
+    for u in (10.0, 1e4 - 1j, 1e8, 1e8 - 1j):
+        b = BASE.alpha - 1j * u * BASE.rho_sv * BASE.sigma
+        c = -0.5 * (u * u + 1j * u) + BASE.beta * (1j * u - 1.0)
+        for tau in (1e-18, 1e-14, 1e-10):
+            if abs(cmath.sqrt(b * b - 2.0 * BASE.sigma**2 * c)) * tau > 1e-4:
+                continue
+            series = c * tau - b * c * tau**2 / 2.0 + (b * b * c + BASE.sigma**2 * c * c) * tau**3 / 6.0
+            _, d_val = affine_cd(BASE, tau, u)
+            assert abs(d_val / series - 1.0) <= 1e-13, (u, tau, d_val, series)
+
+
+def test_explosion_time_is_where_the_real_riccati_equation_blows_up():
+    # on u = -i*p, D' = sigma^2/2*D^2 - b*D + c is real; RK45 stops at D = 1e7, ~2/(sigma^2*1e7) before T*(p);
+    # inside the strip affine_cd gives that D, real
+    from scipy.integrate import solve_ivp
+
+    def blow_up(t, d):
+        return d[0] - 1e7
+
+    blow_up.terminal = True
+    rng = np.random.default_rng(41)
+    for i in range(10):
+        params = draw_params(rng, beta=0.0 if i % 2 == 0 else rng.uniform(0.25, 2.0))
+        for p in (-8.0, -1.5, -0.3, 0.4, 1.0, 1.7, 3.0, 12.0):
+            b = params.alpha - p * params.rho_sv * params.sigma
+            c = 0.5 * p * (p - 1.0) + params.beta * (p - 1.0)
+            expected = float(explosion_time(params, p))
+            end = min(1.5 * expected, 200.0)
+            sol = solve_ivp(lambda t, d: [0.5 * params.sigma**2 * d[0] ** 2 - b * d[0] + c], (0.0, end), [0.0],
+                            events=blow_up, rtol=1e-10, atol=1e-12, dense_output=True)
+            if math.isinf(expected):
+                assert sol.t_events[0].size == 0, (params, p)
+                continue
+            assert sol.t_events[0][0] == pytest.approx(expected, rel=1e-4), (params, p)
+            _, d_val = affine_cd(params, 0.5 * expected, -1j * p)
+            assert d_val.real == pytest.approx(sol.sol(0.5 * expected)[0], rel=1e-7, abs=1e-9), (params, p)
+            assert abs(d_val.imag) <= 1e-12 * abs(d_val.real) + 1e-15, (params, p)

@@ -17,35 +17,42 @@ from svsir import (
     price_grid,
     price_sir,
 )
-from svsir.heston_cf import characteristic_fn
-from svsir.inversion import (MAX_NODES, S_LADDER, QuadratureSpec, _OFFSETS, _control, _find_s_max, _phases,
-                             gil_pelaez)
+from svsir.inversion import MAX_NODES, S_LADDER, QuadratureSpec, _control, _find_s_max, _phases, gil_pelaez
 from svsir.mc import _terminal
-from svsir.pricer import _expected_variance, _provider
+from svsir.pricer import _expected_variance, _provider, _strip
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 
 
 def heston_cf(params, v, tau):
-    """One maturity's characteristic function of ln S_T - ln S, and the variance w of its control."""
-    def eval_fn(m, phi):
-        return np.stack([characteristic_fn(params, params.mu, 0.0, v, tau, phi, j) for j in (1, 2)])
+    """One maturity's characteristic function of ln S_T - ln S, its strip, and the variance w of its control."""
+    taus = np.array([tau])
+    log_bond = math.log(bond_price(params, v, tau).price)
+    forward = _provider(params, v, taus, np.array([log_bond]))  # of ln S_T - ln(S/B)
 
-    return eval_fn, float(_expected_variance(params, v, np.array(tau)))
+    def eval_fn(m, phi):
+        return forward(m, phi) * np.exp(-1j * phi * log_bond)
+
+    return eval_fn, _strip(params, taus), float(_expected_variance(params, v, taus)[0])
+
+
+def every_order(m, p):
+    """The strip of a law with every exponential moment finite, as a Gaussian's."""
+    return np.ones(np.shape(p), dtype=bool)
 
 
 def test_deep_in_the_money():
     log_k = math.log(100.0) - 20.0
-    cf, w = heston_cf(HESTON, 0.04, 1.0)
-    pair = gil_pelaez(cf, math.log(100.0), w, log_k)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
+    pair = gil_pelaez(cf, strip, math.log(100.0), w, log_k)
     assert pair.r1 == pytest.approx(1.0, abs=1e-6)
     assert pair.r2 == pytest.approx(1.0, abs=1e-6)
 
 
 def test_deep_out_of_the_money():
     log_k = math.log(100.0) + 20.0
-    cf, w = heston_cf(HESTON, 0.04, 1.0)
-    pair = gil_pelaez(cf, math.log(100.0), w, log_k)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
+    pair = gil_pelaez(cf, strip, math.log(100.0), w, log_k)
     assert pair.r1 == pytest.approx(0.0, abs=1e-6)
     assert pair.r2 == pytest.approx(0.0, abs=1e-6)
 
@@ -63,16 +70,16 @@ def mc_exercise_prob(params, state, strike, cfg):
 def test_r2_matches_mc_exercise_probability():
     state = MarketState(spot=100.0, variance=0.04, tau=1.0)
     opt = OptionSpec(strike=105.0)
-    cf, w = heston_cf(HESTON, state.variance, state.tau)
-    pair = gil_pelaez(cf, math.log(state.spot), w, math.log(opt.strike))
+    cf, strip, w = heston_cf(HESTON, state.variance, state.tau)
+    pair = gil_pelaez(cf, strip, math.log(state.spot), w, math.log(opt.strike))
     mean, std_error = mc_exercise_prob(HESTON, state, opt.strike, McConfig(n_paths=100_000, seed=21))
     assert abs(pair.r2 - mean) <= 3.0 * std_error
 
 
 def test_monotone_in_log_strike():
-    cf, w = heston_cf(HESTON, 0.04, 1.0)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
     strikes = [60.0, 80.0, 100.0, 120.0, 150.0]
-    pairs = [gil_pelaez(cf, math.log(100.0), w, math.log(k)) for k in strikes]
+    pairs = [gil_pelaez(cf, strip, math.log(100.0), w, math.log(k)) for k in strikes]
     for earlier, later in zip(pairs, pairs[1:]):
         assert later.r1 <= earlier.r1 + 1e-8
         assert later.r2 <= earlier.r2 + 1e-8
@@ -82,29 +89,29 @@ def test_translation_consistency():
     # shifting x and ln K together leaves R_j unchanged: the integrand sees
     # only the difference through the phase product
     shift = 0.37
-    cf, w = heston_cf(HESTON, 0.04, 1.0)
-    p0 = gil_pelaez(cf, math.log(100.0), w, math.log(90.0))
-    p1 = gil_pelaez(cf, math.log(100.0) + shift, w, math.log(90.0) + shift)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
+    p0 = gil_pelaez(cf, strip, math.log(100.0), w, math.log(90.0))
+    p1 = gil_pelaez(cf, strip, math.log(100.0) + shift, w, math.log(90.0) + shift)
     tol = 10 * max(p0.achieved_error_estimate, p1.achieved_error_estimate) + 1e-12
     assert abs(p0.r1 - p1.r1) < tol
     assert abs(p0.r2 - p1.r2) < tol
 
 
 def test_halving_tolerance_stays_within_error_estimate():
-    cf, w = heston_cf(HESTON, 0.04, 1.0)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
     loose_spec = QuadratureSpec(abs_tol=1e-6)
     tight_spec = QuadratureSpec(abs_tol=5e-7)
-    loose = gil_pelaez(cf, math.log(100.0), w, math.log(110.0), loose_spec)
-    tight = gil_pelaez(cf, math.log(100.0), w, math.log(110.0), tight_spec)
+    loose = gil_pelaez(cf, strip, math.log(100.0), w, math.log(110.0), loose_spec)
+    tight = gil_pelaez(cf, strip, math.log(100.0), w, math.log(110.0), tight_spec)
     assert abs(loose.r1 - tight.r1) <= loose.achieved_error_estimate + 1e-12
     assert abs(loose.r2 - tight.r2) <= loose.achieved_error_estimate + 1e-12
 
 
 def test_probabilities_within_tolerance_band():
-    cf, w = heston_cf(HESTON, 0.04, 1.0)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
     spec = QuadratureSpec(abs_tol=1e-9)
     for strike in (50.0, 95.0, 100.0, 130.0):
-        pair = gil_pelaez(cf, math.log(100.0), w, math.log(strike), spec)
+        pair = gil_pelaez(cf, strip, math.log(100.0), w, math.log(strike), spec)
         eps = 10 * spec.abs_tol
         assert -eps <= pair.r1 <= 1.0 + eps
         assert -eps <= pair.r2 <= 1.0 + eps
@@ -116,14 +123,14 @@ def test_degenerate_bypass_uses_phase_center():
     # drift: the indicator is taken at the location passed, the forward x + mu
     p = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
     x = math.log(100.0)
-    cf, w = heston_cf(p, 0.0, 1.0)
+    cf, strip, w = heston_cf(p, 0.0, 1.0)
     assert w == 0.0
     # forward ln S_T = x + mu: strike between x and x+mu must exercise
-    pair = gil_pelaez(cf, x + p.mu, w, x + 0.5 * p.mu)
+    pair = gil_pelaez(cf, strip, x + p.mu, w, x + 0.5 * p.mu)
     assert pair.r1 == 1.0 and pair.r2 == 1.0
-    pair = gil_pelaez(cf, x + p.mu, w, x + 2.0 * p.mu)
+    pair = gil_pelaez(cf, strip, x + p.mu, w, x + 2.0 * p.mu)
     assert pair.r1 == 0.0 and pair.r2 == 0.0
-    pair = gil_pelaez(cf, x + p.mu, w, x + p.mu)  # exactly at the point mass
+    pair = gil_pelaez(cf, strip, x + p.mu, w, x + p.mu)  # exactly at the point mass
     assert pair.r1 == 0.5 and pair.r2 == 0.5
 
 
@@ -131,21 +138,34 @@ def test_tail_not_decaying_reported():
     # near-zero variance with theta = 0: |f - f_BS| / s stays far above the
     # threshold up to the top of the s ladder
     p = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
-    cf, w = heston_cf(p, 1e-12, 1.0)
+    cf, strip, w = heston_cf(p, 1e-12, 1.0)
     with pytest.raises(TailNotDecaying):
-        gil_pelaez(cf, math.log(100.0), w, math.log(100.0))
-    # at v = 2e-6 the tail decays on the ladder, but the forward's drift away
-    # from K needs more oscillation cycles than the node cap holds
-    cf, w = heston_cf(p, 2e-6, 1.0)
+        gil_pelaez(cf, strip, math.log(100.0), w, math.log(100.0))
+    # at v = 2e-6 the tail decays on the ladder only at s = 4096, and there the
+    # aliasing bound asks for more midpoint nodes than the cap
+    cf, strip, w = heston_cf(p, 2e-6, 1.0)
     with pytest.raises(SubdivisionExhausted):
-        gil_pelaez(cf, math.log(100.0), w, math.log(100.0))
+        gil_pelaez(cf, strip, math.log(100.0), w, math.log(100.0))
+
+
+# a corner of PARAM_BOX whose moments of order above 1 + 5.5e-4/sqrt(w) explode before tau = 30: inside that strip
+# no moment order of MOMENT_ORDERS is left to bound the aliasing error with
+NARROW = ModelParams(kappa=0.5, theta=0.01, sigma=0.8, lam=-0.2, rho_sv=0.5, mu=0.03, beta=2.0)
 
 
 def test_subdivision_exhausted_reported():
-    # a far strike at a tiny w: K = 10 at tau = 1e-4 and v = 5e-4 needs more midpoint nodes than the cap
-    sir = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
     with pytest.raises(SubdivisionExhausted, match=f"> {MAX_NODES} midpoint nodes"):
-        price_grid(sir, 100.0, 5e-4, [10.0], [1e-4])
+        price_grid(NARROW, 100.0, 0.002, [80.0, 100.0, 120.0], [30.0])
+
+
+@pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
+def test_far_strikes_at_a_tiny_w_price_at_their_intrinsic_limits(abs_tol):
+    # K = 10 and 1000 at tau = 1e-4 and v = 5e-4 lie ~1e4 sqrt(w) from the money: the calls are S - K*B and 0
+    sir = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
+    grid = price_grid(sir, 100.0, 5e-4, [10.0, 1000.0], [1e-4], QuadratureSpec(abs_tol=abs_tol))
+    k, bond = np.array([10.0, 1000.0]), grid.bond[0].price
+    assert np.all(np.abs(grid.price[0] - np.maximum(100.0 - k * bond, 0.0)) <= (100.0 + k * bond) * abs_tol)
+    assert np.all(grid.err_estimate <= abs_tol)
 
 
 def test_quadrature_spec_validation():
@@ -170,7 +190,7 @@ def test_gaussian_law_inverts_to_its_closed_form(abs_tol):
         return np.stack([np.exp(1j * phi * sign * 0.5 * true_w - 0.5 * phi**2 * true_w) for sign in (1.0, -1.0)])
 
     spec = QuadratureSpec(abs_tol=abs_tol)
-    pair = gil_pelaez(cf, x, w, log_strikes, spec)
+    pair = gil_pelaez(cf, every_order, x, w, log_strikes, spec)
     for r, sign in ((pair.r1, 1.0), (pair.r2, -1.0)):
         d = (x - log_strikes + sign * 0.5 * true_w) / math.sqrt(true_w)
         exact = np.array([0.5 * math.erfc(-z / math.sqrt(2.0)) for z in d])
@@ -179,27 +199,26 @@ def test_gaussian_law_inverts_to_its_closed_form(abs_tol):
 
 
 def test_phase_tables_match_the_direct_exponential():
-    # a round's phases exp(i*freq*s) at s = (i + o)*width, from angle-addition tables, for every node up to the
-    # node cap, every offset and |freq*s| up to ~1e4 rad: within the direct form's rounding, at every i
-    count = MAX_NODES // 3
+    # the midpoint phases exp(i*freq*s) at s = (i + 1/2)*width, from per-maturity angle-addition tables, for every
+    # node up to the node cap and |freq*s| up to ~1e4 rad: within the direct form's rounding, at every i
+    counts = np.array([MAX_NODES, 1000])
     freq = np.array([[-1250.0, -3.3, 0.0, 0.7, 1250.0], [-96.0, -1.0, 0.0, 1e-3, 310.0]]).T  # (strike, maturity)
-    width = np.array([8.0, 0.5]) / count
-    assert np.abs(freq * width).max() * count > 9e3
-    phases = _phases(freq * width, _OFFSETS, count)
-    i = np.arange(count)
-    for group in range(width.size * _OFFSETS.size):
-        t, o = divmod(group, _OFFSETS.size)
-        arg = freq[:, t, None] * ((i + _OFFSETS[o]) * width[t])
-        gap = np.abs(phases(np.full(count, group), i) - np.exp(1j * arg))
-        assert np.all(gap <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(arg))), (group, gap.max())
+    width = np.array([8.0, 0.5]) / counts
+    assert np.abs(freq * width * counts).max() > 9e3
+    phases = _phases(freq * width, counts)
+    for m, count in enumerate(counts):
+        i = np.arange(count)
+        arg = freq[:, m, None] * ((i + 0.5) * width[m])
+        gap = np.abs(phases(np.full(count, m), i) - np.exp(1j * arg))
+        assert np.all(gap <= 8.0 * np.finfo(float).eps * (1.0 + np.abs(arg))), (m, gap.max())
 
 
-# the example model's CI far-strike grid at abs_tol = 1e-12, which builds the largest phase tables, as
-# priced by one complex exponential per strike and node: rows tau = 1e-4, 0.5, columns K = 50, 80, 100, 120
-FAR_R1 = [[1.0, 1.0, 0.5121285947148709, 3.8822196595901986e-18],
+# the example model's CI far-strike grid at abs_tol = 1e-12 as priced by one complex exponential per strike and node:
+# rows tau = 1e-4, 0.5, columns K = 50, 80, 100, 120; at tau = 1e-4 only K = 100 is not far, and takes the sum
+FAR_R1 = [[1.0, 1.0, 0.5121285947148725, 0.0],
           [0.9999988385105106, 0.9915547266284915, 0.667724532371632, 0.017366480296872766]]
-FAR_R2 = [[1.0, 1.0, 0.512039108276867, -4.527608196911074e-17],
-          [0.9999974954933626, 0.9885805428687714, 0.6365417750585963, 0.014364030062238024]]
+FAR_R2 = [[1.0, 1.0, 0.5120391082768686, 0.0],
+          [0.9999974954933626, 0.9885805428687714, 0.6365417750585963, 0.014364030062238084]]
 
 
 def test_far_strikes_price_as_with_one_exponential_per_node():
@@ -252,11 +271,11 @@ def test_find_s_max_matches_per_rung_search():
 
 
 def test_find_s_max_evaluates_whole_ladder_once_per_measure():
-    inner, w = heston_cf(HESTON, 0.04, 1.0)
+    inner, strip, w = heston_cf(HESTON, 0.04, 1.0)
     cf, calls = _recording(inner)
-    gil_pelaez(cf, math.log(100.0), w, math.log(100.0))
-    # both measures in the first call
-    np.testing.assert_allclose(calls[0] * math.sqrt(w), S_LADDER, rtol=1e-15)
+    gil_pelaez(cf, strip, math.log(100.0), w, math.log(100.0))
+    # both measures in the first call, the moments on the imaginary axis after the ladder
+    np.testing.assert_allclose(calls[0][:S_LADDER.size] * math.sqrt(w), S_LADDER, rtol=1e-15)
     assert _find_s_max(_ladder_difference(inner, w), QuadratureSpec())[0] in S_LADDER
 
 
@@ -318,12 +337,15 @@ def box_params(draw):
                             lam=-0.12525765878820014, rho_sv=-0.7999629250681491, mu=0.04829092134091322, beta=0.0),
          variance=0.004397640392812707, tau=1e-4, strikes=list(np.linspace(40.0, 200.0, 7)))
 def test_box_prices_at_both_tolerances_and_agrees_within_the_looser(params, variance, tau, strikes):
-    # neither TailNotDecaying nor SubdivisionExhausted inside the box, and r_j at abs_tol = 1e-9
-    # within 1e-9 of r_j at 1e-12
+    # neither TailNotDecaying nor SubdivisionExhausted inside the box, and r_j at abs_tol = 1e-9 within 1e-9 of
+    # r_j at 1e-12, and within the sum of the two error estimates
     loose = price_grid(params, 100.0, variance, strikes, (tau,), QuadratureSpec(abs_tol=1e-9))
     tight = price_grid(params, 100.0, variance, strikes, (tau,), QuadratureSpec(abs_tol=1e-12))
     assert np.abs(loose.r1 - tight.r1).max() <= 1e-9
     assert np.abs(loose.r2 - tight.r2).max() <= 1e-9
+    bound = loose.err_estimate + tight.err_estimate
+    assert np.all(np.abs(loose.r1 - tight.r1) <= bound), (np.abs(loose.r1 - tight.r1), bound)
+    assert np.all(np.abs(loose.r2 - tight.r2) <= bound), (np.abs(loose.r2 - tight.r2), bound)
 
 
 def _spaced(strikes, gap=5.0):
@@ -364,18 +386,19 @@ def _recording(inner):
 
 
 def test_ladder_is_one_call():
-    inner, w = heston_cf(HESTON, 0.04, 1.0)
+    inner, strip, w = heston_cf(HESTON, 0.04, 1.0)
     cf, calls = _recording(inner)
-    gil_pelaez(cf, math.log(100.0), w, np.log([80.0, 100.0, 120.0]))
-    np.testing.assert_allclose(calls[0] * math.sqrt(w), S_LADDER, rtol=1e-15)
+    gil_pelaez(cf, strip, math.log(100.0), w, np.log([80.0, 100.0, 120.0]))
+    np.testing.assert_allclose(calls[0][:S_LADDER.size] * math.sqrt(w), S_LADDER, rtol=1e-15)
+    assert np.all(calls[0][S_LADDER.size:].real == 0.0)
     assert not any(np.array_equal(phi, calls[0]) for phi in calls[1:])
     assert all(phi.size > 1 for phi in calls)  # no single-frequency call
 
 
 def test_degenerate_point_makes_no_cf_call():
     p = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
-    inner, w = heston_cf(p, 0.0, 1.0)
+    inner, strip, w = heston_cf(p, 0.0, 1.0)
     cf, calls = _recording(inner)
-    pair = gil_pelaez(cf, math.log(100.0) + p.mu, w, np.log([90.0, 110.0]))
+    pair = gil_pelaez(cf, strip, math.log(100.0) + p.mu, w, np.log([90.0, 110.0]))
     assert calls == []
     np.testing.assert_array_equal(pair.r2, [1.0, 0.0])

@@ -22,7 +22,7 @@ from svsir import (
 )
 from svsir.inversion import QuadratureSpec, gil_pelaez
 from svsir.model import OptionKind
-from svsir.pricer import MODEL_HESTON, MODEL_SIR, _expected_variance, _provider
+from svsir.pricer import MODEL_HESTON, MODEL_SIR, _expected_variance, _provider, _strip
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
@@ -30,11 +30,11 @@ STATE = MarketState(spot=100.0, variance=0.04, tau=1.0)
 
 
 def one_maturity(params, state):
-    """The characteristic function, x and w of one maturity, as price_grid hands them to gil_pelaez."""
+    """The characteristic function, strip, x and w of one maturity, as price_grid hands them to gil_pelaez."""
     log_bond = math.log(bond_price(params, state.variance, state.tau).price)
     taus = np.array([state.tau])
-    return (_provider(params, state.variance, taus, np.array([log_bond])), math.log(state.spot) - log_bond,
-            _expected_variance(params, state.variance, taus))
+    return (_provider(params, state.variance, taus, np.array([log_bond])), _strip(params, taus),
+            math.log(state.spot) - log_bond, _expected_variance(params, state.variance, taus))
 
 
 def test_zero_variance_call_is_discounted_forward():
@@ -150,6 +150,18 @@ def test_atm_call_is_continuous_down_to_tau_zero():
     assert price[4] == pytest.approx(0.039172, abs=1e-6)
 
 
+def test_atm_call_prices_at_extreme_short_maturities():
+    # at tau = 1e-18 the example model's ATM call is S*sqrt(w/(2*pi)) up to the rounding of S*R_1 - K*B*R_2 with
+    # both R_j near 1/2; at tau = 1e-100 the grid prices, with K = 80 and 120 at their intrinsic values
+    taus = np.array([1e-18, 1e-100])
+    grid = price_grid(SIR, 100.0, 0.04, (80.0, 100.0, 120.0), taus)
+    k, bonds = np.array([80.0, 100.0, 120.0]), np.array([b.price for b in grid.bond])
+    limit = 100.0 * np.sqrt(_expected_variance(SIR, 0.04, taus) / (2.0 * math.pi))
+    assert np.all(np.abs(grid.price[:, 1] - limit) <= 2.0 * (100.0 + 100.0 * bonds) * np.finfo(float).eps)
+    intrinsic = np.maximum(100.0 - k * bonds[:, None], 0.0)
+    assert np.all(np.abs(grid.price - intrinsic)[:, [0, 2]] <= (100.0 + k[[0, 2]] * bonds[:, None]) * 1e-9)
+
+
 def _black_call(spot, strike, bond_price, w):
     """Black call on the forward spot/bond with total variance w > 0, discounted by the bond."""
     root_w = math.sqrt(w)
@@ -241,10 +253,10 @@ def test_empty_grid_gives_empty_arrays():
 
 
 def test_one_element_strike_array_matches_scalar_call():
-    cf, x, w = one_maturity(SIR, MarketState(spot=100.0, variance=0.04, tau=1.0))
+    cf, strip, x, w = one_maturity(SIR, MarketState(spot=100.0, variance=0.04, tau=1.0))
     log_k = math.log(110.0)
-    scalar = gil_pelaez(cf, x, w, log_k)
-    array = gil_pelaez(cf, x, w, np.array([log_k]))
+    scalar = gil_pelaez(cf, strip, x, w, log_k)
+    array = gil_pelaez(cf, strip, x, w, np.array([log_k]))
     assert isinstance(scalar.r1, np.float64) and np.shape(array.r1) == (1,)
     assert array.r1[0] == scalar.r1 and array.r2[0] == scalar.r2
     assert array.achieved_error_estimate[0] == scalar.achieved_error_estimate
@@ -252,10 +264,10 @@ def test_one_element_strike_array_matches_scalar_call():
 
 def test_reversed_strike_row_reverses_results():
     # the panels do not depend on the order of the row, so each strike keeps its own numbers
-    cf, x, w = one_maturity(SIR, MarketState(spot=100.0, variance=0.04, tau=0.5))
+    cf, strip, x, w = one_maturity(SIR, MarketState(spot=100.0, variance=0.04, tau=0.5))
     log_k = np.log([60.0, 95.0, 100.0, 160.0])
-    ahead = gil_pelaez(cf, x, w, log_k)
-    back = gil_pelaez(cf, x, w, log_k[::-1])
+    ahead = gil_pelaez(cf, strip, x, w, log_k)
+    back = gil_pelaez(cf, strip, x, w, log_k[::-1])
     for field in ("r1", "r2", "achieved_error_estimate"):
         np.testing.assert_array_equal(getattr(ahead, field), getattr(back, field)[::-1])
     assert len(set(ahead.achieved_error_estimate)) > 1
@@ -297,8 +309,9 @@ def test_degenerate_maturity_keeps_its_indicator_inside_a_surface():
     # while tau = 0 (w = 0) is a point mass and prices without the ladder
     (TailNotDecaying, ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0),
      1e-12, (80.0, 100.0, 120.0), (0.0, 1.0), 1.0),
-    # a far strike at a tiny w: only the short maturity needs more midpoint nodes than the cap
-    (SubdivisionExhausted, SIR, 5e-4, (10.0, 100.0), (0.5, 1e-4, 1.0), 1e-4),
+    # a corner of PARAM_BOX: only at the long maturity is the strip too narrow to bound the aliasing error
+    (SubdivisionExhausted, ModelParams(kappa=0.5, theta=0.01, sigma=0.8, lam=-0.2, rho_sv=0.5, mu=0.03, beta=2.0),
+     0.002, (80.0, 100.0, 120.0), (0.5, 30.0, 1.0), 30.0),
 ], ids=["tail", "budget"])
 def test_one_failing_maturity_is_named_with_its_strikes(error, params, variance, strikes, maturities, tau):
     row = ",".join(f"{k:g}" for k in strikes)
