@@ -51,11 +51,15 @@ from .model import ModelParams, check_measure, check_nonnegative, check_nonnegat
 def affine_cd(params: ModelParams, tau, u):
     """Vectorised (A, D) of Psi(u) over broadcastable ``tau`` and complex ``u``.
 
-    Valid for every beta >= 0.  Singular only where b + d = 0, which on the
-    pricing contours u = phi and u = phi - i (real phi) needs phi = 0 and
-    b_1 < 0; :func:`cd_arrays` special-cases that point.  ``tau`` is not
-    range-checked here: this is the pricing hot path, and the pricer checks
-    its maturities once per grid.
+    Valid for every beta >= 0.  Evaluated as A = mu*(i*u - 1)*tau +
+    kappa*theta/sigma^2 * [(b - d)*tau - 2*ln(1 + x)] and
+    D = -c*em1 / (d*(1 + x)), with em1 = exp(-d*tau) - 1 and
+    x = -(b - d)*em1/(2*d): the form above without h, each factor to full
+    relative accuracy.  b + d = 0, which on the pricing contours u = phi and
+    u = phi - i (real phi) needs phi = 0 and b_1 < 0, divides by zero in a
+    branch that is then discarded; :func:`cd_arrays` special-cases that
+    point.  ``tau`` is not range-checked here: this is the pricing hot path,
+    and the pricer checks its maturities once per grid.
     """
     tau = np.asarray(tau, dtype=float)
     u = np.asarray(u, dtype=complex)
