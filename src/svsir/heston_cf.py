@@ -98,13 +98,13 @@ def explosion_time(params: ModelParams, p):
     is below T*(1 + p) for p > 0 and T*(p) for p < 0.  Vectorised over real ``p``.
     """
     p = np.asarray(p, dtype=float)
-    b = params.alpha - params.rho_sv * params.sigma * p
+    minus_b = params.rho_sv * params.sigma * p - params.alpha
     c = (p - 1.0) * (0.5 * p + params.beta)
-    disc = b * b - 2.0 * params.sigma**2 * c
+    disc = minus_b * minus_b - 2.0 * params.sigma**2 * c
     g = np.sqrt(np.abs(disc))
     with np.errstate(divide="ignore", invalid="ignore"):  # the branches np.where drops
-        time = np.where(disc > 0.0, 2.0 * np.arctanh(g / -b), 2.0 * np.arctan2(g, -b)) / g
-    return np.where((c <= 0.0) | ((b > 0.0) & (disc >= 0.0)), np.inf, time)
+        time = 2.0 * np.where(disc > 0.0, np.arctanh(g / minus_b), np.arctan2(g, minus_b)) / g
+    return np.where((c <= 0.0) | ((minus_b < 0.0) & (disc >= 0.0)), np.inf, time)
 
 
 def cd_arrays(params: ModelParams, r0: float, tau, phi, j: int):

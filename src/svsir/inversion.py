@@ -17,7 +17,7 @@ is f_j at phi = -i*t/sqrt(w_m), finite inside the strip of analyticity that the 
 
 * one call evaluates f_1 and f_2 on the ladder ``S_LADDER`` (0.5, 1, ..., 2^16 in s) and at each side's
   ``MOMENTS_PER_SIDE`` largest orders of ``MOMENT_ORDERS`` inside the caller's strip; s_max_m is the first rung
-  where |f_j - f_BS_j|/s < abs_tol/10 for both j (TailNotDecaying if none);
+  where |f_j - f_BS_j|/s < abs_tol/10 for both j (TailNotDecaying if none, or if one is not finite);
 * a row beyond the bound's reach across its strike is N(d_j) to abs_tol/16 and takes no node; the other rows set
   the largest step that keeps each of their four tails within abs_tol/32, and so n_m midpoint panels on
   [0, s_max_m], evaluated once, at most ``NODES_PER_CALL`` a call, maturities mixed;
@@ -26,8 +26,8 @@ is f_j at phi = -i*t/sqrt(w_m), finite inside the strip of analyticity that the 
   rounding allowance.
 
 Where w_m = 0 (tau = 0, or v = theta = 0) the law is a point mass at x_m: R_j is 1, 1/2 or 0 as x_m is above, at
-or below k, and the maturity makes no characteristic-function call.  A maturity with a row on a side where the strip
-admits no order of ``MOMENT_ORDERS``, or whose step needs more than ``MAX_NODES`` nodes, raises SubdivisionExhausted.
+or below k, and the maturity makes no characteristic-function call.  A maturity whose step needs more than
+``MAX_NODES`` nodes, as where its strip is too narrow for the bound, raises SubdivisionExhausted.
 """
 from __future__ import annotations
 
@@ -41,13 +41,13 @@ from .model import InvalidParameter, NumericalError
 
 # The truncation ladder on the scaled axis s = phi*sqrt(w): 0.5, 1, 2, ..., 2^16.
 S_LADDER = 0.5 * 2.0 ** np.arange(18)
-# Scaled moment orders t = p*sqrt(w) the aliasing bound may use, lower side then upper: +-2^-10, ..., +-2^3 by
-# factors of sqrt(2).
-MOMENT_ORDERS = np.multiply.outer([-1.0, 1.0], 2.0 ** (np.arange(-20, 7) / 2.0))
+# Scaled moment orders t = p*sqrt(w) the aliasing bound may use, lower side then upper: +-2^-24, ..., +-2^3 by
+# factors of sqrt(2); a strip narrower than 2^-24 needs more than MAX_NODES nodes at any rung and abs_tol.
+MOMENT_ORDERS = np.multiply.outer([-1.0, 1.0], 2.0 ** (np.arange(-48, 7) / 2.0))
 # How many of a maturity's largest orders inside its strip are evaluated per side.
 MOMENTS_PER_SIDE = 3
-# Most midpoint nodes of one maturity; a maturity whose step needs more raises SubdivisionExhausted.
-MAX_NODES = 2**17
+# Most midpoint nodes of one maturity, enough for the narrowest strip of the tests' parameter box (~1.3e6 at tau = 30).
+MAX_NODES = 2**21
 # Most nodes per characteristic-function call; bounds the temporaries of a pass over many maturities.
 NODES_PER_CALL = 960
 
@@ -121,12 +121,13 @@ def _midpoint(h: Callable, freq: np.ndarray, s_max: np.ndarray, n: np.ndarray) -
     Returns the integrals as (measure, maturity, strike) and the rule's sums of |h_j| and |h_j|*s as (2, measure,
     maturity), which scale its rounding.
     """
-    width = s_max / n
+    width, ends = s_max / n, np.cumsum(n)
     phases = _phases(freq.T * width, n)
-    owner, index = _ragged(n)
     sums, sizes = np.zeros((2, freq.shape[1], n.size)), np.zeros((2, 2, n.size))
-    for start in range(0, owner.size, NODES_PER_CALL):
-        m, i = owner[start:start + NODES_PER_CALL], index[start:start + NODES_PER_CALL]
+    for start in range(0, ends[-1], NODES_PER_CALL):  # node k is node i = k - (ends - n)[m] of maturity m
+        k = np.arange(start, min(start + NODES_PER_CALL, ends[-1]))
+        m = np.searchsorted(ends, k, side="right")
+        i = k - (ends - n)[m]
         s = (i + 0.5) * width[m]
         vals = h(m, s)
         first = np.flatnonzero(np.diff(m, prepend=-1))
@@ -146,11 +147,11 @@ def _find_s_max(diff: np.ndarray, spec: QuadratureSpec) -> tuple[np.ndarray, np.
     threshold = spec.abs_tol / 10.0
     tails = np.abs(diff).max(axis=0) / S_LADDER
     passed = tails < threshold
-    failed = np.flatnonzero(~passed.any(axis=-1))
+    failed = np.flatnonzero(~passed.any(axis=-1) | ~np.isfinite(tails).all(axis=-1))
     if failed.size:
         m = int(failed[0])
         raise TailNotDecaying(
-            f"max_j |f_j - f_BS_j|/s stayed >= {threshold:.3e} up to the top of the s ladder, "
+            f"max_j |f_j - f_BS_j|/s was not finite or stayed >= {threshold:.3e} up to the top of the s ladder, "
             f"{S_LADDER[-1]:g} (smallest {tails.reshape(-1, S_LADDER.size)[m].min():.3e}); "
             "characteristic function decays too slowly (near-degenerate variance?)",
             maturity=m,
@@ -178,11 +179,11 @@ def gil_pelaez(
     ``x`` and ``w`` hold, per maturity, the location and the variance (>= 0) of the Black-Scholes control (floats
     for one maturity).  ``cf(m, phi)`` returns f_1 and f_2 stacked, each times exp(-i*phi*x_m): row j - 1 is the
     characteristic function of ln S_T - x_m under measure j at the nodes given by two 1-D arrays, the maturity
-    index ``m`` and the frequency ``phi`` of each, real and > 0 or, for a moment, -i*p.  ``strip(m, p)`` says per
-    node whether -i*p lies in the strip where both f_j of maturity m are analytic, that is whether their moments of
-    order p are finite.  ``log_strike`` is a float or a 1-D array shared by every maturity; r1, r2 and the error
-    estimate come back shaped ``shape(x) + shape(log_strike)``.  Raises :class:`TailNotDecaying` or
-    :class:`SubdivisionExhausted` with context and the failing maturity's index.
+    index ``m`` and the frequency ``phi`` of each, real and > 0 or, for a moment, -i*p.  ``strip(m, p)`` says, over
+    broadcast arrays of maturity indices and orders, whether -i*p lies in the strip where both f_j of maturity m are
+    analytic, that is whether their moments of order p are finite.  ``log_strike`` is a float or a 1-D array shared
+    by every maturity; r1, r2 and the error estimate come back shaped ``shape(x) + shape(log_strike)``.  Raises
+    :class:`TailNotDecaying` or :class:`SubdivisionExhausted` with context and the failing maturity's index.
     """
     shape = np.shape(x) + np.shape(log_strike)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -196,27 +197,26 @@ def gil_pelaez(
     if live.size:
         w, root_w, moneyness = w[live], np.sqrt(w[live]), moneyness[live]
         freq = moneyness / root_w[:, None]
-        # per maturity and side, the largest orders inside the strip: those with finite moments form an interval
-        inside = strip(np.repeat(live, MOMENT_ORDERS.size), (MOMENT_ORDERS.ravel() / root_w[:, None]).ravel())
-        top = inside.reshape((-1,) + MOMENT_ORDERS.shape).sum(axis=-1)[..., None] - np.arange(1, MOMENTS_PER_SIDE + 1)
-        t, used = MOMENT_ORDERS[[[0], [1]], np.maximum(top, 0)], top >= 0
-        m_mom, m_lad = np.nonzero(used)[0], np.repeat(np.arange(live.size), S_LADDER.size)
-        phi = (S_LADDER / root_w[:, None]).ravel()
-        # the moments ride on the ladder's call; one near its order's explosion may overflow, and is then not used
+        # each side's largest orders inside the strip (an interval of orders), evaluated after the ladders in its call
+        top = strip(live[:, None, None], MOMENT_ORDERS / root_w[:, None, None]).sum(axis=-1)[..., None]
+        top = top - np.arange(1, MOMENTS_PER_SIDE + 1)
+        t, lad = MOMENT_ORDERS[[[0], [1]], np.maximum(top, 0)], S_LADDER / root_w[:, None]
+        phi = np.concatenate([lad.ravel(), (-1j * t / root_w[:, None, None]).ravel()])
+        # a moment near its order's explosion may overflow, and is then not used; _find_s_max checks the ladder
         with np.errstate(over="ignore", invalid="ignore"):
-            values = cf(live[np.concatenate([m_lad, m_mom])], np.concatenate([phi, -1j * t[used] / root_w[m_mom]]))
+            values = cf(np.repeat(np.tile(live, 2), np.repeat([S_LADDER.size, t[0].size], live.size)), phi)
         try:
-            ladder = values[:, :phi.size] - _control(w[m_lad], phi, np.tile(S_LADDER, live.size))
-            s_max, tail_est = _find_s_max(ladder.reshape(2, live.size, S_LADDER.size), spec)
+            ladder = values[:, :lad.size].reshape(2, live.size, -1) - _control(w[:, None], lad, S_LADDER)
+            s_max, tail_est = _find_s_max(ladder, spec)
         except InversionError as exc:
             exc.maturity = int(live[exc.maturity])
             raise
         # ln of the largest of E[exp(t*Z)] under f_1, f_2, f_BS_1 and f_BS_2, +inf where unused; per maturity and side,
         # the order of least reach (ln E[exp(t*Z)] + ln(32/abs_tol))/|t| keeps each of the four tails of a row on that
         # side within abs_tol/32 wherever L - sign(t)*freq is at least the reach
-        moments, log_m, size = values[:, phi.size:].real.max(axis=0), np.full(t.shape, np.inf), np.abs(t)
-        log_m[used] = np.maximum(np.log(moments, out=np.full(moments.shape, np.inf), where=moments > 0.0),
-                                 0.5 * size[used] * (size[used] + root_w[m_mom]))
+        moments, size = values[:, lad.size:].real.max(axis=0).reshape(t.shape), np.abs(t)
+        log_m = np.maximum(np.log(moments, out=np.full(t.shape, np.inf), where=(moments > 0.0) & (top >= 0)),
+                           0.5 * size * (size + root_w[:, None, None]))
         reach = (log_m + math.log(32.0 / spec.abs_tol)) / size
         row, best = np.arange(live.size)[:, None], reach.argmin(axis=-1)
         log_m, size, reach = log_m[row, [0, 1], best], size[row, [0, 1], best], reach.min(axis=-1)

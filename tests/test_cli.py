@@ -114,8 +114,9 @@ def test_missing_config_file_exits_2(capsys):
 
 
 def test_numerical_failure_exits_3_with_context(tmp_path, capsys):
-    # near-zero variance above the degenerate threshold: tail never decays
-    cfg = write_config(tmp_path, variance=2e-6)
+    # near-zero variance above the degenerate threshold with theta = 0: the tail decays on the s ladder only at
+    # s = 4096, where the aliasing bound needs more midpoint nodes than the cap
+    cfg = write_config(tmp_path, variance=1e-6)
     path = tmp_path / "run.cfg"
     text = path.read_text().replace("theta = 0.04", "theta = 0.0")
     path.write_text(text)
@@ -126,7 +127,7 @@ def test_numerical_failure_exits_3_with_context(tmp_path, capsys):
 
 
 def test_numerical_failure_names_the_strike_row(tmp_path, capsys):
-    cfg = write_config(tmp_path, variance=2e-6, strikes=[80.0, 100.0, 120.0])
+    cfg = write_config(tmp_path, variance=1e-6, strikes=[80.0, 100.0, 120.0])
     Path(cfg).write_text(Path(cfg).read_text().replace("theta = 0.04", "theta = 0.0"))
     assert main(["price", "--config", cfg]) == 3
     captured = capsys.readouterr()

@@ -141,21 +141,31 @@ def test_tail_not_decaying_reported():
     cf, strip, w = heston_cf(p, 1e-12, 1.0)
     with pytest.raises(TailNotDecaying):
         gil_pelaez(cf, strip, math.log(100.0), w, math.log(100.0))
-    # at v = 2e-6 the tail decays on the ladder only at s = 4096, and there the
-    # aliasing bound asks for more midpoint nodes than the cap
-    cf, strip, w = heston_cf(p, 2e-6, 1.0)
+    # at v = 1e-6 the tail decays on the ladder only at s = 4096, and there the
+    # aliasing bound asks for ~2.8e6 midpoint nodes, more than the cap
+    cf, strip, w = heston_cf(p, 1e-6, 1.0)
     with pytest.raises(SubdivisionExhausted):
         gil_pelaez(cf, strip, math.log(100.0), w, math.log(100.0))
 
 
-# a corner of PARAM_BOX whose moments of order above 1 + 5.5e-4/sqrt(w) explode before tau = 30: inside that strip
-# no moment order of MOMENT_ORDERS is left to bound the aliasing error with
+def test_non_finite_ladder_is_reported():
+    # a characteristic function that is not finite on a rung of the ladder is a numerical fault, not a decayed tail
+    def cf(m, phi):
+        f = np.stack([np.exp(1j * phi * sign * 0.02 - 0.02 * phi**2) for sign in (1.0, -1.0)])
+        return np.where(np.abs(phi - S_LADDER[3] / 0.2) < 1e-9, np.nan, f)
+
+    with pytest.raises(TailNotDecaying, match="not finite"):
+        gil_pelaez(cf, every_order, 0.0, 0.04, 0.1)
+
+
+# a corner of PARAM_BOX whose moments of order above 1 + 5.5e-4/sqrt(w) explode before tau = 30, below the 2^-10 the
+# moment orders once stopped at: the bound takes ~1e6 nodes at tau = 30 and more than the cap at tau = 60
 NARROW = ModelParams(kappa=0.5, theta=0.01, sigma=0.8, lam=-0.2, rho_sv=0.5, mu=0.03, beta=2.0)
 
 
 def test_subdivision_exhausted_reported():
     with pytest.raises(SubdivisionExhausted, match=f"> {MAX_NODES} midpoint nodes"):
-        price_grid(NARROW, 100.0, 0.002, [80.0, 100.0, 120.0], [30.0])
+        price_grid(NARROW, 100.0, 0.002, [80.0, 100.0, 120.0], [60.0])
 
 
 @pytest.mark.parametrize("abs_tol", [1e-9, 1e-12])
@@ -336,6 +346,8 @@ def box_params(draw):
 @example(params=ModelParams(kappa=3.12626975077825, theta=0.1067990010412892, sigma=0.22921908889594328,
                             lam=-0.12525765878820014, rho_sv=-0.7999629250681491, mu=0.04829092134091322, beta=0.0),
          variance=0.004397640392812707, tau=1e-4, strikes=list(np.linspace(40.0, 200.0, 7)))
+# the box's narrowest strip, which needs ~1e6 nodes
+@example(params=NARROW, variance=0.002, tau=30.0, strikes=[80.0, 100.0, 120.0])
 def test_box_prices_at_both_tolerances_and_agrees_within_the_looser(params, variance, tau, strikes):
     # neither TailNotDecaying nor SubdivisionExhausted inside the box, and r_j at abs_tol = 1e-9 within 1e-9 of
     # r_j at 1e-12, and within the sum of the two error estimates

@@ -309,9 +309,10 @@ def test_degenerate_maturity_keeps_its_indicator_inside_a_surface():
     # while tau = 0 (w = 0) is a point mass and prices without the ladder
     (TailNotDecaying, ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0),
      1e-12, (80.0, 100.0, 120.0), (0.0, 1.0), 1.0),
-    # a corner of PARAM_BOX: only at the long maturity is the strip too narrow to bound the aliasing error
+    # a corner of PARAM_BOX beyond its longest maturity: only at tau = 60 is the strip so narrow that the aliasing
+    # bound needs more midpoint nodes than the cap
     (SubdivisionExhausted, ModelParams(kappa=0.5, theta=0.01, sigma=0.8, lam=-0.2, rho_sv=0.5, mu=0.03, beta=2.0),
-     0.002, (80.0, 100.0, 120.0), (0.5, 30.0, 1.0), 30.0),
+     0.002, (80.0, 100.0, 120.0), (0.5, 60.0, 1.0), 60.0),
 ], ids=["tail", "budget"])
 def test_one_failing_maturity_is_named_with_its_strikes(error, params, variance, strikes, maturities, tau):
     row = ",".join(f"{k:g}" for k in strikes)
