@@ -158,8 +158,8 @@ def test_non_finite_ladder_is_reported():
         gil_pelaez(cf, every_order, 0.0, 0.04, 0.1)
 
 
-# a corner of PARAM_BOX whose moments of order above 1 + 5.5e-4/sqrt(w) explode before tau = 30, below the 2^-10 the
-# moment orders once stopped at: the bound takes ~1e6 nodes at tau = 30 and more than the cap at tau = 60
+# the corner of PARAM_BOX with the narrowest strip: moments of order above 1 + 5.5e-4/sqrt(w) explode before tau = 30,
+# so the aliasing bound takes ~1e6 nodes at tau = 30 and more than the cap at tau = 60
 NARROW = ModelParams(kappa=0.5, theta=0.01, sigma=0.8, lam=-0.2, rho_sv=0.5, mu=0.03, beta=2.0)
 
 
