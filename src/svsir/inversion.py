@@ -224,21 +224,22 @@ def gil_pelaez(
         far = (freq >= reach[:, :1]) | (-freq >= reach[:, 1:])
         length = np.where(far, 0.0, np.maximum(reach[:, :1] - freq, reach[:, 1:] + freq)).max(axis=1, initial=0.0)
         n = np.maximum(np.ceil(s_max * length / (2.0 * math.pi)), 1.0)
-        for m in np.flatnonzero(~(n <= MAX_NODES))[:1]:
+        if not n.max() <= MAX_NODES:
+            m = int(np.argmin(n <= MAX_NODES))
             raise SubdivisionExhausted(f"the aliasing bound on [0, {s_max[m]:.3g}] needs {n[m]:.0f} > {MAX_NODES} "
                                        f"midpoint nodes (target {spec.abs_tol / 8.0:.3e})", maturity=int(live[m]))
         integral, sizes = _midpoint(lambda m, s: (cf(live[m], s / root_w[m]) - _control(w[m], s / root_w[m], s)) / s,
                                     freq, s_max, n.astype(np.intp))
-        # twice (for f_j and f_BS_j) the tails at the step taken, and across the strike of a far row
-        distance = 2.0 * math.pi * (n / s_max)[:, None, None] - np.array([-1.0, 1.0]) * freq[..., None]
-        alias = 2.0 * np.exp(np.minimum(log_m[:, None] - size[:, None] * distance, 0.0)).sum(axis=-1)
-        side = (freq < 0.0).astype(np.intp)
-        across = 2.0 * np.exp(np.minimum(log_m[row, side] - size[row, side] * np.abs(freq), 0.0))
+        # twice (f_j and f_BS_j) each tail at the step taken, or a far row's across its strike, on the side facing it
+        toward = freq[..., None] * np.array([1.0, -1.0])
+        distance = np.where(far, 0.0, 2.0 * math.pi * (n / s_max)[:, None])[..., None] + toward
+        bound = np.exp(np.minimum(log_m[:, None] - size[:, None] * distance, 0.0)) * (distance > 0.0)
         # rounding: eps for the sum N(d_j) + integral/pi, and a few eps per term of the integral from the phase
         # (eps*|freq*s| more), the CF and the sum
         terms = (sizes[0, ..., None] + sizes[1, ..., None] * np.abs(freq)).max(axis=0)
         d = (moneyness + np.array([0.5, -0.5])[:, None, None] * w[:, None]) / root_w[:, None]
         r[:, live] = 0.5 * _erfc(-d / math.sqrt(2.0)).astype(float) + np.where(far, 0.0, integral) / math.pi
-        err[live] = np.where(far, across, alias + (tail_est[:, None] + 4.0 * eps * terms) / math.pi) + eps
+        tail_and_rounding = np.where(far, 0.0, (tail_est[:, None] + 4.0 * eps * terms) / math.pi)
+        err[live] = 2.0 * bound.sum(axis=-1) + tail_and_rounding + eps
     return ProbabilityPair(r1=r[0].reshape(shape)[()], r2=r[1].reshape(shape)[()],
                            achieved_error_estimate=err.reshape(shape)[()])
