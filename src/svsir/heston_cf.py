@@ -104,7 +104,8 @@ def explosion_time(params: ModelParams, p):
     g = np.sqrt(np.abs(disc))
     with np.errstate(divide="ignore", invalid="ignore"):  # the branches np.where drops
         time = 2.0 * np.where(disc > 0.0, np.arctanh(g / minus_b), np.arctan2(g, minus_b)) / g
-    return np.where((c <= 0.0) | ((minus_b < 0.0) & (disc >= 0.0)), np.inf, time)
+    # never where c <= 0, nor where b > 0 and the discriminant is >= 0, where time is < 0 or +inf
+    return np.where((c <= 0.0) | (time <= 0.0), np.inf, time)
 
 
 def cd_arrays(params: ModelParams, r0: float, tau, phi, j: int):

@@ -122,19 +122,20 @@ def _midpoint(h: Callable, freq: np.ndarray, s_max: np.ndarray, n: np.ndarray) -
     maturity), which scale its rounding.
     """
     width, ends = s_max / n, np.cumsum(n)
-    phases = _phases(freq.T * width, n)
+    phases, starts = _phases(freq.T * width, n), ends - n
     sums, sizes = np.zeros((2, freq.shape[1], n.size)), np.zeros((2, 2, n.size))
-    for start in range(0, ends[-1], NODES_PER_CALL):  # node k is node i = k - (ends - n)[m] of maturity m
+    for start in range(0, ends[-1], NODES_PER_CALL):  # node k is node i = k - starts[m] of maturity m
         k = np.arange(start, min(start + NODES_PER_CALL, ends[-1]))
         m = np.searchsorted(ends, k, side="right")
-        i = k - (ends - n)[m]
+        i = k - starts[m]
         s = (i + 0.5) * width[m]
         vals = h(m, s)
-        first = np.flatnonzero(np.diff(m, prepend=-1))
+        own = slice(m[0], m[-1] + 1)  # every maturity has a node, so a chunk's maturities are a run
+        first = np.maximum(starts[own], start) - start
         size = np.abs(vals)
-        sizes[..., m[first]] += np.add.reduceat(np.stack([size, size * s]), first, axis=-1)
+        sizes[..., own] += np.add.reduceat(np.stack([size, size * s]), first, axis=-1)
         phase = phases(m, i)  # a measure at a time keeps the (strike, node) temporaries small
-        sums[..., m[first]] += [np.add.reduceat((v * phase).imag, first, axis=-1) for v in vals]
+        sums[..., own] += [np.add.reduceat((v * phase).imag, first, axis=-1) for v in vals]
     return np.swapaxes(sums * width, 1, 2), sizes * width
 
 
@@ -239,7 +240,6 @@ def gil_pelaez(
         terms = (sizes[0, ..., None] + sizes[1, ..., None] * np.abs(freq)).max(axis=0)
         d = (moneyness + np.array([0.5, -0.5])[:, None, None] * w[:, None]) / root_w[:, None]
         r[:, live] = 0.5 * _erfc(-d / math.sqrt(2.0)).astype(float) + np.where(far, 0.0, integral) / math.pi
-        tail_and_rounding = np.where(far, 0.0, (tail_est[:, None] + 4.0 * eps * terms) / math.pi)
-        err[live] = 2.0 * bound.sum(axis=-1) + tail_and_rounding + eps
+        err[live] = 2.0 * bound.sum(-1) + np.where(far, 0.0, (tail_est[:, None] + 4.0 * eps * terms) / math.pi) + eps
     return ProbabilityPair(r1=r[0].reshape(shape)[()], r2=r[1].reshape(shape)[()],
                            achieved_error_estimate=err.reshape(shape)[()])
