@@ -23,10 +23,11 @@ where eta = kappa*theta, alpha = kappa + lam and
 
 which :func:`ode_residual` re-checks numerically at runtime.  As
 beta -> 0+ the bond converges to the constant-rate discount exp(-mu*tau);
-below ``BETA_SWITCH`` the code switches to that branch exactly, since b and c
-both scale like 1/beta and would lose all precision.  That branch lives in
-one place, the private ``_log_f_and_g``, which :func:`bond_price` and
-:func:`ode_residual` both read.
+below ``BETA_SWITCH`` b and c, which both scale like 1/beta, would lose all
+precision, so the code switches to the bond's first order in beta there,
+which is exact at beta = 0 and continuous with the closed form across the
+switch.  That branch lives in one place, the private ``_log_f_and_g``,
+which :func:`bond_price`, :func:`ode_residual` and the pricer read.
 """
 from __future__ import annotations
 
@@ -38,12 +39,12 @@ import numpy as np
 from .model import InvalidParameter, ModelParams, check_nonnegative, check_nonnegative_array
 
 # Below this, b and c (~ alpha/beta) are dominated by cancellation; the
-# constant-rate limit is exact to far better than any tolerance used here.
+# bond's first order in beta is exact to O(beta^2) there.
 BETA_SWITCH = 1e-10
 
 
 class DegenerateBeta(InvalidParameter):
-    """beta is at or below BETA_SWITCH: use the constant-rate branch."""
+    """beta is at or below BETA_SWITCH: use the first-order branch."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ def coefficients(params: ModelParams) -> BondCoefficients:
 
     Requires ``beta > BETA_SWITCH`` and ``kappa + lam > 0``; raises
     :class:`DegenerateBeta` otherwise (callers must then use the
-    constant-rate branch).  The returned constants satisfy
+    first-order branch of ``_log_f_and_g``).  The returned constants satisfy
 
         sigma^2 - 2*alpha*c - 2*beta*c^2 = 0,
         sigma^2 + 2*alpha*b - 2*beta*b^2 = 0,
@@ -77,7 +78,7 @@ def coefficients(params: ModelParams) -> BondCoefficients:
     """
     if params.beta <= BETA_SWITCH:
         raise DegenerateBeta(
-            f"beta: {params.beta} <= {BETA_SWITCH}; use the constant-rate bond exp(-mu*tau)"
+            f"beta: {params.beta} <= {BETA_SWITCH}; use the bond's first order in beta"
         )
     if params.alpha <= 0:
         raise InvalidParameter(f"kappa+lam: must be > 0, got {params.alpha}")
@@ -120,13 +121,19 @@ def log_f_of_tau(params: ModelParams, coeffs: BondCoefficients, tau):
 def _log_f_and_g(params: ModelParams, tau):
     """(ln F(tau), G(tau)) for scalar or array tau.
 
-    For ``beta <= BETA_SWITCH`` this is the constant-rate branch
-    ln F = -mu*tau, G = 0 exactly.
+    For ``beta <= BETA_SWITCH`` this is the bond to first order in beta,
+    ln B = -mu*tau - beta*Integral_0^tau E[v_t] dt with the risk-neutral
+    E[v_t]: ln F = -mu*tau - beta*kappa*theta/alpha*(tau - (1 - exp(-alpha*tau))/alpha)
+    and G = -beta*(1 - exp(-alpha*tau))/alpha.  The terms it drops are
+    O(beta^2), so the bond is continuous across the switch, and at beta = 0
+    it is exp(-mu*tau) exactly, with G = 0.
     """
     if params.beta <= BETA_SWITCH:
         tau = np.asarray(tau, dtype=float)
-        log_f = -params.mu * tau
-        return (float(log_f), 0.0) if tau.ndim == 0 else (log_f, np.zeros_like(tau))
+        alpha, decay = params.alpha, -np.expm1(-params.alpha * tau)
+        log_f = -params.mu * tau - params.beta * params.kappa * params.theta / alpha * (tau - decay / alpha)
+        g = -params.beta * decay / alpha + 0.0  # +0.0: G = 0, not -0, at beta = 0
+        return (float(log_f), float(g)) if tau.ndim == 0 else (log_f, g)
     co = coefficients(params)
     return log_f_of_tau(params, co, tau), g_of_tau(co, tau)
 
@@ -134,8 +141,8 @@ def _log_f_and_g(params: ModelParams, tau):
 def bond_price(params: ModelParams, v: float, tau: float) -> BondValue:
     """Discount bond B(tau, v) = F(tau)*exp(G(tau)*v).
 
-    For ``beta <= BETA_SWITCH`` the constant-rate branch returns
-    exp(-mu*tau) exactly (F = exp(-mu*tau), G = 0).
+    For ``beta <= BETA_SWITCH`` it is the first order in beta (see
+    ``_log_f_and_g``), exp(-mu*tau) exactly at beta = 0 (G = 0).
     """
     check_nonnegative("variance", v)
     check_nonnegative("tau", tau)

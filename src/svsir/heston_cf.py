@@ -102,8 +102,11 @@ def explosion_time(params: ModelParams, p):
     c = (p - 1.0) * (0.5 * p + params.beta)
     disc = minus_b * minus_b - 2.0 * params.sigma**2 * c
     g = np.sqrt(np.abs(disc))
-    with np.errstate(divide="ignore", invalid="ignore"):  # the branches np.where drops
-        time = 2.0 * np.where(disc > 0.0, np.arctanh(g / minus_b), np.arctan2(g, minus_b)) / g
+    # arctanh only where the discriminant is positive, in place of arctan2
+    angle = np.arctan2(g, minus_b, out=np.empty(p.shape))
+    with np.errstate(divide="ignore", invalid="ignore"):  # divisions by 0 land in entries left out here or below
+        np.arctanh(g / minus_b, out=angle, where=disc > 0.0)
+        time = 2.0 * angle / g
     # never where c <= 0, nor where b > 0 and the discriminant is >= 0, where time is < 0 or +inf
     return np.where((c <= 0.0) | (time <= 0.0), np.inf, time)
 

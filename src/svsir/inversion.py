@@ -15,15 +15,20 @@ f_BS_j put on |Z + freq| >= L.  Chernoff bounds each side by E[exp(t*Z)]*exp(-|t
 is f_j at phi = -i*t/sqrt(w_m), finite inside the strip of analyticity that the moment-explosion times set
 (Lee 2004; Andersen & Piterbarg 2007).  So, with every maturity in one pass:
 
-* one call evaluates f_1 and f_2 on the ladder ``S_LADDER`` (0.5, 1, ..., 2^16 in s) and at each side's
-  ``MOMENTS_PER_SIDE`` largest orders of ``MOMENT_ORDERS`` inside the caller's strip; s_max_m is the first rung
-  where |f_j - f_BS_j|/s < abs_tol/10 for both j (TailNotDecaying if none, or if one is not finite);
+* one call of the caller's integrand kernel gives (f_j - f_BS_j)/s on the ladder ``S_LADDER`` (0.5, 1, ..., 2^16
+  in s) and the moments at each side's ``MOMENTS_PER_SIDE`` largest orders of ``MOMENT_ORDERS`` inside the caller's
+  strip; s_max_m is the first rung where |f_j - f_BS_j|/s < abs_tol/10 for both j (TailNotDecaying if none, or if
+  one is not finite);
 * a row beyond the bound's reach across its strike is N(d_j) to abs_tol/16 and takes no node; the other rows set
   the largest step that keeps each of their four tails within abs_tol/32, and so n_m midpoint panels on
-  [0, s_max_m], evaluated once, at most ``NODES_PER_CALL`` a call, maturities mixed;
-* each strike phase is the product of two entries of angle-addition tables;
+  [0, s_max_m], evaluated once, at most ``NODES_PER_CALL`` a kernel call, maturities mixed;
+* each strike phase is the product of two entries of one table of angle-addition exponentials;
 * the error estimate is the bound at the step taken, plus the tail term |f_j - f_BS_j|/(pi*s) at s_max_m and a
   rounding allowance.
+
+numpy runs on node arrays and on (maturity, strike) row arrays only; what belongs to one maturity (its orders'
+reach, s_max_m, n_m, the tail term) is formed on Python floats, so that a pass over few maturities and strikes
+pays few array calls.
 
 Where w_m = 0 (tau = 0, or v = theta = 0) the law is a point mass at x_m: R_j is 1, 1/2 or 0 as x_m is above, at
 or below k, and the maturity makes no characteristic-function call.  A maturity whose step needs more than
@@ -31,6 +36,8 @@ or below k, and the maturity makes no characteristic-function call.  A maturity 
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -51,6 +58,15 @@ MAX_NODES = 2**21
 # Most nodes per characteristic-function call; bounds the temporaries of a pass over many maturities.
 NODES_PER_CALL = 960
 
+# the per-maturity bookkeeping reads these as Python floats: the rungs, the sizes |t| of the orders (the same on
+# both sides), and r + 1/2 for every r < ceil(sqrt(MAX_NODES)), the steps of a maturity's phase table
+_LADDER, _SIZES = S_LADDER.tolist(), MOMENT_ORDERS[1].tolist()
+_HALF_STEPS = (np.arange(math.isqrt(MAX_NODES) + 1) + 0.5).tolist()
+_EPS = float(np.finfo(float).eps)
+# the sign of t on each side, and of w/2 in d_j for each measure
+_SIDES, _HALVES = np.array([1.0, -1.0]), np.array([0.5, -0.5])[:, None, None]
+# a side's row of MOMENT_ORDERS; the orders evaluated are the last 1, 2, ... of those inside the strip, largest first
+_SIDE_ROWS, _RANKS = np.array([[0], [1]]), np.arange(1, MOMENTS_PER_SIDE + 1)
 # erfc over arrays without scipy, which the price path does not load
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 
@@ -91,84 +107,102 @@ class ProbabilityPair:
     achieved_error_estimate: float | np.ndarray
 
 
-def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Owner m and index i < counts[m] of every item when each m numbers its own items, m-major."""
-    owner = np.repeat(np.arange(counts.size), counts)
-    return owner, np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
-
-
-def _phases(theta: np.ndarray, counts: np.ndarray) -> Callable:
-    """exp(i*theta_km*(i + 1/2)) at node arrays (maturity m, i < counts_m), shaped (strike, node), from two tables.
+def _phases(theta: np.ndarray, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The table behind the strike phases exp(i*theta_km*(i + 1/2)) at the nodes i < counts_m of each maturity m.
 
     ``theta`` is (strike, maturity).  With b_m = ceil(sqrt(counts_m)) and i = q*b_m + r, a phase is
     exp(i*theta*q*b_m) * exp(i*theta*(r + 1/2)): two correctly rounded exponentials, so its error is
-    ~eps*|theta*(i + 1/2)| at every i; along a cos/sin recurrence it grows with i.
+    ~eps*|theta*(i + 1/2)| at every i; along a cos/sin recurrence it grows with i.  Returns the table, (strike, entry),
+    which holds maturity by maturity its rows exp(i*theta*q*b) and then its steps exp(i*theta*(r + 1/2)), and per
+    maturity (column) where its rows start, b and where its steps start: the phase at node i of maturity m is
+    ``table[:, rows_m + i // b_m] * table[:, steps_m + i % b_m]``.
     """
-    block = np.ceil(np.sqrt(counts)).astype(np.intp)
-    rows = -(-counts // block)
-    (qm, q), (rm, r) = _ragged(rows), _ragged(block)
-    blocks, steps = np.exp(1j * theta[:, qm] * (q * block[qm])), np.exp(1j * theta[:, rm] * (r + 0.5))
-    first_q, first_r = np.cumsum(rows) - rows, np.cumsum(block) - block
-    return lambda m, i: (blocks.take(first_q[m] + i // block[m], axis=1)
-                         * steps.take(first_r[m] + i % block[m], axis=1))
+    owner, angle, layout = [], [], []
+    for m, count in enumerate(counts):
+        block = math.ceil(math.sqrt(count))
+        rows = -(-count // block)
+        layout.append((len(angle), block, len(angle) + rows))
+        owner += [m] * (rows + block)
+        angle += range(0, rows * block, block)
+        angle += _HALF_STEPS[:block]
+    return np.exp(1j * theta.take(owner, axis=1) * angle), np.array(layout).T
 
 
-def _midpoint(h: Callable, freq: np.ndarray, s_max: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint rule of Im[exp(i*freq_mk*s) * h_j(m, s)] on [0, s_max_m] in n_m panels, per maturity, strike, measure.
+def _midpoint(kernel: Callable, live: np.ndarray, freq: np.ndarray, s_max: list[float],
+              n: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint rule of Im[exp(i*freq_mk*s) * g_j(m, s)] on [0, s_max_m] in n_m panels, per maturity, strike, measure.
 
-    ``freq`` is (maturity, strike); ``s_max`` and ``n`` hold one entry per maturity.  ``h(m, s)`` maps node arrays
-    (maturity index, abscissa) to (measure, node) values, at most ``NODES_PER_CALL`` nodes a call, maturities mixed.
-    Returns the integrals as (measure, maturity, strike) and the rule's sums of |h_j| and |h_j|*s as (2, measure,
-    maturity), which scale its rounding.
+    ``freq`` is (maturity, strike); ``s_max`` and ``n`` hold one entry per maturity, whose index for the kernel is in
+    ``live``.  ``kernel(m, s)[0]`` gives g_j at node arrays (maturity index, abscissa) as (measure, node), at most
+    ``NODES_PER_CALL`` nodes a call, maturities mixed.  Returns the integrals as (measure, maturity, strike) and the
+    rule's sums of |g_j| and |g_j|*s as (2, measure, maturity), which scale its rounding.
     """
-    width, ends = s_max / n, np.cumsum(n)
-    phases, starts = _phases(freq.T * width, n), ends - n
-    sums, sizes = np.zeros((2, freq.shape[1], n.size)), np.zeros((2, 2, n.size))
-    for start in range(0, ends[-1], NODES_PER_CALL):  # node k is node i = k - starts[m] of maturity m
-        k = np.arange(start, min(start + NODES_PER_CALL, ends[-1]))
-        m = np.searchsorted(ends, k, side="right")
-        i = k - starts[m]
-        s = (i + 0.5) * width[m]
-        vals = h(m, s)
-        own = slice(m[0], m[-1] + 1)  # every maturity has a node, so a chunk's maturities are a run
-        first = np.maximum(starts[own], start) - start
+    width, ends = np.array(s_max) / n, list(itertools.accumulate(n))
+    starts = [end - count for end, count in zip(ends, n)]
+    table, layout = _phases(freq.T * width, n)
+    layout = np.concatenate([[live, starts], layout])
+    sums, sizes = np.zeros((2, freq.shape[1], len(n))), np.zeros((2, 2, len(n)))
+    for start in range(0, ends[-1], NODES_PER_CALL):
+        stop = min(start + NODES_PER_CALL, ends[-1])
+        # every maturity has a node, so a chunk's maturities are a run; node k is node i = k - starts[m] of m
+        own = slice(bisect.bisect_right(ends, start), bisect.bisect_left(ends, stop) + 1)
+        counts = [min(end, stop) - max(begin, start) for begin, end in zip(starts[own], ends[own])]
+        first = [0, *itertools.accumulate(counts[:-1])]
+        maturity, begin, rows, block, steps = layout[:, own].repeat(counts, axis=1)
+        i = np.arange(start, stop) - begin
+        s = (i + 0.5) * width[own].repeat(counts)
+        vals = kernel(maturity, s)[0]
         size = np.abs(vals)
-        sizes[..., own] += np.add.reduceat(np.stack([size, size * s]), first, axis=-1)
-        phase = phases(m, i)  # a measure at a time keeps the (strike, node) temporaries small
+        sizes[..., own] += np.add.reduceat(np.array([size, size * s]), first, axis=-1)
+        q, r = np.divmod(i, block)
+        phase = table.take(rows + q, axis=1) * table.take(steps + r, axis=1)
+        # a measure at a time keeps the (strike, node) temporaries small
         sums[..., own] += [np.add.reduceat((v * phase).imag, first, axis=-1) for v in vals]
     return np.swapaxes(sums * width, 1, 2), sizes * width
 
 
-def _find_s_max(diff: np.ndarray, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per maturity, the first ``S_LADDER`` rung where |f_j - f_BS_j|/s < abs_tol/10 for both j, and the tail term there.
+def _find_s_max(g: np.ndarray, spec: QuadratureSpec) -> list[tuple[float, float]]:
+    """Per maturity, the first ``S_LADDER`` rung where |f_j - f_BS_j|/s < abs_tol/10 for both j, and that tail term.
 
-    ``diff`` holds f_j - f_BS_j on ``S_LADDER``: measures first, rungs last,
-    and any maturity axis between them.
+    ``g`` holds (f_j - f_BS_j)/s on ``S_LADDER``: measures first, rungs last, and any maturity axis between them.
     """
     threshold = spec.abs_tol / 10.0
-    tails = np.abs(diff).max(axis=0) / S_LADDER
-    passed = tails < threshold
-    failed = np.flatnonzero(~passed.any(axis=-1) | ~np.isfinite(tails).all(axis=-1))
-    if failed.size:
-        m = int(failed[0])
-        raise TailNotDecaying(
-            f"max_j |f_j - f_BS_j|/s was not finite or stayed >= {threshold:.3e} up to the top of the s ladder, "
-            f"{S_LADDER[-1]:g} (smallest {tails.reshape(-1, S_LADDER.size)[m].min():.3e}); "
-            "characteristic function decays too slowly (near-degenerate variance?)",
-            maturity=m,
-        )
-    first = passed.argmax(axis=-1)
-    return S_LADDER[first], np.take_along_axis(tails, first[..., None], axis=-1)[..., 0]
+    tails = np.abs(g).max(axis=0).reshape(-1, S_LADDER.size)
+    first, finite = (tails < threshold).argmax(axis=-1).tolist(), np.isfinite(tails).all(axis=-1).tolist()
+    found = []
+    for m, (row, rung, ok) in enumerate(zip(tails.tolist(), first, finite)):
+        if not (ok and row[rung] < threshold):
+            raise TailNotDecaying(
+                f"max_j |f_j - f_BS_j|/s was not finite or stayed >= {threshold:.3e} up to the top of the s ladder, "
+                f"{_LADDER[-1]:g} (smallest {tails[m].min():.3e}); "
+                "characteristic function decays too slowly (near-degenerate variance?)",
+                maturity=m,
+            )
+        found.append((_LADDER[rung], row[rung]))
+    return found
 
 
-def _control(w: np.ndarray, phi: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Centred f_BS_1 and f_BS_2 stacked, exp(+-i*phi*w/2 - s^2/2): complex conjugates of each other."""
-    f_bs = np.exp(0.5j * phi * w - 0.5 * s * s)
-    return np.stack([f_bs, f_bs.conj()])
+def _least_reach(ranks: list[int], log_moments: list[float], root_w: float, log_target: float) -> tuple[float, ...]:
+    """(ln E[exp(t*Z)], |t|, reach) of the order of least reach among one side's evaluated orders.
+
+    ``ranks`` holds the index in ``MOMENT_ORDERS`` of each order evaluated, largest first, < 0 where the strip holds
+    no such order, and ``log_moments`` ln of the larger of E[exp(t*Z)] under f_1 and f_2 there.  The moment taken is
+    the larger of that and the control's, exp(0.5*|t|*(|t| + sqrt(w))).  The reach (ln E[exp(t*Z)] +
+    ln(32/abs_tol))/|t| is how far from the strike, across it on this side, the order keeps each of the four tails
+    of a row within abs_tol/32 (``log_target`` is ln(32/abs_tol)); the first of equal reaches is taken.
+    """
+    best = None
+    for rank, log_m in zip(ranks, log_moments):
+        size = _SIZES[max(rank, 0)]
+        log_m = max(log_m if rank >= 0 else math.inf, 0.5 * size * (size + root_w))
+        reach = (log_m + log_target) / size
+        if best is None or reach < best[2]:
+            best = (log_m, size, reach)
+    return best
 
 
 def gil_pelaez(
-    cf: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    kernel: Callable[..., tuple[np.ndarray, np.ndarray]],
     strip: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: float | np.ndarray,
     w: float | np.ndarray,
@@ -178,68 +212,75 @@ def gil_pelaez(
     """Exercise probabilities R_1, R_2 from a characteristic function, over a maturity x strike surface.
 
     ``x`` and ``w`` hold, per maturity, the location and the variance (>= 0) of the Black-Scholes control (floats
-    for one maturity).  ``cf(m, phi)`` returns f_1 and f_2 stacked, each times exp(-i*phi*x_m): row j - 1 is the
-    characteristic function of ln S_T - x_m under measure j at the nodes given by two 1-D arrays, the maturity
-    index ``m`` and the frequency ``phi`` of each, real and > 0 or, for a moment, -i*p.  ``strip(m, p)`` says, over
-    broadcast arrays of maturity indices and orders, whether -i*p lies in the strip where both f_j of maturity m are
-    analytic, that is whether their moments of order p are finite.  ``log_strike`` is a float or a 1-D array shared
-    by every maturity; r1, r2 and the error estimate come back shaped ``shape(x) + shape(log_strike)``.  Raises
-    :class:`TailNotDecaying` or :class:`SubdivisionExhausted` with context and the failing maturity's index.
+    for one maturity).  ``kernel(m, s, t=None)`` is the integrand.  Its nodes are 1-D arrays: the maturity index
+    ``m`` of each node, the abscissae ``s`` on the scaled axis (real, > 0), and optionally moment orders ``t``, whose
+    maturities follow those of ``s`` in ``m``.  It returns, shaped (measure, node) with j = 1, 2 down the rows,
+    (f_j - f_BS_j)/s at the s nodes and E_j[exp(t*Z)] (real) at the t nodes.  Here f_j is the characteristic
+    function of ln S_T - x_m under measure j at phi = s/sqrt(w_m), or at phi = -i*t/sqrt(w_m) for a moment, and
+    f_BS_j its control.  ``strip(m, p)`` says, over broadcast arrays of maturity indices and orders, whether -i*p
+    lies in the strip where both f_j of maturity m are analytic, that is whether their moments of order p are
+    finite.  ``log_strike`` is a float or a 1-D array shared by every maturity; r1, r2 and the error estimate come
+    back shaped ``shape(x) + shape(log_strike)``.  Raises :class:`TailNotDecaying` or
+    :class:`SubdivisionExhausted` with context and the failing maturity's index.
     """
     shape = np.shape(x) + np.shape(log_strike)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    w = np.broadcast_to(np.asarray(w, dtype=float), x.shape)
+    w = np.full(x.shape, w, dtype=float)
     moneyness = x[:, None] - np.asarray(log_strike, dtype=float).reshape(-1)
     # where w = 0 the law is a point mass at x
-    r = np.stack([0.5 + 0.5 * np.sign(moneyness)] * 2)
-    err = np.zeros(moneyness.shape)
+    at_mass = 0.5 + 0.5 * np.sign(moneyness)
+    r, err = np.array([at_mass, at_mass]), np.zeros(moneyness.shape)
 
-    live, eps = np.flatnonzero(w > 0.0), np.finfo(float).eps
+    live = np.flatnonzero(w > 0.0)
     if live.size:
-        w, root_w, moneyness = w[live], np.sqrt(w[live]), moneyness[live]
+        w, moneyness = w[live], moneyness[live]
+        root_w = np.sqrt(w)
         freq = moneyness / root_w[:, None]
-        # each side's largest orders inside the strip (an interval of orders), evaluated after the ladders in its call
-        top = strip(live[:, None, None], MOMENT_ORDERS / root_w[:, None, None]).sum(axis=-1)[..., None]
-        top = top - np.arange(1, MOMENTS_PER_SIDE + 1)
-        t, lad = MOMENT_ORDERS[[[0], [1]], np.maximum(top, 0)], S_LADDER / root_w[:, None]
-        phi = np.concatenate([lad.ravel(), (-1j * t / root_w[:, None, None]).ravel()])
+        # per maturity and side, how many orders lie inside the strip (an interval of orders); the largest
+        # MOMENTS_PER_SIDE of them are evaluated after the ladders, in the same call
+        ranks = strip(live[:, None, None], MOMENT_ORDERS / root_w[:, None, None]).sum(axis=-1)[..., None] - _RANKS
+        orders = MOMENT_ORDERS[_SIDE_ROWS, np.maximum(ranks, 0)]
+        nodes = np.concatenate([live.repeat(S_LADDER.size), live.repeat(2 * MOMENTS_PER_SIDE)])
         # a moment near its order's explosion may overflow, and is then not used; _find_s_max checks the ladder
         with np.errstate(over="ignore", invalid="ignore"):
-            values = cf(np.repeat(np.tile(live, 2), np.repeat([S_LADDER.size, t[0].size], live.size)), phi)
+            ladder, moments = kernel(nodes, np.array(_LADDER * live.size), orders.ravel())
         try:
-            ladder = values[:, :lad.size].reshape(2, live.size, -1) - _control(w[:, None], lad, S_LADDER)
-            s_max, tail_est = _find_s_max(ladder, spec)
+            truncation = _find_s_max(ladder.reshape(2, live.size, -1), spec)
         except InversionError as exc:
             exc.maturity = int(live[exc.maturity])
             raise
-        # ln of the largest of E[exp(t*Z)] under f_1, f_2, f_BS_1 and f_BS_2, +inf where unused; per maturity and side,
-        # the order of least reach (ln E[exp(t*Z)] + ln(32/abs_tol))/|t| keeps each of the four tails of a row on that
-        # side within abs_tol/32 wherever L - sign(t)*freq is at least the reach
-        moments, size = values[:, lad.size:].real.max(axis=0).reshape(t.shape), np.abs(t)
-        log_m = np.maximum(np.log(moments, out=np.full(t.shape, np.inf), where=(moments > 0.0) & (top >= 0)),
-                           0.5 * size * (size + root_w[:, None, None]))
-        reach = (log_m + math.log(32.0 / spec.abs_tol)) / size
-        row, best = np.arange(live.size)[:, None], reach.argmin(axis=-1)
-        log_m, size, reach = log_m[row, [0, 1], best], size[row, [0, 1], best], reach.min(axis=-1)
+        # ln of the larger of E[exp(t*Z)] under f_1 and f_2; per maturity and side, on floats, the order of least
+        # reach: (ln E[exp(t*Z)], |t|, reach)
+        moments = moments.max(axis=0).reshape(ranks.shape)
+        log_moments = np.log(moments, out=np.full(ranks.shape, np.inf), where=moments > 0.0).tolist()
+        log_target = math.log(32.0 / spec.abs_tol)
+        bounds = np.array([[_least_reach(side_ranks, side_logs, root_w_m, log_target)
+                            for side_ranks, side_logs in zip(ranks_m, logs_m)]
+                           for ranks_m, logs_m, root_w_m in zip(ranks.tolist(), log_moments, root_w.tolist())])
         # a row beyond the reach across its strike is N(d_j) to abs_tol/16 and takes no node; the others set L
-        far = (freq >= reach[:, :1]) | (-freq >= reach[:, 1:])
-        length = np.where(far, 0.0, np.maximum(reach[:, :1] - freq, reach[:, 1:] + freq)).max(axis=1, initial=0.0)
-        n = np.maximum(np.ceil(s_max * length / (2.0 * math.pi)), 1.0)
-        if not n.max() <= MAX_NODES:
-            m = int(np.argmin(n <= MAX_NODES))
-            raise SubdivisionExhausted(f"the aliasing bound on [0, {s_max[m]:.3g}] needs {n[m]:.0f} > {MAX_NODES} "
-                                       f"midpoint nodes (target {spec.abs_tol / 8.0:.3e})", maturity=int(live[m]))
-        integral, sizes = _midpoint(lambda m, s: (cf(live[m], s / root_w[m]) - _control(w[m], s / root_w[m], s)) / s,
-                                    freq, s_max, n.astype(np.intp))
+        below, above = bounds[:, :1, 2], bounds[:, 1:, 2]
+        far = (freq >= below) | (-freq >= above)
+        length = np.where(far, 0.0, np.maximum(below - freq, above + freq)).max(axis=1, initial=0.0)
+        n, lengths = [], []
+        for j, ((s_max, _), length_m) in enumerate(zip(truncation, length.tolist())):
+            need = s_max * length_m / (2.0 * math.pi)
+            if not need <= MAX_NODES:
+                raise SubdivisionExhausted(f"the aliasing bound on [0, {s_max:.3g}] needs {np.ceil(need):.0f} > "
+                                           f"{MAX_NODES} midpoint nodes (target {spec.abs_tol / 8.0:.3e})",
+                                           maturity=int(live[j]))
+            n.append(max(math.ceil(need), 1))
+            lengths.append(2.0 * math.pi * (n[-1] / s_max))
+        s_max, tail_est = zip(*truncation)
+        integral, sums = _midpoint(kernel, live, freq, s_max, n)
         # twice (f_j and f_BS_j) each tail at the step taken, or a far row's across its strike, on the side facing it
-        toward = freq[..., None] * np.array([1.0, -1.0])
-        distance = np.where(far, 0.0, 2.0 * math.pi * (n / s_max)[:, None])[..., None] + toward
-        bound = np.exp(np.minimum(log_m[:, None] - size[:, None] * distance, 0.0)) * (distance > 0.0)
+        distance = np.where(far, 0.0, np.array(lengths)[:, None])[..., None] + freq[..., None] * _SIDES
+        bound = np.exp(np.minimum(bounds[:, None, :, 0] - bounds[:, None, :, 1] * distance, 0.0)) * (distance > 0.0)
         # rounding: eps for the sum N(d_j) + integral/pi, and a few eps per term of the integral from the phase
         # (eps*|freq*s| more), the CF and the sum
-        terms = (sizes[0, ..., None] + sizes[1, ..., None] * np.abs(freq)).max(axis=0)
-        d = (moneyness + np.array([0.5, -0.5])[:, None, None] * w[:, None]) / root_w[:, None]
+        terms = (sums[0, ..., None] + sums[1, ..., None] * np.abs(freq)).max(axis=0)
+        d = (moneyness + _HALVES * w[:, None]) / root_w[:, None]
         r[:, live] = 0.5 * _erfc(-d / math.sqrt(2.0)).astype(float) + np.where(far, 0.0, integral) / math.pi
-        err[live] = 2.0 * bound.sum(-1) + np.where(far, 0.0, (tail_est[:, None] + 4.0 * eps * terms) / math.pi) + eps
+        rounding = (np.array(tail_est)[:, None] + 4.0 * _EPS * terms) / math.pi
+        err[live] = 2.0 * bound.sum(-1) + np.where(far, 0.0, rounding) + _EPS
     return ProbabilityPair(r1=r[0].reshape(shape)[()], r2=r[1].reshape(shape)[()],
                            achieved_error_estimate=err.reshape(shape)[()])

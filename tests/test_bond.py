@@ -83,10 +83,16 @@ def test_closed_form_matches_ode_oracle():
 
 def test_bond_price_maturity_and_limit():
     assert bond_price(BASE, 0.7, 0.0).price == 1.0
+    # below BETA_SWITCH the bond is its first order in beta, ln B = -mu*tau - beta*Integral_0^tau E[v_t] dt; here
+    # v = theta and kappa + lam = kappa, so E[v_t] = 0.04 throughout
     p = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.05, beta=1e-12)
     value = bond_price(p, 0.04, 1.0)
-    assert value.price == pytest.approx(math.exp(-0.05), abs=1e-15)
-    assert value.g_factor == 0.0
+    assert value.price == pytest.approx(math.exp(-0.05 - 1e-12 * 0.04), abs=1e-15)
+    assert value.g_factor == pytest.approx(-1e-12 * (1.0 - math.exp(-2.0)) / 2.0, rel=1e-14)
+    # and at beta = 0 the constant-rate discount, with G = +0 (so that `svsir bond` prints 0, not -0)
+    value = bond_price(ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.05, beta=0.0),
+                       0.04, 1.0)
+    assert value.price == math.exp(-0.05) and math.copysign(1.0, value.g_factor) == 1.0 and value.g_factor == 0.0
 
 
 def test_bond_price_consistent_with_factors():

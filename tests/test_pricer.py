@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import draw_params
+from conftest import PARAM_BOX, draw_params
 from svsir import (
     InvalidParameter,
     MarketState,
@@ -20,9 +20,11 @@ from svsir import (
     put_from_parity,
     simulate_price,
 )
+from svsir.bond import BETA_SWITCH
+from svsir.heston_cf import affine_cd
 from svsir.inversion import QuadratureSpec, gil_pelaez
 from svsir.model import OptionKind
-from svsir.pricer import MODEL_HESTON, MODEL_SIR, _expected_variance, _provider, _strip
+from svsir.pricer import MODEL_HESTON, MODEL_SIR, _expected_variance, _kernel, _strip
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
@@ -30,11 +32,33 @@ STATE = MarketState(spot=100.0, variance=0.04, tau=1.0)
 
 
 def one_maturity(params, state):
-    """The characteristic function, strip, x and w of one maturity, as price_grid hands them to gil_pelaez."""
+    """The integrand, strip, x and w of one maturity, as price_grid hands them to gil_pelaez."""
     log_bond = math.log(bond_price(params, state.variance, state.tau).price)
     taus = np.array([state.tau])
-    return (_provider(params, state.variance, taus, np.array([log_bond])), _strip(params, taus),
-            math.log(state.spot) - log_bond, _expected_variance(params, state.variance, taus))
+    w = _expected_variance(params, state.variance, taus)
+    return (_kernel(params, state.variance, taus, np.array([log_bond]), w), _strip(params, taus),
+            math.log(state.spot) - log_bond, w)
+
+
+def test_kernel_is_the_controlled_integrand_and_the_moments():
+    # at s nodes, (f_j - f_BS_j)/s of f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B times exp(-i*phi*ln(S/B)), phi =
+    # s/sqrt(w); at t nodes, f_j at phi = -i*t/sqrt(w): maturities mixed, constants gathered per node
+    taus, v = np.array([0.5, 2.0]), 0.04
+    log_bonds = np.array([math.log(bond_price(SIR, v, tau).price) for tau in taus])
+    w = _expected_variance(SIR, v, taus)
+    m, s, t = np.array([1, 0, 1, 0, 1]), np.array([0.5, 3.0, 8.0]), np.array([-0.7, 0.35])
+    g, moments = _kernel(SIR, v, taus, log_bonds, w)(m, s, t)
+    phi = np.concatenate([s / np.sqrt(w[m[:3]]), -1j * t / np.sqrt(w[m[3:]])])
+    a_val, d_val = affine_cd(SIR, taus[m], np.stack([phi - 1j, phi]))
+    f = np.exp(a_val + d_val * v + 1j * phi * log_bonds[m] - np.outer([0.0, 1.0], log_bonds[m]))
+    f_bs = np.exp(0.5j * phi[:3] * w[m[:3]] - 0.5 * s * s)
+    np.testing.assert_allclose(g, (f[:, :3] - np.stack([f_bs, f_bs.conj()])) / s, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(moments, f[:, 3:].real, rtol=1e-14, atol=0.0)
+    assert np.all(np.abs(f[:, 3:].imag) <= 1e-14 * np.abs(f[:, 3:].real))
+    # the midpoint's calls give no t nodes and get no moments
+    g_mid, no_moments = _kernel(SIR, v, taus, log_bonds, w)(m[:3], s)
+    assert g_mid.shape == (2, 3) and no_moments.shape == (2, 0)
+    np.testing.assert_array_equal(g_mid, g)
 
 
 def test_zero_variance_call_is_discounted_forward():
@@ -331,3 +355,18 @@ def test_price_sir_is_the_one_point_grid_bit_for_bit():
         assert (res.price, res.r1, res.r2, res.err_estimate) == (
             grid.price[0, 0], grid.r1[0, 0], grid.r2[0, 0], grid.err_estimate[0, 0])
         assert res.bond == grid.bond[0] and res.model_tag == grid.model_tag
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.fixed_dictionaries({name: st.floats(lo, hi) for name, (lo, hi) in PARAM_BOX.items()}),
+       variance=st.floats(0.0, 0.5), tau=st.one_of(st.just(0.0), st.floats(1e-4, 30.0)))
+def test_bond_and_calls_are_continuous_across_the_beta_switch(values, variance, tau):
+    # the bond's closed form holds above BETA_SWITCH and its first order in beta below; both sides of the switch
+    # give the same bond to 1e-12 (relative) and the same calls to (S + K*B)*abs_tol
+    values["lam"] = max(values["lam"], 0.3 - values["kappa"])
+    strikes, quad = np.array([60.0, 100.0, 150.0]), QuadratureSpec()
+    below, above = (price_grid(ModelParams(beta=BETA_SWITCH * (1.0 + side * 1e-9), **values), 100.0, variance,
+                               strikes, (tau,), quad) for side in (-1.0, 1.0))
+    bond = above.bond[0].price
+    assert abs(below.bond[0].price - bond) <= 1e-12 * bond
+    assert np.all(np.abs(below.price - above.price) <= (100.0 + strikes * bond) * quad.abs_tol)
