@@ -20,8 +20,6 @@ function, the inversion and its ``QuadratureSpec``, and ``validate``, is
 imported from its own module.
 """
 
-import importlib
-
 from .bond import (
     BondValue,
     bond_price,
@@ -32,10 +30,16 @@ from .inversion import (
     SubdivisionExhausted,
     TailNotDecaying,
 )
+from .mc import (
+    McConfig,
+    McEstimate,
+    simulate_bond,
+    simulate_grid,
+    simulate_price,
+)
 from .model import (
     InvalidParameter,
     MarketState,
-    McConfig,
     ModelParams,
     NumericalError,
     OptionSpec,
@@ -48,25 +52,11 @@ from .pricer import (
     price_sir,
     put_from_parity,
 )
-
-# The Monte Carlo oracle and the Riccati oracle load on first use: pricing calls neither, so that neither is compiled
-# and run by ``import svsir`` or by the CLI's price, sweep and bond.
-_LAZY = {
-    "McEstimate": "mc",
-    "simulate_bond": "mc",
-    "simulate_grid": "mc",
-    "simulate_price": "mc",
-    "StepSizeUnderflow": "riccati",
-    "ToleranceSpec": "riccati",
-    "integrate_cd_batch": "riccati",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+from .riccati import (
+    StepSizeUnderflow,
+    ToleranceSpec,
+    integrate_cd_batch,
+)
 
 __version__ = "0.1.0"
 

@@ -125,17 +125,32 @@ def _log_f_and_g(params: ModelParams, tau):
     ln B = -mu*tau - beta*Integral_0^tau E[v_t] dt with the risk-neutral
     E[v_t]: ln F = -mu*tau - beta*kappa*theta/alpha*(tau - (1 - exp(-alpha*tau))/alpha)
     and G = -beta*(1 - exp(-alpha*tau))/alpha.  The terms it drops are
-    O(beta^2), so the bond is continuous across the switch, and at beta = 0
-    it is exp(-mu*tau) exactly, with G = 0.
+    O(beta^2), so the bond is continuous across the switch.  At beta = 0 it
+    is exp(-mu*tau) exactly, with G = +0, for every kappa + lam; for
+    0 < beta <= BETA_SWITCH it requires kappa + lam > 0, as the closed form
+    does.
     """
     if params.beta <= BETA_SWITCH:
         tau = np.asarray(tau, dtype=float)
-        alpha, decay = params.alpha, -np.expm1(-params.alpha * tau)
-        log_f = -params.mu * tau - params.beta * params.kappa * params.theta / alpha * (tau - decay / alpha)
-        g = -params.beta * decay / alpha + 0.0  # +0.0: G = 0, not -0, at beta = 0
+        if params.beta == 0.0:  # the constant-rate discount, for every kappa + lam
+            log_f, g = -params.mu * tau, np.zeros_like(tau)
+        elif params.alpha <= 0:
+            raise InvalidParameter(f"kappa+lam: must be > 0, got {params.alpha}")
+        else:
+            alpha, decay = params.alpha, -np.expm1(-params.alpha * tau)
+            log_f = -params.mu * tau - params.beta * params.kappa * params.theta / alpha * (tau - decay / alpha)
+            g = -params.beta * decay / alpha + 0.0  # +0.0: G = 0, not -0, at tau = 0
         return (float(log_f), float(g)) if tau.ndim == 0 else (log_f, g)
     co = coefficients(params)
     return log_f_of_tau(params, co, tau), g_of_tau(co, tau)
+
+
+def bond_values(params: ModelParams, v: float, tau) -> tuple[BondValue, ...]:
+    """The bonds B(tau, v) = F(tau)*exp(G(tau)*v) at a scalar or 1-D array tau, one per entry, from one call of
+    ``_log_f_and_g``; each is assembled on floats.  Arguments are not range-checked (see :func:`bond_price`)."""
+    log_f, g = (np.atleast_1d(values).tolist() for values in _log_f_and_g(params, tau))
+    return tuple(BondValue(price=math.exp(lf + gv * v), f_factor=math.exp(lf), g_factor=gv)
+                 for lf, gv in zip(log_f, g))
 
 
 def bond_price(params: ModelParams, v: float, tau: float) -> BondValue:
@@ -146,8 +161,7 @@ def bond_price(params: ModelParams, v: float, tau: float) -> BondValue:
     """
     check_nonnegative("variance", v)
     check_nonnegative("tau", tau)
-    log_f, g = _log_f_and_g(params, tau)
-    return BondValue(price=math.exp(log_f + g * v), f_factor=math.exp(log_f), g_factor=g)
+    return bond_values(params, v, tau)[0]
 
 
 def ode_residual(params: ModelParams, tau_grid) -> float:

@@ -36,10 +36,10 @@ from typing import Any, Callable
 
 from . import bond as bond_mod
 from .inversion import QuadratureSpec
+from .mc import McConfig, simulate_grid
 from .model import (
     InvalidParameter,
     MarketState,
-    McConfig,
     ModelParams,
     NumericalError,
     OptionSpec,
@@ -177,12 +177,10 @@ def _section(sections: dict[str, dict[str, Any]], name: str, origin: str) -> dic
             given[field] = spec[field][0](value)
         except ValueError as exc:
             raise ConfigError(f"{origin} [{name}] {key}: {exc}") from exc
-    if len(given) < len(spec):
-        missing = [key for key, (_, default) in spec.items() if default is None and key not in given]
-        if missing:
-            raise ConfigError(f"{origin} [{name}]: missing keys {missing}")
-        given = {key: given.get(key, default) for key, (_, default) in spec.items()}
-    return given
+    missing = [key for key, (_, default) in spec.items() if default is None and key not in given]
+    if missing:
+        raise ConfigError(f"{origin} [{name}]: missing keys {missing}")
+    return {key: given.get(key, default) for key, (_, default) in spec.items()}
 
 
 def _ranged(where: str, build: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
@@ -303,9 +301,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ConfigError(f"{args.config}: verify requires an [mc] section")
     _warn(run.params)
     table = _price_table(run)
-    # only verify simulates, so only verify compiles and loads the Monte Carlo module (and, through it, scipy)
-    from .mc import simulate_grid
-
     # one path set for the whole grid, in _price_table's order: maturities outer
     estimates = simulate_grid(run.params, run.spot, run.variance, run.strikes, run.maturities, run.mc)
     scores = []

@@ -15,20 +15,19 @@ f_BS_j put on |Z + freq| >= L.  Chernoff bounds each side by E[exp(t*Z)]*exp(-|t
 is f_j at phi = -i*t/sqrt(w_m), finite inside the strip of analyticity that the moment-explosion times set
 (Lee 2004; Andersen & Piterbarg 2007).  So, with every maturity in one pass:
 
-* one call of the caller's integrand kernel gives (f_j - f_BS_j)/s on the ladder ``S_LADDER`` (0.5, 1, ..., 2^16
-  in s) and the moments at each side's ``MOMENTS_PER_SIDE`` largest orders of ``MOMENT_ORDERS`` inside the caller's
-  strip; s_max_m is the first rung where |f_j - f_BS_j|/s < abs_tol/10 for both j (TailNotDecaying if none, or if
-  one is not finite);
+* one call evaluates f_1 and f_2 on the ladder ``S_LADDER`` (0.5, 1, ..., 2^16 in s) and at each side's
+  ``MOMENTS_PER_SIDE`` largest orders of ``MOMENT_ORDERS`` inside the caller's strip; s_max_m is the first rung
+  where |f_j - f_BS_j|/s < abs_tol/10 for both j (TailNotDecaying if none, or if one is not finite);
 * a row beyond the bound's reach across its strike is N(d_j) to abs_tol/16 and takes no node; the other rows set
   the largest step that keeps each of their four tails within abs_tol/32, and so n_m midpoint panels on
-  [0, s_max_m], evaluated once, at most ``NODES_PER_CALL`` a kernel call, maturities mixed;
+  [0, s_max_m], evaluated once, at most ``NODES_PER_CALL`` a call, maturities mixed;
 * each strike phase is the product of two entries of one table of angle-addition exponentials;
 * the error estimate is the bound at the step taken, plus the tail term |f_j - f_BS_j|/(pi*s) at s_max_m and a
   rounding allowance.
 
-numpy runs on node arrays and on (maturity, strike) row arrays only; what belongs to one maturity (its orders'
-reach, s_max_m, n_m, the tail term) is formed on Python floats, so that a pass over few maturities and strikes
-pays few array calls.
+The control is this module's own: the caller passes f_j, and w_m, and nothing else of f_BS_j.  numpy runs on node
+arrays and on (maturity, strike) row arrays only; what belongs to one maturity (its orders' reach, s_max_m, n_m,
+the tail term) is formed on Python floats, so that a pass over few maturities and strikes pays few array calls.
 
 Where w_m = 0 (tau = 0, or v = theta = 0) the law is a point mass at x_m: R_j is 1, 1/2 or 0 as x_m is above, at
 or below k, and the maturity makes no characteristic-function call.  A maturity whose step needs more than
@@ -128,19 +127,30 @@ def _phases(theta: np.ndarray, counts: list[int]) -> tuple[np.ndarray, np.ndarra
     return np.exp(1j * theta.take(owner, axis=1) * angle), np.array(layout).T
 
 
-def _midpoint(kernel: Callable, live: np.ndarray, freq: np.ndarray, s_max: list[float],
-              n: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _less_control(f: np.ndarray, phi: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(f_j - f_BS_j)/s from f_1 and f_2 stacked at the nodes phi = s/sqrt(w) (w: each node's control variance).
+
+    The control, centred at x, is f_BS_1 = exp(i*phi*w/2 - s^2/2) and f_BS_2 its complex conjugate.  Overwrites f.
+    """
+    f_bs = np.exp(0.5j * phi * w - 0.5 * s * s)
+    f[0] -= f_bs
+    f[1] -= f_bs.conj()
+    return f / s
+
+
+def _midpoint(cf: Callable, live: np.ndarray, freq: np.ndarray, w: np.ndarray, root_w: np.ndarray,
+              s_max: list[float], n: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Midpoint rule of Im[exp(i*freq_mk*s) * g_j(m, s)] on [0, s_max_m] in n_m panels, per maturity, strike, measure.
 
-    ``freq`` is (maturity, strike); ``s_max`` and ``n`` hold one entry per maturity, whose index for the kernel is in
-    ``live``.  ``kernel(m, s)[0]`` gives g_j at node arrays (maturity index, abscissa) as (measure, node), at most
-    ``NODES_PER_CALL`` nodes a call, maturities mixed.  Returns the integrals as (measure, maturity, strike) and the
-    rule's sums of |g_j| and |g_j|*s as (2, measure, maturity), which scale its rounding.
+    g_j = (f_j - f_BS_j)/s.  ``freq`` is (maturity, strike); ``w``, ``root_w`` = sqrt(w), ``s_max`` and ``n`` hold
+    one entry per maturity, whose index for ``cf`` is in ``live``.  ``cf`` is evaluated at most ``NODES_PER_CALL``
+    nodes a call, maturities mixed.  Returns the integrals as (measure, maturity, strike) and the rule's sums of
+    |g_j| and |g_j|*s as (2, measure, maturity), which scale its rounding.
     """
     width, ends = np.array(s_max) / n, list(itertools.accumulate(n))
     starts = [end - count for end, count in zip(ends, n)]
     table, layout = _phases(freq.T * width, n)
-    layout = np.concatenate([[live, starts], layout])
+    layout, scales = np.concatenate([[live, starts], layout]), np.array([width, root_w, w])
     sums, sizes = np.zeros((2, freq.shape[1], len(n))), np.zeros((2, 2, len(n)))
     for start in range(0, ends[-1], NODES_PER_CALL):
         stop = min(start + NODES_PER_CALL, ends[-1])
@@ -149,9 +159,11 @@ def _midpoint(kernel: Callable, live: np.ndarray, freq: np.ndarray, s_max: list[
         counts = [min(end, stop) - max(begin, start) for begin, end in zip(starts[own], ends[own])]
         first = [0, *itertools.accumulate(counts[:-1])]
         maturity, begin, rows, block, steps = layout[:, own].repeat(counts, axis=1)
+        step, root, var = scales[:, own].repeat(counts, axis=1)
         i = np.arange(start, stop) - begin
-        s = (i + 0.5) * width[own].repeat(counts)
-        vals = kernel(maturity, s)[0]
+        s = (i + 0.5) * step
+        phi = s / root
+        vals = _less_control(cf(maturity, phi), phi, var, s)
         size = np.abs(vals)
         sizes[..., own] += np.add.reduceat(np.array([size, size * s]), first, axis=-1)
         q, r = np.divmod(i, block)
@@ -202,7 +214,7 @@ def _least_reach(ranks: list[int], log_moments: list[float], root_w: float, log_
 
 
 def gil_pelaez(
-    kernel: Callable[..., tuple[np.ndarray, np.ndarray]],
+    cf: Callable[[np.ndarray, np.ndarray], np.ndarray],
     strip: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x: float | np.ndarray,
     w: float | np.ndarray,
@@ -212,16 +224,13 @@ def gil_pelaez(
     """Exercise probabilities R_1, R_2 from a characteristic function, over a maturity x strike surface.
 
     ``x`` and ``w`` hold, per maturity, the location and the variance (>= 0) of the Black-Scholes control (floats
-    for one maturity).  ``kernel(m, s, t=None)`` is the integrand.  Its nodes are 1-D arrays: the maturity index
-    ``m`` of each node, the abscissae ``s`` on the scaled axis (real, > 0), and optionally moment orders ``t``, whose
-    maturities follow those of ``s`` in ``m``.  It returns, shaped (measure, node) with j = 1, 2 down the rows,
-    (f_j - f_BS_j)/s at the s nodes and E_j[exp(t*Z)] (real) at the t nodes.  Here f_j is the characteristic
-    function of ln S_T - x_m under measure j at phi = s/sqrt(w_m), or at phi = -i*t/sqrt(w_m) for a moment, and
-    f_BS_j its control.  ``strip(m, p)`` says, over broadcast arrays of maturity indices and orders, whether -i*p
-    lies in the strip where both f_j of maturity m are analytic, that is whether their moments of order p are
-    finite.  ``log_strike`` is a float or a 1-D array shared by every maturity; r1, r2 and the error estimate come
-    back shaped ``shape(x) + shape(log_strike)``.  Raises :class:`TailNotDecaying` or
-    :class:`SubdivisionExhausted` with context and the failing maturity's index.
+    for one maturity).  ``cf(m, phi)`` returns f_1 and f_2 stacked, each times exp(-i*phi*x_m): row j - 1 is the
+    characteristic function of ln S_T - x_m under measure j at the nodes given by two 1-D arrays, the maturity
+    index ``m`` and the frequency ``phi`` of each, real and > 0 or, for a moment, -i*p.  ``strip(m, p)`` says, over
+    broadcast arrays of maturity indices and orders, whether -i*p lies in the strip where both f_j of maturity m are
+    analytic, that is whether their moments of order p are finite.  ``log_strike`` is a float or a 1-D array shared
+    by every maturity; r1, r2 and the error estimate come back shaped ``shape(x) + shape(log_strike)``.  Raises
+    :class:`TailNotDecaying` or :class:`SubdivisionExhausted` with context and the failing maturity's index.
     """
     shape = np.shape(x) + np.shape(log_strike)
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -240,10 +249,16 @@ def gil_pelaez(
         # MOMENTS_PER_SIDE of them are evaluated after the ladders, in the same call
         ranks = strip(live[:, None, None], MOMENT_ORDERS / root_w[:, None, None]).sum(axis=-1)[..., None] - _RANKS
         orders = MOMENT_ORDERS[_SIDE_ROWS, np.maximum(ranks, 0)]
+        rungs, split = np.array(_LADDER * live.size), live.size * S_LADDER.size
         nodes = np.concatenate([live.repeat(S_LADDER.size), live.repeat(2 * MOMENTS_PER_SIDE)])
+        phi = rungs / root_w.repeat(S_LADDER.size)
+        # E_j[exp(t*Z)] is f_j at phi = -i*t/sqrt(w_m)
+        phi = np.concatenate([phi, -1j * orders.ravel() / root_w.repeat(2 * MOMENTS_PER_SIDE)])
         # a moment near its order's explosion may overflow, and is then not used; _find_s_max checks the ladder
         with np.errstate(over="ignore", invalid="ignore"):
-            ladder, moments = kernel(nodes, np.array(_LADDER * live.size), orders.ravel())
+            f = cf(nodes, phi)
+            ladder = _less_control(f[:, :split], phi[:split], w.repeat(S_LADDER.size), rungs)
+        moments = f[:, split:].real
         try:
             truncation = _find_s_max(ladder.reshape(2, live.size, -1), spec)
         except InversionError as exc:
@@ -271,7 +286,7 @@ def gil_pelaez(
             n.append(max(math.ceil(need), 1))
             lengths.append(2.0 * math.pi * (n[-1] / s_max))
         s_max, tail_est = zip(*truncation)
-        integral, sums = _midpoint(kernel, live, freq, s_max, n)
+        integral, sums = _midpoint(cf, live, freq, w, root_w, s_max, n)
         # twice (f_j and f_BS_j) each tail at the step taken, or a far row's across its strike, on the side facing it
         distance = np.where(far, 0.0, np.array(lengths)[:, None])[..., None] + freq[..., None] * _SIDES
         bound = np.exp(np.minimum(bounds[:, None, :, 0] - bounds[:, None, :, 1] * distance, 0.0)) * (distance > 0.0)

@@ -75,8 +75,8 @@ from functools import partial
 
 import numpy as np
 
-# McConfig lives with the other inputs, so that the CLI reads it without loading this module; it is re-exported here
-from .model import MarketState, McConfig, ModelParams, OptionKind, OptionSpec, check_nonnegative, validate
+from .model import (InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec,
+                    check_nonnegative, validate)
 
 # Andersen's switch between the quadratic (psi <= PSI_C) and exponential QE branches
 PSI_C = 1.5
@@ -89,6 +89,23 @@ PSI_FLOOR = 1e-100
 MIN_SLICE_PATHS = 8192
 # sqrt of the smallest normal double (2**-1022): below it, squares are subnormal or 0
 _SQRT_TINY = 2.0**-511
+
+
+@dataclass(frozen=True)
+class McConfig:
+    n_paths: int
+    n_steps_per_year: int = 250
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_paths < 1000:
+            raise InvalidParameter(f"n_paths: must be >= 1000, got {self.n_paths}")
+        if self.n_steps_per_year < 50:
+            raise InvalidParameter(
+                f"n_steps_per_year: must be >= 50, got {self.n_steps_per_year}"
+            )
+        if self.seed < 0:
+            raise InvalidParameter(f"seed: must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

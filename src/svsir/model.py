@@ -98,25 +98,6 @@ class MarketState:
         check_nonnegative("tau", self.tau)
 
 
-@dataclass(frozen=True)
-class McConfig:
-    """Monte Carlo run size and seed for :mod:`svsir.mc`."""
-
-    n_paths: int
-    n_steps_per_year: int = 250
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_paths < 1000:
-            raise InvalidParameter(f"n_paths: must be >= 1000, got {self.n_paths}")
-        if self.n_steps_per_year < 50:
-            raise InvalidParameter(
-                f"n_steps_per_year: must be >= 50, got {self.n_steps_per_year}"
-            )
-        if self.seed < 0:
-            raise InvalidParameter(f"seed: must be >= 0, got {self.seed}")
-
-
 class OptionKind(Enum):
     CALL = "call"
     PUT = "put"

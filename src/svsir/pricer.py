@@ -16,8 +16,8 @@ the characteristic function share one parameter set: the lam entering the
 bond is the same risk-premium constant entering b.  Neither B nor f_j
 depends on the strike, so :func:`price_grid` prices a whole maturity x
 strike grid with every maturity's bond from one array call and one inversion
-for the surface, which evaluates its integrand kernel (f_j - f_BS_j)/s at
-(maturity, s) node pairs; it returns maturity x strike arrays.
+for the surface, which evaluates f_1 and f_2 at (maturity, frequency) node
+pairs; it returns maturity x strike arrays.
 :func:`price_sir` is its one-point case.
 
 Puts come from parity, put = call - S + K*B, which is exact by construction.
@@ -67,33 +67,23 @@ class PriceGrid:
     err_estimate: np.ndarray
 
 
-def _kernel(params: ModelParams, variance: float, taus: np.ndarray, log_bonds: np.ndarray, w: np.ndarray):
-    """The inversion's integrand at (maturity, scaled abscissa) nodes of ``taus`` (log bonds ``log_bonds``, control
-    variances ``w``): (f_j - f_BS_j)/s at s, and the moments E_j[exp(t*Z)] at orders t, as ``gil_pelaez`` asks.
+def _provider(params: ModelParams, variance: float, taus: np.ndarray, log_bonds: np.ndarray):
+    """f_1 and f_2 times exp(-i*phi*x), at (maturity, frequency) nodes of ``taus`` (log bond prices ``log_bonds``).
 
-    f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B are taken times exp(-i*phi*x) with x = ln(S/B), so the spot drops out:
-    S^{i*phi} * exp(-i*phi*x) = B^{i*phi}.  Both are formed in log space, both contours in one ``affine_cd`` call,
-    at phi = s/sqrt(w_m); the control is f_BS_1 = exp(i*phi*w_m/2 - s^2/2) and f_BS_2 its complex conjugate.
+    With x = ln(S/B) the spot drops out: S^{i*phi} * exp(-i*phi*x) = B^{i*phi}.
     """
-    # each node's maturity constants, gathered once per call
-    table = np.array([taus, log_bonds, np.sqrt(w), w])
+    table = np.array([taus, log_bonds])
 
-    def kernel(m: np.ndarray, s: np.ndarray, t: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        tau, log_bond, root_w, var = table.take(m, axis=1)
-        split = s.size
-        phi = s / root_w[:split]
-        if t is not None:  # a moment is f_j at phi = -i*t/sqrt(w_m)
-            phi = np.concatenate([phi, -1j * t / root_w[split:]])
+    def eval_fn(m: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        # f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B, formed in log space, both contours in one call, with each
+        # node's maturity constants gathered in one take
+        tau, log_bond = table.take(m, axis=1)
         a_val, d_val = heston_cf.affine_cd(params, tau, np.array([phi - 1j, phi]))
         log_f = a_val + d_val * variance + 1j * phi * log_bond
         log_f[1] -= log_bond
-        f = np.exp(log_f)
-        f_bs = np.exp(0.5j * phi[:split] * var[:split] - 0.5 * s * s)
-        f[0, :split] -= f_bs
-        f[1, :split] -= f_bs.conj()
-        return f[:, :split] / s, f[:, split:].real
+        return np.exp(log_f)
 
-    return kernel
+    return eval_fn
 
 
 def _strip(params: ModelParams, taus: np.ndarray):
@@ -147,16 +137,13 @@ def price_grid(
     for tau in maturities:
         check_nonnegative("tau", tau)
     taus = np.array(maturities, dtype=float)
-    # every maturity's bond in one call; each B = exp(ln F + G*v) on floats, as bond_price forms it
-    log_f, g = (values.tolist() for values in bond._log_f_and_g(params, taus))
-    bonds = tuple(bond.BondValue(price=math.exp(lf + gv * variance), f_factor=math.exp(lf), g_factor=gv)
-                  for lf, gv in zip(log_f, g))
+    bonds = bond.bond_values(params, variance, taus)
     log_strikes = np.array([math.log(strike) for strike in strikes])
     log_bonds = np.array([math.log(b.price) for b in bonds])
     w = _expected_variance(params, variance, taus)
     x = math.log(spot) - log_bonds
     try:
-        pair = inversion.gil_pelaez(_kernel(params, variance, taus, log_bonds, w), _strip(params, taus), x, w,
+        pair = inversion.gil_pelaez(_provider(params, variance, taus, log_bonds), _strip(params, taus), x, w,
                                     log_strikes, quad)
     except InversionError as exc:
         raise type(exc)(f"at K={','.join(f'{k:.12g}' for k in strikes)}, tau={maturities[exc.maturity]}: {exc}",

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import draw_params
 from svsir import InvalidParameter, ModelParams, bond_price, ode_residual
-from svsir.bond import DegenerateBeta, coefficients, g_of_tau, log_f_of_tau
+from svsir.bond import DegenerateBeta, _log_f_and_g, coefficients, g_of_tau, log_f_of_tau
 
 BASE = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
 
@@ -93,6 +94,21 @@ def test_bond_price_maturity_and_limit():
     value = bond_price(ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.05, beta=0.0),
                        0.04, 1.0)
     assert value.price == math.exp(-0.05) and math.copysign(1.0, value.g_factor) == 1.0 and value.g_factor == 0.0
+
+
+def test_constant_rate_bond_for_every_kappa_plus_lam():
+    # at beta = 0 the bond is exp(-mu*tau) with G = +0, also where kappa + lam <= 0 and the first-order branch's
+    # 1/(kappa + lam) has no value; with 0 < beta <= BETA_SWITCH that branch needs kappa + lam > 0, as the closed form
+    for lam, tau in ((-2.0, 1.0), (-3.0, 1.0), (-3.0, 800.0)):
+        p = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=lam, rho_sv=-0.5, mu=0.05, beta=0.0)
+        value = bond_price(p, 0.04, tau)
+        assert value.price == math.exp(-0.05 * tau) and math.copysign(1.0, value.g_factor) == 1.0
+        assert value.g_factor == 0.0
+        log_f, g = _log_f_and_g(p, np.array([0.0, tau]))
+        np.testing.assert_array_equal(log_f, [-0.0, -0.05 * tau])
+        np.testing.assert_array_equal(g, [0.0, 0.0])
+        with pytest.raises(InvalidParameter, match="kappa\\+lam"):
+            bond_price(replace(p, beta=1e-11), 0.04, tau)
 
 
 def test_bond_price_consistent_with_factors():

@@ -138,18 +138,18 @@ def test_numerical_failure_names_the_strike_row(tmp_path, capsys):
 def test_price_makes_one_surface_inversion_within_the_node_cap(tmp_path, capsys, monkeypatch):
     import svsir.bond
     import svsir.inversion
-    from svsir.inversion import MOMENTS_PER_SIDE, NODES_PER_CALL, S_LADDER
+    from svsir.inversion import NODES_PER_CALL, S_LADDER
 
     inversions, bonds, calls = [], [], []
     inner_inversion, inner_bonds = svsir.inversion.gil_pelaez, svsir.bond._log_f_and_g
 
-    def gil_pelaez(kernel, *args, **kwargs):
-        def recorded(m, s, t=None):
-            calls.append((m.copy(), s.copy(), t))
-            return kernel(m, s, t)
+    def gil_pelaez(cf, *args, **kwargs):
+        def eval_fn(m, phi):
+            calls.append((m.copy(), phi.copy()))
+            return cf(m, phi)
 
         inversions.append(args)
-        return inner_inversion(recorded, *args, **kwargs)
+        return inner_inversion(eval_fn, *args, **kwargs)
 
     def log_f_and_g(*args):
         bonds.append(args)
@@ -165,15 +165,12 @@ def test_price_makes_one_surface_inversion_within_the_node_cap(tmp_path, capsys,
     assert len(inversions) == 1 and len(bonds) == 1 and bonds[0][1].tolist() == maturities
     # one first call for both measures, holding the whole s ladder of every maturity and then each maturity's
     # moments on the imaginary axis
-    ladder, moments = len(maturities) * S_LADDER.size, len(maturities) * 2 * MOMENTS_PER_SIDE
-    m, s, t = calls[0]
-    np.testing.assert_array_equal(m, np.concatenate([np.repeat(range(len(maturities)), S_LADDER.size),
-                                                     np.repeat(range(len(maturities)), 2 * MOMENTS_PER_SIDE)]))
-    np.testing.assert_array_equal(s, np.tile(S_LADDER, len(maturities)))
-    assert t.size == moments and m.size == ladder + moments
+    w, ladder = inversions[0][2], len(maturities) * S_LADDER.size
+    np.testing.assert_array_equal(calls[0][0][:ladder], np.repeat(range(len(maturities)), S_LADDER.size))
+    np.testing.assert_array_equal(calls[0][1][:ladder], (S_LADDER / np.sqrt(w)[:, None]).ravel())
+    assert np.all(calls[0][1][ladder:].real == 0.0) and calls[0][1].size > ladder
     # the midpoint nodes of these maturities outgrow one call, and are split at the cap
-    assert all(t is None for _, _, t in calls[1:])
-    assert max(s.size for _, s, _ in calls[1:]) == NODES_PER_CALL
+    assert max(phi.size for _, phi in calls[1:]) == NODES_PER_CALL
 
 
 def test_json_output_mode(tmp_path, capsys):
@@ -224,14 +221,14 @@ def test_verify_passes_on_honest_config(tmp_path, capsys):
 
 
 def test_verify_exit_4_on_discrepancy(tmp_path, capsys, monkeypatch):
-    # force a biased oracle to exercise the failure path; verify looks simulate_grid up on its module at each call
-    import svsir.mc
+    # force a biased oracle to exercise the failure path
+    import svsir.cli as cli_mod
 
     def biased(params, spot, v0, strikes, maturities, cfg):
         return [McEstimate(mean=0.0, std_error=1e-6, n_paths=cfg.n_paths)
                 for _ in maturities for _ in strikes]
 
-    monkeypatch.setattr(svsir.mc, "simulate_grid", biased)
+    monkeypatch.setattr(cli_mod, "simulate_grid", biased)
     cfg = write_config(tmp_path)
     assert main(["verify", "--config", cfg]) == 4
     rows = capsys.readouterr().out.strip().splitlines()
@@ -240,14 +237,14 @@ def test_verify_exit_4_on_discrepancy(tmp_path, capsys, monkeypatch):
 
 def test_verify_exit_4_on_a_nan_score(capsys, monkeypatch):
     # a NaN estimate in the second row gives a NaN z; max(map(abs, scores)) would skip it, as it does not come first
-    import svsir.mc
+    import svsir.cli as cli_mod
 
     def nan_in_row_2(params, spot, v0, strikes, maturities, cfg):
         prices = price_grid(params, spot, v0, strikes, maturities).price.ravel().tolist()
         return [McEstimate(mean=math.nan if i == 1 else price, std_error=math.nan if i == 1 else 1.0,
                            n_paths=cfg.n_paths) for i, price in enumerate(prices)]
 
-    monkeypatch.setattr(svsir.mc, "simulate_grid", nan_in_row_2)
+    monkeypatch.setattr(cli_mod, "simulate_grid", nan_in_row_2)
     assert main(["verify", "--config", EXAMPLE_CFG, "--seed", "7"]) == 4
     rows = capsys.readouterr().out.splitlines()
     assert rows[2].endswith(",nan,nan,nan") and all(row.endswith(",0") for row in rows[1:2] + rows[3:])
@@ -260,13 +257,13 @@ def _reject_constant(name):
 def test_verify_json_is_strict_when_mc_se_is_zero(tmp_path, capsys, monkeypatch):
     # an oracle with mc_se = 0 and a biased mean gives an infinite z, which
     # JSON has no number for
-    import svsir.mc
+    import svsir.cli as cli_mod
 
     def biased(params, spot, v0, strikes, maturities, cfg):
         return [McEstimate(mean=0.0 if strike > 100.0 else 50.0, std_error=0.0, n_paths=cfg.n_paths)
                 for _ in maturities for strike in strikes]
 
-    monkeypatch.setattr(svsir.mc, "simulate_grid", biased)
+    monkeypatch.setattr(cli_mod, "simulate_grid", biased)
     cfg = write_config(tmp_path, strikes=[100.0, 300.0, 1000.0], fmt="json")
     assert main(["verify", "--config", cfg]) == 4
     records = [json.loads(line, parse_constant=_reject_constant)
@@ -496,8 +493,7 @@ def test_feller_warning_goes_to_stderr_once(tmp_path, capsys):
 def test_price_path_never_imports_scipy():
     # scipy.special only makes Monte Carlo normals, and the thread pool only
     # runs Monte Carlo path slices; a fresh process that prices, sweeps and
-    # tabulates bonds must load neither, nor compile the Monte Carlo and
-    # Riccati oracles
+    # tabulates bonds must load neither
     script = textwrap.dedent(f"""
         import contextlib, io, sys
         import svsir, svsir.cli
@@ -510,7 +506,6 @@ def test_price_path_never_imports_scipy():
         loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         assert not loaded, loaded
         assert "concurrent.futures" not in sys.modules
-        assert "svsir.mc" not in sys.modules and "svsir.riccati" not in sys.modules
         params = svsir.ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5,
                                    mu=0.03, beta=1.0)
         svsir.simulate_bond(params, 0.04, 1.0, svsir.McConfig(n_paths=1000))

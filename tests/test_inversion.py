@@ -17,51 +17,23 @@ from svsir import (
     price_grid,
     price_sir,
 )
-from svsir.heston_cf import affine_cd
-from svsir.inversion import MAX_NODES, S_LADDER, QuadratureSpec, _find_s_max, _phases, gil_pelaez
+from svsir.inversion import MAX_NODES, S_LADDER, QuadratureSpec, _find_s_max, _less_control, _phases, gil_pelaez
 from svsir.mc import _terminal
-from svsir.pricer import _expected_variance, _strip
+from svsir.pricer import _expected_variance, _provider, _strip
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 
 
-def control(w, phi, s):
-    """The Black-Scholes controls f_BS_1 and f_BS_2, centred: exp(+-i*phi*w/2 - s^2/2), s = phi*sqrt(w)."""
-    f_bs = np.exp(0.5j * phi * w - 0.5 * s * s)
-    return np.stack([f_bs, f_bs.conj()])
-
-
-def as_kernel(cf, w):
-    """gil_pelaez's integrand from ``cf(m, phi)``, f_1 and f_2 stacked (times exp(-i*phi*x_m)), and the control
-    variances ``w``: (f_j - f_BS_j)/s at the s nodes, and f_j at phi = -i*t/sqrt(w_m), real, at the t nodes."""
-    w = np.atleast_1d(w)
-
-    def kernel(m, s, t=None):
-        phi = s / np.sqrt(w[m[:s.size]])
-        if t is not None:
-            phi = np.concatenate([phi, -1j * t / np.sqrt(w[m[s.size:]])])
-        f = cf(m, phi)
-        return (f[:, :s.size] - control(w[m[:s.size]], phi[:s.size], s)) / s, f[:, s.size:].real
-
-    return kernel
-
-
 def heston_cf(params, v, tau):
-    """One maturity's characteristic function of ln S_T - ln S, f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B."""
-    log_bond = math.log(bond_price(params, v, tau).price)
-
-    def cf(m, phi):
-        a_val, d_val = affine_cd(params, tau, np.stack([phi - 1j, phi]))
-        return np.exp(a_val + d_val * v - np.array([[0.0], [log_bond]]))
-
-    return cf
-
-
-def heston_kernel(params, v, tau):
-    """One maturity's integrand for ln S_T - ln S, its strip, and the variance w of its control."""
+    """One maturity's characteristic function of ln S_T - ln S, its strip, and the variance w of its control."""
     taus = np.array([tau])
-    w = float(_expected_variance(params, v, taus)[0])
-    return as_kernel(heston_cf(params, v, tau), w), _strip(params, taus), w
+    log_bond = math.log(bond_price(params, v, tau).price)
+    forward = _provider(params, v, taus, np.array([log_bond]))  # of ln S_T - ln(S/B)
+
+    def eval_fn(m, phi):
+        return forward(m, phi) * np.exp(-1j * phi * log_bond)
+
+    return eval_fn, _strip(params, taus), float(_expected_variance(params, v, taus)[0])
 
 
 def every_order(m, p):
@@ -71,7 +43,7 @@ def every_order(m, p):
 
 def test_deep_in_the_money():
     log_k = math.log(100.0) - 20.0
-    cf, strip, w = heston_kernel(HESTON, 0.04, 1.0)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
     pair = gil_pelaez(cf, strip, math.log(100.0), w, log_k)
     assert pair.r1 == pytest.approx(1.0, abs=1e-6)
     assert pair.r2 == pytest.approx(1.0, abs=1e-6)
@@ -79,7 +51,7 @@ def test_deep_in_the_money():
 
 def test_deep_out_of_the_money():
     log_k = math.log(100.0) + 20.0
-    cf, strip, w = heston_kernel(HESTON, 0.04, 1.0)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
     pair = gil_pelaez(cf, strip, math.log(100.0), w, log_k)
     assert pair.r1 == pytest.approx(0.0, abs=1e-6)
     assert pair.r2 == pytest.approx(0.0, abs=1e-6)
@@ -98,14 +70,14 @@ def mc_exercise_prob(params, state, strike, cfg):
 def test_r2_matches_mc_exercise_probability():
     state = MarketState(spot=100.0, variance=0.04, tau=1.0)
     opt = OptionSpec(strike=105.0)
-    cf, strip, w = heston_kernel(HESTON, state.variance, state.tau)
+    cf, strip, w = heston_cf(HESTON, state.variance, state.tau)
     pair = gil_pelaez(cf, strip, math.log(state.spot), w, math.log(opt.strike))
     mean, std_error = mc_exercise_prob(HESTON, state, opt.strike, McConfig(n_paths=100_000, seed=21))
     assert abs(pair.r2 - mean) <= 3.0 * std_error
 
 
 def test_monotone_in_log_strike():
-    cf, strip, w = heston_kernel(HESTON, 0.04, 1.0)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
     strikes = [60.0, 80.0, 100.0, 120.0, 150.0]
     pairs = [gil_pelaez(cf, strip, math.log(100.0), w, math.log(k)) for k in strikes]
     for earlier, later in zip(pairs, pairs[1:]):
@@ -117,7 +89,7 @@ def test_translation_consistency():
     # shifting x and ln K together leaves R_j unchanged: the integrand sees
     # only the difference through the phase product
     shift = 0.37
-    cf, strip, w = heston_kernel(HESTON, 0.04, 1.0)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
     p0 = gil_pelaez(cf, strip, math.log(100.0), w, math.log(90.0))
     p1 = gil_pelaez(cf, strip, math.log(100.0) + shift, w, math.log(90.0) + shift)
     tol = 10 * max(p0.achieved_error_estimate, p1.achieved_error_estimate) + 1e-12
@@ -126,7 +98,7 @@ def test_translation_consistency():
 
 
 def test_halving_tolerance_stays_within_error_estimate():
-    cf, strip, w = heston_kernel(HESTON, 0.04, 1.0)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
     loose_spec = QuadratureSpec(abs_tol=1e-6)
     tight_spec = QuadratureSpec(abs_tol=5e-7)
     loose = gil_pelaez(cf, strip, math.log(100.0), w, math.log(110.0), loose_spec)
@@ -136,7 +108,7 @@ def test_halving_tolerance_stays_within_error_estimate():
 
 
 def test_probabilities_within_tolerance_band():
-    cf, strip, w = heston_kernel(HESTON, 0.04, 1.0)
+    cf, strip, w = heston_cf(HESTON, 0.04, 1.0)
     spec = QuadratureSpec(abs_tol=1e-9)
     for strike in (50.0, 95.0, 100.0, 130.0):
         pair = gil_pelaez(cf, strip, math.log(100.0), w, math.log(strike), spec)
@@ -151,7 +123,7 @@ def test_degenerate_bypass_uses_phase_center():
     # drift: the indicator is taken at the location passed, the forward x + mu
     p = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
     x = math.log(100.0)
-    cf, strip, w = heston_kernel(p, 0.0, 1.0)
+    cf, strip, w = heston_cf(p, 0.0, 1.0)
     assert w == 0.0
     # forward ln S_T = x + mu: strike between x and x+mu must exercise
     pair = gil_pelaez(cf, strip, x + p.mu, w, x + 0.5 * p.mu)
@@ -166,12 +138,12 @@ def test_tail_not_decaying_reported():
     # near-zero variance with theta = 0: |f - f_BS| / s stays far above the
     # threshold up to the top of the s ladder
     p = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
-    cf, strip, w = heston_kernel(p, 1e-12, 1.0)
+    cf, strip, w = heston_cf(p, 1e-12, 1.0)
     with pytest.raises(TailNotDecaying):
         gil_pelaez(cf, strip, math.log(100.0), w, math.log(100.0))
     # at v = 1e-6 the tail decays on the ladder only at s = 4096, and there the
     # aliasing bound asks for ~2.8e6 midpoint nodes, more than the cap
-    cf, strip, w = heston_kernel(p, 1e-6, 1.0)
+    cf, strip, w = heston_cf(p, 1e-6, 1.0)
     with pytest.raises(SubdivisionExhausted):
         gil_pelaez(cf, strip, math.log(100.0), w, math.log(100.0))
 
@@ -183,7 +155,7 @@ def test_non_finite_ladder_is_reported():
         return np.where(np.abs(phi - S_LADDER[3] / 0.2) < 1e-9, np.nan, f)
 
     with pytest.raises(TailNotDecaying, match="not finite"):
-        gil_pelaez(as_kernel(cf, 0.04), every_order, 0.0, 0.04, 0.1)
+        gil_pelaez(cf, every_order, 0.0, 0.04, 0.1)
 
 
 # the corner of PARAM_BOX with the narrowest strip: moments of order above 1 + 5.5e-4/sqrt(w) explode before tau = 30,
@@ -228,7 +200,7 @@ def test_gaussian_law_inverts_to_its_closed_form(abs_tol):
         return np.stack([np.exp(1j * phi * sign * 0.5 * true_w - 0.5 * phi**2 * true_w) for sign in (1.0, -1.0)])
 
     spec = QuadratureSpec(abs_tol=abs_tol)
-    pair = gil_pelaez(as_kernel(cf, w), every_order, x, w, log_strikes, spec)
+    pair = gil_pelaez(cf, every_order, x, w, log_strikes, spec)
     for r, sign in ((pair.r1, 1.0), (pair.r2, -1.0)):
         d = (x - log_strikes + sign * 0.5 * true_w) / math.sqrt(true_w)
         exact = np.array([0.5 * math.erfc(-z / math.sqrt(2.0)) for z in d])
@@ -272,8 +244,7 @@ def _s_max_by_rung(cf, w, spec):
     threshold = spec.abs_tol / 10.0
     for s in S_LADDER:
         phi = np.array([s / math.sqrt(w)])
-        f_bs = control(w, phi, np.array([s]))[:, 0]
-        tail = np.abs(cf(np.zeros(1, dtype=int), phi)[:, 0] - f_bs).max() / s
+        tail = np.abs(_less_control(cf(np.zeros(1, dtype=int), phi), phi, w, np.array([s]))).max()
         if tail < threshold:
             return s, tail
     return None
@@ -282,7 +253,7 @@ def _s_max_by_rung(cf, w, spec):
 def _ladder_difference(cf, w):
     """(f_j - f_BS_j)/s on the s ladder of one maturity: measures first, rungs last."""
     phi = S_LADDER / math.sqrt(w)
-    return (cf(np.zeros(phi.size, dtype=int), phi) - control(w, phi, S_LADDER)) / S_LADDER
+    return _less_control(cf(np.zeros(phi.size, dtype=int), phi), phi, w, S_LADDER)
 
 
 def test_find_s_max_matches_per_rung_search():
@@ -293,7 +264,8 @@ def test_find_s_max_matches_per_rung_search():
         params = draw_params(rng, beta=0.0 if i % 2 == 0 else rng.uniform(0.25, 2.0))
         for tau in (0.02, 1.0, 10.0):
             variance, taus = rng.uniform(0.01, 0.16), np.array([tau])
-            cf = heston_cf(params, variance, tau)
+            log_bond = math.log(bond_price(params, variance, tau).price)
+            cf = _provider(params, variance, taus, np.array([log_bond]))
             w = float(_expected_variance(params, variance, taus)[0])
             for spec in (QuadratureSpec(), QuadratureSpec(abs_tol=1e-12)):
                 expected = _s_max_by_rung(cf, w, spec)
@@ -309,8 +281,9 @@ def test_find_s_max_matches_per_rung_search():
 
 
 def test_find_s_max_evaluates_whole_ladder_once_per_measure():
-    kernel, strip, w, calls, inner = _recording(HESTON, 0.04, 1.0)
-    gil_pelaez(kernel, strip, math.log(100.0), w, math.log(100.0))
+    inner, strip, w = heston_cf(HESTON, 0.04, 1.0)
+    cf, calls = _recording(inner)
+    gil_pelaez(cf, strip, math.log(100.0), w, math.log(100.0))
     # both measures in the first call, the moments on the imaginary axis after the ladder
     np.testing.assert_allclose(calls[0][:S_LADDER.size] * math.sqrt(w), S_LADDER, rtol=1e-15)
     assert _find_s_max(_ladder_difference(inner, w), QuadratureSpec())[0][0] in S_LADDER
@@ -414,21 +387,19 @@ def test_box_calls_fall_and_are_convex_in_strike_and_rise_with_maturity(params, 
     assert np.all(np.diff(grid.price, axis=0) >= -slack.max(axis=0)), grid.price
 
 
-def _recording(params, v, tau):
-    """heston_kernel's integrand, strip and w, a list of the frequencies of each call of its characteristic function,
-    and that function itself."""
-    calls, inner = [], heston_cf(params, v, tau)
+def _recording(inner):
+    calls = []
 
-    def cf(m, phi):
+    def eval_fn(m, phi):
         calls.append(phi.copy())
         return inner(m, phi)
 
-    _, strip, w = heston_kernel(params, v, tau)
-    return as_kernel(cf, w), strip, w, calls, inner
+    return eval_fn, calls
 
 
 def test_ladder_is_one_call():
-    cf, strip, w, calls, _ = _recording(HESTON, 0.04, 1.0)
+    inner, strip, w = heston_cf(HESTON, 0.04, 1.0)
+    cf, calls = _recording(inner)
     gil_pelaez(cf, strip, math.log(100.0), w, np.log([80.0, 100.0, 120.0]))
     np.testing.assert_allclose(calls[0][:S_LADDER.size] * math.sqrt(w), S_LADDER, rtol=1e-15)
     assert np.all(calls[0][S_LADDER.size:].real == 0.0)
@@ -438,7 +409,8 @@ def test_ladder_is_one_call():
 
 def test_degenerate_point_makes_no_cf_call():
     p = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
-    cf, strip, w, calls, _ = _recording(p, 0.0, 1.0)
+    inner, strip, w = heston_cf(p, 0.0, 1.0)
+    cf, calls = _recording(inner)
     pair = gil_pelaez(cf, strip, math.log(100.0) + p.mu, w, np.log([90.0, 110.0]))
     assert calls == []
     np.testing.assert_array_equal(pair.r2, [1.0, 0.0])

@@ -24,7 +24,7 @@ from svsir.bond import BETA_SWITCH
 from svsir.heston_cf import affine_cd
 from svsir.inversion import QuadratureSpec, gil_pelaez
 from svsir.model import OptionKind
-from svsir.pricer import MODEL_HESTON, MODEL_SIR, _expected_variance, _kernel, _strip
+from svsir.pricer import MODEL_HESTON, MODEL_SIR, _expected_variance, _provider, _strip
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
@@ -32,33 +32,25 @@ STATE = MarketState(spot=100.0, variance=0.04, tau=1.0)
 
 
 def one_maturity(params, state):
-    """The integrand, strip, x and w of one maturity, as price_grid hands them to gil_pelaez."""
+    """The characteristic function, strip, x and w of one maturity, as price_grid hands them to gil_pelaez."""
     log_bond = math.log(bond_price(params, state.variance, state.tau).price)
     taus = np.array([state.tau])
-    w = _expected_variance(params, state.variance, taus)
-    return (_kernel(params, state.variance, taus, np.array([log_bond]), w), _strip(params, taus),
-            math.log(state.spot) - log_bond, w)
+    return (_provider(params, state.variance, taus, np.array([log_bond])), _strip(params, taus),
+            math.log(state.spot) - log_bond, _expected_variance(params, state.variance, taus))
 
 
-def test_kernel_is_the_controlled_integrand_and_the_moments():
-    # at s nodes, (f_j - f_BS_j)/s of f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B times exp(-i*phi*ln(S/B)), phi =
-    # s/sqrt(w); at t nodes, f_j at phi = -i*t/sqrt(w): maturities mixed, constants gathered per node
+def test_provider_gathers_each_nodes_maturity():
+    # f_1 = Psi(phi - i)/S and f_2 = Psi(phi)/B times exp(-i*phi*ln(S/B)), at nodes of mixed maturities, on the
+    # real axis and, for the moments, on the imaginary one
     taus, v = np.array([0.5, 2.0]), 0.04
     log_bonds = np.array([math.log(bond_price(SIR, v, tau).price) for tau in taus])
-    w = _expected_variance(SIR, v, taus)
-    m, s, t = np.array([1, 0, 1, 0, 1]), np.array([0.5, 3.0, 8.0]), np.array([-0.7, 0.35])
-    g, moments = _kernel(SIR, v, taus, log_bonds, w)(m, s, t)
-    phi = np.concatenate([s / np.sqrt(w[m[:3]]), -1j * t / np.sqrt(w[m[3:]])])
+    m, phi = np.array([1, 0, 1, 0, 1]), np.array([3.0, 15.0, 40.0, -3.5j, 0.7j])
+    f = _provider(SIR, v, taus, log_bonds)(m, phi)
     a_val, d_val = affine_cd(SIR, taus[m], np.stack([phi - 1j, phi]))
-    f = np.exp(a_val + d_val * v + 1j * phi * log_bonds[m] - np.outer([0.0, 1.0], log_bonds[m]))
-    f_bs = np.exp(0.5j * phi[:3] * w[m[:3]] - 0.5 * s * s)
-    np.testing.assert_allclose(g, (f[:, :3] - np.stack([f_bs, f_bs.conj()])) / s, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(moments, f[:, 3:].real, rtol=1e-14, atol=0.0)
+    expected = np.exp(a_val + d_val * v + 1j * phi * log_bonds[m] - np.outer([0.0, 1.0], log_bonds[m]))
+    np.testing.assert_allclose(f, expected, rtol=1e-14, atol=0.0)
+    # a moment is real
     assert np.all(np.abs(f[:, 3:].imag) <= 1e-14 * np.abs(f[:, 3:].real))
-    # the midpoint's calls give no t nodes and get no moments
-    g_mid, no_moments = _kernel(SIR, v, taus, log_bonds, w)(m[:3], s)
-    assert g_mid.shape == (2, 3) and no_moments.shape == (2, 0)
-    np.testing.assert_array_equal(g_mid, g)
 
 
 def test_zero_variance_call_is_discounted_forward():

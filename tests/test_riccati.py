@@ -14,7 +14,7 @@ from svsir import (
     integrate_cd_batch,
 )
 from svsir.heston_cf import affine_cd, cd_arrays
-from svsir.pricer import _expected_variance, _kernel
+from svsir.pricer import _provider
 from svsir.riccati import SirCoefficients, _RiccatiRhs, integrate_cd
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
@@ -211,18 +211,13 @@ def test_closed_form_matches_riccati_over_box():
         p = draw_params(rng, beta=rng.uniform(0.25, 2.0))
         rhos.append(p.rho_sv)
         bonds = [bond_price(p, v, tau).price for tau in taus]
-        w = _expected_variance(p, v, np.array(taus))
-        kernel = _kernel(p, v, np.array(taus), np.array([math.log(b) for b in bonds]), w)
+        provider = _provider(p, v, np.array(taus), np.array([math.log(b) for b in bonds]))
         for j in (1, 2):
             c_chk, d_chk, _ = integrate_cd_batch(p, taus[-1], phis, j, tol, checkpoints=taus)
             for m, (tau, b, c_ode, d_ode) in enumerate(zip(taus, bonds, c_chk, d_chk)):
                 f_ode = np.exp(c_ode + d_ode * v + 1j * phis * math.log(spot / b))
-                # the kernel returns (f_j - f_BS_j)/s for f_j times exp(-i*phi*x) at s = phi*sqrt(w); add the
-                # control back and put the phase at x back
-                s = phis * math.sqrt(w[m])
-                f_bs = np.exp(0.5j * phis * w[m] - 0.5 * s * s)
-                g = kernel(np.full(phis.size, m), s)[0][j - 1]
-                f_cf = (g * s + (f_bs if j == 1 else f_bs.conj())) * np.exp(1j * phis * math.log(spot / b))
+                # the provider returns f_1 and f_2 times exp(-i*phi*x); put the phase at x back
+                f_cf = provider(np.full(phis.size, m), phis)[j - 1] * np.exp(1j * phis * math.log(spot / b))
                 assert np.max(np.abs(f_cf - f_ode)) < 1e-9, (p, tau, j)
         for phi in phis:
             a_path, _ = affine_cd(p, grid, phi - 1j)
