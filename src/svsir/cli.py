@@ -289,7 +289,7 @@ def cmd_bond(args: argparse.Namespace) -> int:
     taus = _comma_numbers(args.tau_grid, "--tau-grid")
     _ranged("--variance:", check_nonnegative, "variance", args.variance)
     _ranged("--tau-grid:", lambda: [check_nonnegative("tau", tau) for tau in taus])
-    values = [bond_mod.bond_price(params, args.variance, tau) for tau in taus]
+    values = bond_mod.bond_values(params, args.variance, taus)
     _emit(dict(zip(BOND_COLUMNS, (taus, [value.f_factor for value in values], [value.g_factor for value in values],
                                   [value.price for value in values]))), args.output or "csv")
     return 0

@@ -30,8 +30,10 @@ arrays and on (maturity, strike) row arrays only; what belongs to one maturity (
 the tail term) is formed on Python floats, so that a pass over few maturities and strikes pays few array calls.
 
 Where w_m = 0 (tau = 0, or v = theta = 0) the law is a point mass at x_m: R_j is 1, 1/2 or 0 as x_m is above, at
-or below k, and the maturity makes no characteristic-function call.  A maturity whose step needs more than
-``MAX_NODES`` nodes, as where its strip is too narrow for the bound, raises SubdivisionExhausted.
+or below k, and the maturity makes no characteristic-function call.  So it is, to rounding, where w_m <=
+``W_POINT_MASS`` (~2.4e-299), so small that the top rung's phi^2 = 2^32/w_m overflows: that law lies within
+~1.6e-149 of x_m in log-price.  A maturity whose step needs more than ``MAX_NODES`` nodes, as where its strip is too
+narrow for the bound, raises SubdivisionExhausted.
 """
 from __future__ import annotations
 
@@ -52,6 +54,8 @@ S_LADDER = 0.5 * 2.0 ** np.arange(18)
 MOMENT_ORDERS = np.multiply.outer([-1.0, 1.0], 2.0 ** (np.arange(-48, 7) / 2.0))
 # How many of a maturity's largest orders inside its strip are evaluated per side.
 MOMENTS_PER_SIDE = 3
+# The largest w taken as a point mass: at or below it the top rung's phi^2 = S_LADDER[-1]^2/w overflows.
+W_POINT_MASS = float(S_LADDER[-1] ** 2 / np.finfo(float).max)
 # Most midpoint nodes of one maturity, enough for the narrowest strip of the tests' parameter box (~1.3e6 at tau = 30).
 MAX_NODES = 2**21
 # Most nodes per characteristic-function call; bounds the temporaries of a pass over many maturities.
@@ -236,11 +240,11 @@ def gil_pelaez(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     w = np.full(x.shape, w, dtype=float)
     moneyness = x[:, None] - np.asarray(log_strike, dtype=float).reshape(-1)
-    # where w = 0 the law is a point mass at x
+    # where w <= W_POINT_MASS the law is a point mass at x
     at_mass = 0.5 + 0.5 * np.sign(moneyness)
     r, err = np.array([at_mass, at_mass]), np.zeros(moneyness.shape)
 
-    live = np.flatnonzero(w > 0.0)
+    live = np.flatnonzero(w > W_POINT_MASS)
     if live.size:
         w, moneyness = w[live], moneyness[live]
         root_w = np.sqrt(w)

@@ -20,7 +20,9 @@ where
     b_1         = kappa + lam - rho_sv*sigma,
     b_2(tau')   = kappa + lam - sigma^2*G(tau').
 
-The coefficients are evaluated at the integration variable's own time to
+G is the bond's variance loading, read from :func:`svsir.bond.g_of_tau` for
+every beta > 0: the same closed form as the price path's bond.  The
+coefficients are evaluated at the integration variable's own time to
 maturity (same clock as the bond), which is what makes the assembled f_j
 satisfy the pricing PDE.  For every beta the assembled f_j must equal the
 closed forms Psi(phi - i)/S (j = 1) and Psi(phi)/B (j = 2) of
@@ -90,36 +92,33 @@ class SirCoefficients:
     """Time-dependent coefficient bundle of the Riccati system.
 
     Every time-dependent coefficient is a function of the variance loading
-    G alone: :meth:`g` evaluates it once per time to maturity, and the
-    coefficient rules take that value.  ``bond_coeffs is None`` marks the
-    degenerate beta branch where G vanishes identically and every
-    coefficient is the constant-rate one.
+    G alone: :meth:`g` evaluates it once per time to maturity, from the
+    bond's :func:`svsir.bond.g_of_tau`, and the coefficient rules take that
+    value.  ``bond_params is None`` marks beta = 0, where G vanishes
+    identically and every coefficient is the constant-rate one.
     """
 
     alpha: float
     sigma: float
     rho_sv: float
     a: float
-    bond_coeffs: bond.BondCoefficients | None
+    bond_params: ModelParams | None
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "SirCoefficients":
-        co = None
-        if params.beta > bond.BETA_SWITCH:
-            co = bond.coefficients(params)
         return cls(
             alpha=params.alpha,
             sigma=params.sigma,
             rho_sv=params.rho_sv,
             a=params.kappa * params.theta,
-            bond_coeffs=co,
+            bond_params=params if params.beta > 0.0 else None,
         )
 
     def g(self, tau: float) -> float:
         """Variance loading G(tau) of the bond."""
-        if self.bond_coeffs is None:
+        if self.bond_params is None:
             return 0.0
-        return bond.g_of_tau(self.bond_coeffs, tau)
+        return bond.g_of_tau(self.bond_params, tau)
 
     def sigma_x_sq(self, g: float) -> float:
         """sx2 = 1 - 2*rho_sv*sigma*G + sigma^2*G^2; strictly positive for |rho_sv| < 1."""

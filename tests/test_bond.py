@@ -7,54 +7,44 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
-from conftest import draw_params
+from conftest import PARAM_BOX, draw_params
 from svsir import InvalidParameter, ModelParams, bond_price, ode_residual
-from svsir.bond import DegenerateBeta, _log_f_and_g, coefficients, g_of_tau, log_f_of_tau
+from svsir.bond import _log_f_and_g, bond_values, g_of_tau
+from svsir.heston_cf import affine_cd
 
 BASE = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
 
 
 def test_coefficients_frozen_value():
-    # kappa+lam = 2, sigma = 0.3, beta = 1: d = -sqrt(4.18)
-    co = coefficients(BASE)
-    assert co.d == pytest.approx(-2.0445048300260873, rel=1e-14)
-    assert co.b > 0 and co.c > 0
+    # kappa+lam = 2, sigma = 0.3, beta = 1: s = sqrt(4.18), and G -> -1/b = -2*beta/(kappa+lam + s)
+    assert g_of_tau(BASE, 1e3) == pytest.approx(-2.0 / (2.0 + 2.0445048300260873), rel=1e-14)
 
 
 def test_coefficients_quadratic_identities():
+    # G's limit -1/b is the root of the stationary right-hand side sigma^2/2*G^2 - alpha*G - beta below 0, to
+    # rounding relative to beta, for beta from 1e-14 to 2
     rng = np.random.default_rng(5)
     for _ in range(20):
-        p = draw_params(rng, beta=rng.uniform(0.25, 2.0))
-        co = coefficients(p)
-        alpha, s2, beta = p.alpha, p.sigma**2, p.beta
-        assert s2 - 2 * alpha * co.c - 2 * beta * co.c**2 == pytest.approx(0.0, abs=1e-12 * s2)
-        assert s2 + 2 * alpha * co.b - 2 * beta * co.b**2 == pytest.approx(0.0, abs=1e-11 * max(s2, co.b**2))
-        assert co.b * co.c == pytest.approx(s2 / (2 * beta), rel=1e-12)
-        assert co.b != -co.c
-
-
-def test_degenerate_beta_rejected():
-    with pytest.raises(DegenerateBeta):
-        coefficients(ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0,
-                                 rho_sv=-0.5, mu=0.03, beta=1e-15))
+        p = draw_params(rng, beta=10.0 ** rng.uniform(-14.0, math.log10(2.0)))
+        g_inf = g_of_tau(p, 1e4)
+        assert g_inf < 0.0
+        assert 0.5 * p.sigma**2 * g_inf**2 - p.alpha * g_inf - p.beta == pytest.approx(0.0, abs=1e-14 * p.beta)
 
 
 def test_g_limits():
-    co = coefficients(BASE)
-    assert g_of_tau(co, 0.0) == 0.0
+    assert g_of_tau(BASE, 0.0) == 0.0
     taus = np.linspace(1e-6, 30.0, 200)
-    g = g_of_tau(co, taus)
+    g = g_of_tau(BASE, taus)
     assert np.all(g < 0)
-    assert g_of_tau(co, 500.0) == pytest.approx(-1.0 / co.b, rel=1e-12)
+    s = math.sqrt(BASE.alpha**2 + 2.0 * BASE.beta * BASE.sigma**2)
+    assert g_of_tau(BASE, 500.0) == pytest.approx(-2.0 * BASE.beta / (BASE.alpha + s), rel=1e-12)
 
 
 def test_f_limits_and_theta_zero():
-    co = coefficients(BASE)
-    assert np.exp(log_f_of_tau(BASE, co, 0.0)) == 1.0
+    assert math.exp(_log_f_and_g(BASE, 0.0)[0]) == 1.0
     p0 = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
-    co0 = coefficients(p0)
     for tau in (0.3, 1.0, 7.0):
-        assert np.exp(log_f_of_tau(p0, co0, tau)) == pytest.approx(math.exp(-0.03 * tau), rel=1e-14)
+        assert math.exp(_log_f_and_g(p0, tau)[0]) == pytest.approx(math.exp(-0.03 * tau), rel=1e-14)
 
 
 def _ode_fg(params, taus):
@@ -76,16 +66,16 @@ def test_closed_form_matches_ode_oracle():
     taus = np.array([0.1, 0.5, 1.0, 2.5, 5.0])
     for _ in range(5):
         p = draw_params(rng, beta=rng.uniform(0.25, 2.0))
-        co = coefficients(p)
         f_ode, g_ode = _ode_fg(p, taus)
-        np.testing.assert_allclose(np.exp(log_f_of_tau(p, co, taus)), f_ode, rtol=1e-8)
-        np.testing.assert_allclose(g_of_tau(co, taus), g_ode, rtol=1e-8, atol=1e-12)
+        log_f, g = _log_f_and_g(p, taus)
+        np.testing.assert_allclose(np.exp(log_f), f_ode, rtol=1e-8)
+        np.testing.assert_allclose(g, g_ode, rtol=1e-8, atol=1e-12)
 
 
 def test_bond_price_maturity_and_limit():
     assert bond_price(BASE, 0.7, 0.0).price == 1.0
-    # below BETA_SWITCH the bond is its first order in beta, ln B = -mu*tau - beta*Integral_0^tau E[v_t] dt; here
-    # v = theta and kappa + lam = kappa, so E[v_t] = 0.04 throughout
+    # at beta = 1e-12 the bond is its first order in beta, ln B = -mu*tau - beta*Integral_0^tau E[v_t] dt, to
+    # O(beta^2); here v = theta and kappa + lam = kappa, so E[v_t] = 0.04 throughout
     p = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.05, beta=1e-12)
     value = bond_price(p, 0.04, 1.0)
     assert value.price == pytest.approx(math.exp(-0.05 - 1e-12 * 0.04), abs=1e-15)
@@ -97,8 +87,8 @@ def test_bond_price_maturity_and_limit():
 
 
 def test_constant_rate_bond_for_every_kappa_plus_lam():
-    # at beta = 0 the bond is exp(-mu*tau) with G = +0, also where kappa + lam <= 0 and the first-order branch's
-    # 1/(kappa + lam) has no value; with 0 < beta <= BETA_SWITCH that branch needs kappa + lam > 0, as the closed form
+    # at beta = 0 the bond is exp(-mu*tau) with G = +0, also where kappa + lam <= 0 and the closed form's
+    # 1/b = 2*beta/(kappa+lam + s) is 0/0; with beta > 0 the closed form needs kappa + lam > 0
     for lam, tau in ((-2.0, 1.0), (-3.0, 1.0), (-3.0, 800.0)):
         p = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=lam, rho_sv=-0.5, mu=0.05, beta=0.0)
         value = bond_price(p, 0.04, tau)
@@ -176,3 +166,28 @@ def test_bond_price_in_unit_interval(params, v, tau):
 @given(bond_params, st.floats(0.0, 0.5), st.floats(0.05, 0.5), st.floats(0.01, 30.0))
 def test_bond_price_non_increasing_in_v(params, v, dv, tau):
     assert bond_price(params, v + dv, tau).price <= bond_price(params, v, tau).price + 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.fixed_dictionaries({name: st.floats(lo, hi) for name, (lo, hi) in PARAM_BOX.items()}),
+       beta=st.one_of(st.just(0.0), st.floats(-14.0, math.log10(2.0)).map(lambda e: 10.0**e)),
+       tau=st.floats(0.0, 100.0), v=st.floats(0.0, 0.5))
+def test_bond_is_the_affine_cf_at_zero_and_first_order_in_small_beta(values, beta, tau, v):
+    # Psi(0) = E[exp(-Int r)] is the bond, so exp(Re A + Re D*v) from the affine CF at u = 0 is a second formula
+    # for it, to 1e-11 (relative) over the box
+    values["lam"] = max(values["lam"], 0.3 - values["kappa"])
+    params = ModelParams(beta=beta, **values)
+    bond = bond_values(params, v, tau)[0]
+    a_val, d_val = affine_cd(params, tau, 0.0)
+    cf = math.exp(float(a_val.real) + float(d_val.real) * v)
+    assert abs(bond.price - cf) <= 1e-11 * cf
+    if beta <= 1e-8:
+        # the first order in beta, ln B = -mu*tau - beta*Integral_0^tau E[v_t] dt with the risk-neutral E[v_t]; with
+        # G = -beta*g1 + beta^2*g2 + O(beta^3), g2' = sigma^2/2*g1^2 - alpha*g2 and g1 <= 1/alpha bound g2 by
+        # sigma^2/(2*alpha^3), and ln F - ln F_1 by kappa*theta*tau times that
+        alpha, eta, sigma2 = params.alpha, params.kappa * params.theta, params.sigma**2
+        decay = -math.expm1(-alpha * tau)
+        first_order = -params.mu * tau - beta * (v * decay + eta / alpha * (alpha * tau - decay)) / alpha
+        second_order = beta**2 * sigma2 / (2.0 * alpha**3) * (eta * tau + v)
+        rounding = 8.0 * np.finfo(float).eps * (1.0 + abs(first_order))
+        assert abs(math.log(bond.price) - first_order) <= 2.0 * second_order + rounding

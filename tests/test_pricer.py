@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PARAM_BOX, draw_params
+from conftest import draw_params
 from svsir import (
     InvalidParameter,
     MarketState,
@@ -20,9 +21,8 @@ from svsir import (
     put_from_parity,
     simulate_price,
 )
-from svsir.bond import BETA_SWITCH
 from svsir.heston_cf import affine_cd
-from svsir.inversion import QuadratureSpec, gil_pelaez
+from svsir.inversion import W_POINT_MASS, QuadratureSpec, gil_pelaez
 from svsir.model import OptionKind
 from svsir.pricer import MODEL_HESTON, MODEL_SIR, _expected_variance, _provider, _strip
 
@@ -176,6 +176,23 @@ def test_atm_call_prices_at_extreme_short_maturities():
     assert np.all(np.abs(grid.price[:, 1] - limit) <= 2.0 * (100.0 + 100.0 * bonds) * np.finfo(float).eps)
     intrinsic = np.maximum(100.0 - k * bonds[:, None], 0.0)
     assert np.all(np.abs(grid.price - intrinsic)[:, [0, 2]] <= (100.0 + k[[0, 2]] * bonds[:, None]) * 1e-9)
+
+
+@pytest.mark.parametrize("tau", [1e-300, 2.225e-311, 1e-320])
+def test_maturities_whose_top_rung_overflows_price_as_a_point_mass(tau):
+    # at v = 0.5 the ladder's top rung phi = 2^16/sqrt(w) squares past the largest double; such a law is a point
+    # mass to ~1e-149 in log-price, so every strike prices at its intrinsic value (R_j = 1, 1/2, 0), with no
+    # overflow or invalid-value warning, beside a maturity that inverts
+    strikes = np.array([80.0, 100.0, 120.0])
+    assert _expected_variance(SIR, 0.5, np.array([tau]))[0] <= W_POINT_MASS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        grid = price_grid(SIR, 100.0, 0.5, strikes, (tau, 0.5))
+    bond = grid.bond[0].price
+    np.testing.assert_array_equal(grid.price[0], np.maximum(100.0 - strikes * bond, 0.0))
+    np.testing.assert_array_equal(grid.r1[0], [1.0, 0.5, 0.0])
+    np.testing.assert_array_equal(grid.r2[0], [1.0, 0.5, 0.0])
+    assert np.all(grid.err_estimate[0] == 0.0) and np.all(np.isfinite(grid.price[1]))
 
 
 def _black_call(spot, strike, bond_price, w):
@@ -347,18 +364,3 @@ def test_price_sir_is_the_one_point_grid_bit_for_bit():
         assert (res.price, res.r1, res.r2, res.err_estimate) == (
             grid.price[0, 0], grid.r1[0, 0], grid.r2[0, 0], grid.err_estimate[0, 0])
         assert res.bond == grid.bond[0] and res.model_tag == grid.model_tag
-
-
-@settings(max_examples=40, deadline=None)
-@given(values=st.fixed_dictionaries({name: st.floats(lo, hi) for name, (lo, hi) in PARAM_BOX.items()}),
-       variance=st.floats(0.0, 0.5), tau=st.one_of(st.just(0.0), st.floats(1e-4, 30.0)))
-def test_bond_and_calls_are_continuous_across_the_beta_switch(values, variance, tau):
-    # the bond's closed form holds above BETA_SWITCH and its first order in beta below; both sides of the switch
-    # give the same bond to 1e-12 (relative) and the same calls to (S + K*B)*abs_tol
-    values["lam"] = max(values["lam"], 0.3 - values["kappa"])
-    strikes, quad = np.array([60.0, 100.0, 150.0]), QuadratureSpec()
-    below, above = (price_grid(ModelParams(beta=BETA_SWITCH * (1.0 + side * 1e-9), **values), 100.0, variance,
-                               strikes, (tau,), quad) for side in (-1.0, 1.0))
-    bond = above.bond[0].price
-    assert abs(below.bond[0].price - bond) <= 1e-12 * bond
-    assert np.all(np.abs(below.price - above.price) <= (100.0 + strikes * bond) * quad.abs_tol)
