@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -247,19 +248,54 @@ def _plain_qe(params, v0, maturities, cfg):
     return out, exp_steps
 
 
+def _qe_segments(params, v0, maturities, cfg):
+    """``(v, Integral v dt)`` after each of the sorted ``maturities``, running one QE
+    segment per maturity on every path slice, as ``simulate_grid`` does; the
+    scratch starts as NaN, so a segment that reads it before writing it shows."""
+    from svsir.mc import _on_slices, _qe_paths, _steps
+
+    n = cfg.n_paths
+    v, var_integral = np.full(n, v0), np.zeros(n)
+    scratch = [np.full(n, np.nan) for _ in range(5)]
+    out, done, first = [], 0.0, 0
+    for tau in maturities:
+        n_steps, dt = _steps(tau - done, cfg)
+        _on_slices(partial(_qe_paths, params, first, n_steps, dt, cfg), n, v, var_integral, *scratch)
+        out.append((v.copy(), var_integral.copy()))
+        done, first = tau, first + n_steps
+    return out
+
+
 @pytest.mark.parametrize("params", [SIR, FELLER_CORNER], ids=["sir", "feller_corner"])
 def test_in_place_qe_loop_matches_plain_expressions(params):
-    from svsir.mc import _qe
-
     cfg = McConfig(n_paths=1000, seed=20)
     maturities = (0.02, 0.3, 0.3, 1.0)
-    got = [(v.copy(), var_integral.copy()) for v, var_integral, _ in _qe(params, 0.04, maturities, cfg)]
+    got = _qe_segments(params, 0.04, maturities, cfg)
     expected, exp_steps = _plain_qe(params, 0.04, maturities, cfg)
     if params is FELLER_CORNER:
         assert exp_steps > 0  # both branches are exercised
     for got_pair, expected_pair in zip(got, expected, strict=True):
         for a, b in zip(got_pair, expected_pair, strict=True):
             assert np.array_equal(a, b)
+
+
+def test_grid_peak_memory_stays_within_ten_path_arrays():
+    # the grid holds eight path-length arrays (state and scratch); a read-off
+    # written as plain expressions would allocate more on top of them.  Where
+    # the buffers are allocated (calling or worker thread) is invisible here,
+    # as tracemalloc counts bytes and not glibc's per-thread arenas: the
+    # benchmark's peak_rss_mb covers that
+    import tracemalloc
+
+    n = 100_000
+    maturities = (0.0, 0.02, 0.5, 0.5, 1.0)
+    tracemalloc.start()
+    try:
+        simulate_grid(EXAMPLE, 100.0, 0.04, EXAMPLE_STRIKES, maturities, McConfig(n_paths=n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * n * np.dtype(float).itemsize
 
 
 def test_grid_standard_errors_below_plain_simulation():
@@ -339,12 +375,9 @@ SLICED_MATURITIES = (0.0, 0.02, 0.3, 0.3, 1.0)
 @pytest.mark.parametrize("params", [SIR, FELLER_CORNER], ids=["sir", "feller_corner"])
 @pytest.mark.parametrize("n_paths", [1001, 5003])
 def test_qe_is_bit_identical_at_any_slice_count(slice_counts, params, n_paths):
-    from svsir.mc import _qe
-
+    # SLICED_MATURITIES makes segments of 0, 5, 70, 0 and 175 steps
     cfg = McConfig(n_paths=n_paths, seed=24)
-    one, *others = slice_counts(lambda: [
-        (v.copy(), var_integral.copy())
-        for v, var_integral, _ in _qe(params, 0.04, SLICED_MATURITIES, cfg)])
+    one, *others = slice_counts(lambda: _qe_segments(params, 0.04, SLICED_MATURITIES, cfg))
     for other in others:
         for got, expected in zip(other, one, strict=True):
             assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
