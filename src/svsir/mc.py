@@ -40,31 +40,38 @@ their noise, so the errors of a grid's points are correlated.
 
 Determinism contract: a counter-based Philox stream keyed by the seed, with
 normal variates by inverse CDF, so identical (seed, inputs) give bit-identical
-estimates on a platform; summation is numpy's pairwise reduction.  A QE step
-draws exactly one uniform per path, an Euler step one or two normals.  Each
-draw has a fixed index in the stream: with n paths, path i reads draw
-s*n + i at QE step s; at Euler step s it reads 2*s*n + i for z2 and
-2*s*n + n + i for z1 (with stock), or s*n + i (without).  For maturities on
+estimates on a platform.  A QE step draws exactly one uniform per path, an
+Euler step one or two normals.  Each draw has a fixed index in the stream:
+with n paths, path i reads draw s*n + i at QE step s; at Euler step s it reads
+2*s*n + i for z2 and 2*s*n + n + i for z1 (with stock), or s*n + i (without).
+So every path's value is fixed by the seed, whatever runs it.  An estimate
+takes the mean and standard deviation of its samples by numpy's pairwise
+sums, after shifting them by their first (:func:`_moments`); the grid does so
+per block of paths and combines the blocks in block order (:func:`_combine`),
+and the Euler simulators take their samples as one block.  For maturities on
 the step lattice, such as 0.5 and 1 year at 250 steps a year, each grid
 estimate equals the one-maturity grid estimate at the same seed bit for bit.
 The loops reuse preallocated buffers in place but keep the operand order of
 the plain expressions, so that reuse does not change a path.
 
 Every operation of a step is elementwise per path, so the step loops run on
-contiguous path slices at once, one slice per CPU the process may use (its
-affinity mask, which ``taskset`` and cgroups bound; there is no setting) and
-none shorter than ``MIN_SLICE_PATHS``.  Each slice draws from its own Philox
-positioned at its draws' indices and writes into views of the full-length
-buffers, so the results are bit-identical at any slice count.  With one slice
-the loop runs in the calling thread and starts none.  Every path-length array
-is allocated once, in the calling thread, and the grid's read-off reuses the
-QE loop's scratch: :func:`simulate_grid` alone on the example grid at 100k
-paths (2 CPUs) peaks at 61.4 MiB RSS, against 64.4 MiB with the loop's scratch
-allocated per slice in the worker threads, 65.0 with separate read-off buffers
-and 68.7 with a plain-expression read-off.
+path slices at once, one slice per CPU the process may use (its affinity
+mask, which ``taskset`` and cgroups bound; there is no setting) and none
+shorter than ``MIN_SLICE_PATHS``.  Each slice draws from its own Philox
+positioned at its draws' indices, so the results are bit-identical at any
+slice count.  With one slice the loop runs in the calling thread and starts
+none.  The Euler loop splits the paths into contiguous slices of full-length
+buffers.  :func:`simulate_grid` splits them by their count alone into blocks
+of at most ``BLOCK_PATHS`` (:func:`_blocks`), which the slices take in turn
+as each finishes one, so its memory is eight block-length arrays per slice
+and does not grow with the paths.  Every buffer is allocated once, in the
+calling thread, and the grid's read-off reuses the QE loop's scratch.
+:func:`simulate_grid` alone on the example grid (2 CPUs) peaks 3.7 MiB RSS
+above its imports at 100k paths and 4.5 MiB at 1,000,000, where holding the
+whole path set took 7.9 and 71.4 MiB.
 
 scipy is imported only here, inside :func:`_to_normals` (``ndtri``) and
-:func:`simulate_grid` (``ndtr``): loading ``scipy.special`` costs about 0.3 s,
+:func:`_grid_block` (``ndtr``): loading ``scipy.special`` costs about 0.3 s,
 and ``import svsir`` and the CLI's ``price``, ``sweep`` and ``bond`` never
 simulate a path, so they never pay it.  The thread pool behind the slices is
 imported as lazily, only when a run has more than one slice.
@@ -73,6 +80,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -91,8 +99,16 @@ PSI_FLOOR = 1e-100
 # slices broke even with one at ~3k paths each (the per-step Python calls
 # and stream seeks no longer amortised), so 8k keeps a margin
 MIN_SLICE_PATHS = 8192
+# the longest path block simulate_grid runs at once in a slice, so that it
+# holds eight block arrays per slice at any path count; 2**15 makes four
+# blocks of 25,000 at 100k paths, where 2**14 (eight of 12,500) saved
+# 1.5 MiB but cost the benchmark's verify workload 17% of its throughput
+BLOCK_PATHS = 2**15
 # sqrt of the smallest normal double (2**-1022): below it, squares are subnormal or 0
 _SQRT_TINY = 2.0**-511
+
+# a block's size, first sample, and mean and standard deviation after the shift by its first
+_Moments = tuple[int, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -119,26 +135,57 @@ class McEstimate:
     n_paths: int
 
 
-def _estimate(samples: np.ndarray) -> McEstimate:
-    """Mean and standard error of ``samples``, which are shifted in place."""
-    n = samples.size
-    # shift by the first sample before the moments: identical to the plain
-    # two-pass formulas, but degenerate (constant) samples come out with a
-    # standard error of exactly zero
+def _moments(samples: np.ndarray, tmp: np.ndarray) -> _Moments:
+    """Size, first sample, and mean and standard deviation of ``samples``
+    shifted by their first, which they are in place; ``tmp``, of their size,
+    takes the squared deviations."""
+    # shifting by the first sample leaves the moments as the plain two-pass
+    # formulas give them, but degenerate (constant) samples come out with a
+    # standard deviation of exactly zero
     first = samples[0]
     samples -= first
-    std = samples.std(ddof=1)
+    # np.std(ddof=1)'s own steps and pairwise sums, bit for bit, without its
+    # temporary: in the grid's worker threads that would be allocated anew
+    mean = samples.mean()
+    np.subtract(samples, mean, out=tmp)
+    np.square(tmp, out=tmp)
+    std = np.sqrt(tmp.sum() / (samples.size - 1))
     if std < _SQRT_TINY:
         # the squares underflow (to 0 for all samples below ~1e-162): take the
         # moments of the samples scaled by their largest magnitude instead
         scale = float(np.abs(samples).max())
         if scale > 0.0:
             std = (samples / scale).std(ddof=1) * scale
+    return samples.size, first, mean, std
+
+
+def _combine(blocks: Sequence[_Moments]) -> McEstimate:
+    """Mean and standard error of the union of blocks of samples, from their
+    :func:`_moments`, merged in the order given (Chan, Golub & LeVeque 1979).
+
+    Each merge adds the blocks' root sums of squared deviations by ``hypot``,
+    so that tiny samples keep their standard error; one block is returned as
+    its moments give it."""
+    (n, first, mean, std), *rest = blocks
+    if rest:
+        root = std * math.sqrt(n - 1)
+        for n_b, first_b, mean_b, std_b in rest:
+            total = n + n_b
+            delta = (first_b - first) + mean_b - mean
+            mean += delta * n_b / total
+            root = math.hypot(root, std_b * math.sqrt(n_b - 1), delta * math.sqrt(n * n_b / total))
+            n = total
+        std = root / math.sqrt(n - 1)
     return McEstimate(
-        mean=float(first + samples.mean()),
+        mean=float(first + mean),
         std_error=float(std / math.sqrt(n)),
         n_paths=n,
     )
+
+
+def _estimate(samples: np.ndarray) -> McEstimate:
+    """Mean and standard error of ``samples``, which are shifted in place."""
+    return _combine([_moments(samples, np.empty_like(samples))])
 
 
 def _to_normals(u: np.ndarray) -> None:
@@ -373,44 +420,37 @@ def _qe_paths(params: ModelParams, first: int, n_steps: int, dt: float, cfg: McC
         np.copyto(v_next, v)
 
 
-def simulate_grid(
-    params: ModelParams,
-    spot: float,
-    v0: float,
-    strikes: Sequence[float],
-    maturities: Sequence[float],
-    cfg: McConfig,
-) -> list[McEstimate]:
-    """Call-price estimates over a (maturity x strike) grid, by the conditional
-    estimator on QE variance paths.
+def _blocks(n_paths: int) -> list[slice]:
+    """Contiguous blocks of near-equal length covering ``range(n_paths)``, none
+    longer than ``BLOCK_PATHS``: a multiple of four of them, so that one, two or
+    four slices share them evenly, or else of two, as long as that leaves them
+    ``MIN_SLICE_PATHS`` long.  The split depends on ``n_paths`` alone."""
+    k = -(-n_paths // BLOCK_PATHS)
+    k = next((k + -k % m for m in (4, 2) if n_paths // (k + -k % m) >= MIN_SLICE_PATHS), k)
+    return [slice(n_paths * j // k, n_paths * (j + 1) // k) for j in range(k)]
 
-    One path set runs one segment to each maturity in sorted order, and
-    every strike is read off the same paths there.  Returns maturities outer,
-    strikes inner, in the order given.  At ``tau = 0`` the estimate is the
-    intrinsic value with standard error 0.
-    """
+
+def _grid_block(params: ModelParams, spot: float, v0: float, strikes: Sequence[float],
+                maturities: Sequence[float], cfg: McConfig, part: slice, v: np.ndarray,
+                var_integral: np.ndarray, *scratch: np.ndarray) -> list[_Moments]:
+    """The :func:`_moments` of every grid point on the paths ``part``, maturities
+    outer, strikes inner, in the order given: one QE segment to each maturity
+    in sorted order, in place on views of the state (``v``, ``var_integral``)
+    and of six scratch buffers, each strike read off after its maturity's."""
     from scipy.special import ndtr
 
-    validate(params)
-    for tau in maturities:
-        MarketState(spot=spot, variance=v0, tau=tau)
-    for strike in strikes:
-        OptionSpec(strike=strike)
     rho, sigma = params.rho_sv, params.sigma
     var_share = max(0.0, 1.0 - rho * rho)
-    n = cfg.n_paths
-    v = np.full(n, float(v0))
-    var_integral = np.zeros(n)
+    v.fill(v0)
+    var_integral.fill(0.0)
     # the QE loop takes the first five, the read-off all six
-    scratch = [np.empty(n) for _ in range(6)]
     log_fwd, fwd, disc, std, d1, n2 = scratch
-    rows: list[list[McEstimate]] = [[] for _ in maturities]
+    rows: list[list[_Moments]] = [[] for _ in maturities]
     done, steps_done = 0.0, 0
     for m in sorted(range(len(maturities)), key=lambda m: maturities[m]):
         tau = maturities[m]
         n_steps, dt = _steps(tau - done, cfg)
-        _on_slices(partial(_qe_paths, params, steps_done, n_steps, dt, cfg), n,
-                   v, var_integral, *scratch[:5])
+        _qe_paths(params, steps_done, n_steps, dt, cfg, part, v, var_integral, *scratch[:5])
         done, steps_done = tau, steps_done + n_steps
         # ln(F e^{-I_r}/S) = rho*W - rho^2*I_v/2, with W read off the variance path
         np.subtract(v, v0 + params.kappa * params.theta * tau, out=fwd)
@@ -447,8 +487,56 @@ def simulate_grid(
                 np.subtract(fwd, n2, out=n2)
                 np.maximum(n2, 0.0, out=n2)
                 np.copyto(d1, n2, where=flat)
-            rows[m].append(_estimate(d1))
-    return [est for row in rows for est in row]
+            rows[m].append(_moments(d1, n2))
+    return [point for row in rows for point in row]
+
+
+def simulate_grid(
+    params: ModelParams,
+    spot: float,
+    v0: float,
+    strikes: Sequence[float],
+    maturities: Sequence[float],
+    cfg: McConfig,
+) -> list[McEstimate]:
+    """Call-price estimates over a (maturity x strike) grid, by the conditional
+    estimator on QE variance paths.
+
+    One path set runs one segment to each maturity in sorted order, and
+    every strike is read off the same paths there.  The paths run in the
+    blocks of :func:`_blocks`, each slice taking the next block left on
+    buffers of one block's length, and each point's block moments are
+    combined in block order.  Returns maturities outer, strikes inner, in
+    the order given.  At ``tau = 0`` the estimate is the intrinsic value
+    with standard error 0.
+    """
+    validate(params)
+    for tau in maturities:
+        MarketState(spot=spot, variance=v0, tau=tau)
+    for strike in strikes:
+        OptionSpec(strike=strike)
+    blocks = _blocks(cfg.n_paths)
+    k = min(_slice_count(cfg.n_paths), len(blocks))
+    size = max(part.stop - part.start for part in blocks)
+    # every slice's state and scratch, allocated here in the calling thread
+    buffers = [[np.empty(size) for _ in range(8)] for _ in range(k)]
+    points: list[list[_Moments]] = [[] for _ in blocks]
+    task = partial(_grid_block, params, spot, v0, strikes, maturities, cfg)
+    # blocks go to whichever slice is free, so a slice slowed by other load
+    # takes fewer; a block's moments do not depend on the slice that ran it
+    pending = deque(range(len(blocks)))  # its pops are thread-safe
+
+    def run_blocks(bufs: list[np.ndarray]) -> None:
+        while True:
+            try:
+                b = pending.popleft()
+            except IndexError:
+                return
+            part = blocks[b]
+            points[b] = task(part, *(a[:part.stop - part.start] for a in bufs))
+
+    _run([partial(run_blocks, bufs) for bufs in buffers])
+    return [_combine(point) for point in zip(*points)]
 
 
 def simulate_price(

@@ -1,15 +1,18 @@
 import dataclasses
 import math
+import sys
 from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import svsir.mc
 from svsir import (
     InvalidParameter,
     MarketState,
     McConfig,
+    McEstimate,
     ModelParams,
     OptionSpec,
     bond_price,
@@ -19,7 +22,7 @@ from svsir import (
     simulate_grid,
     simulate_price,
 )
-from svsir.mc import PSI_C, PSI_FLOOR, _estimate, _Stream
+from svsir.mc import BLOCK_PATHS, PSI_C, PSI_FLOOR, _blocks, _combine, _estimate, _moments, _Stream
 from svsir.model import OptionKind
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
@@ -143,26 +146,32 @@ def test_tau_zero_short_circuit():
     assert est.mean == 10.0 and est.std_error == 0.0
 
 
-def test_grid_matches_per_point_simulation():
+def test_grid_matches_per_point_simulation(monkeypatch):
     # lattice maturities: each checkpoint sees the same steps and uniforms as a
-    # one-maturity run at the same seed, so the estimates are bit-identical
+    # one-maturity run at the same seed, so the estimates are bit-identical,
+    # in one block or in five
     cfg = McConfig(n_paths=5_000, seed=17)
     strikes, maturities = (80.0, 100.0, 120.0), (0.5, 1.0)
-    grid = simulate_grid(SIR, 100.0, 0.04, strikes, maturities, cfg)
-    points = [est for tau in maturities
-              for est in simulate_grid(SIR, 100.0, 0.04, strikes, (tau,), cfg)]
-    assert grid == points
+    for block_paths in (BLOCK_PATHS, 1_200):
+        monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", block_paths)
+        grid = simulate_grid(SIR, 100.0, 0.04, strikes, maturities, cfg)
+        points = [est for tau in maturities
+                  for est in simulate_grid(SIR, 100.0, 0.04, strikes, (tau,), cfg)]
+        assert grid == points
 
 
-def test_grid_zero_noise_checkpoints():
+def test_grid_zero_noise_checkpoints(monkeypatch):
+    # every path is the same, so the standard error is 0 in one block or across four
     p = ModelParams(kappa=2.0, theta=0.0, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
     strikes, maturities = (95.0, 100.0, 105.0), (0.02, 0.08, 0.3)
-    grid = simulate_grid(p, 100.0, 0.0, strikes, maturities, McConfig(n_paths=2000, seed=1))
     expected = [max(100.0 - strike * math.exp(-0.03 * tau), 0.0)
                 for tau in maturities for strike in strikes]
-    for est, value in zip(grid, expected, strict=True):
-        assert est.std_error == 0.0
-        assert est.mean == pytest.approx(value, abs=1e-10)
+    for block_paths in (BLOCK_PATHS, 600):
+        monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", block_paths)
+        grid = simulate_grid(p, 100.0, 0.0, strikes, maturities, McConfig(n_paths=2000, seed=1))
+        for est, value in zip(grid, expected, strict=True):
+            assert est.std_error == 0.0
+            assert est.mean == pytest.approx(value, abs=1e-10)
 
 
 def test_grid_tau_zero_and_repeated_maturity():
@@ -279,23 +288,23 @@ def test_in_place_qe_loop_matches_plain_expressions(params):
             assert np.array_equal(a, b)
 
 
-def test_grid_peak_memory_stays_within_ten_path_arrays():
-    # the grid holds eight path-length arrays (state and scratch); a read-off
-    # written as plain expressions would allocate more on top of them.  Where
-    # the buffers are allocated (calling or worker thread) is invisible here,
-    # as tracemalloc counts bytes and not glibc's per-thread arenas: the
-    # benchmark's peak_rss_mb covers that
+def test_grid_peak_memory_stays_within_ten_path_arrays(monkeypatch):
+    # the grid holds eight block-length arrays (state and scratch) per slice,
+    # so its memory does not grow with the paths: at 1,000,000 paths it stays
+    # within ten arrays of 100,000 paths, where holding the whole path set
+    # would take ~91.  Where the buffers are allocated (calling or worker
+    # thread) is invisible here, as tracemalloc counts bytes and not glibc's
+    # per-thread arenas: the benchmark's peak_rss_mb covers that
     import tracemalloc
 
-    n = 100_000
-    maturities = (0.0, 0.02, 0.5, 0.5, 1.0)
+    monkeypatch.setattr(svsir.mc, "_slice_count", lambda n_paths: 2)
     tracemalloc.start()
     try:
-        simulate_grid(EXAMPLE, 100.0, 0.04, EXAMPLE_STRIKES, maturities, McConfig(n_paths=n))
+        simulate_grid(EXAMPLE, 100.0, 0.04, EXAMPLE_STRIKES, (0.02,), McConfig(n_paths=1_000_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * n * np.dtype(float).itemsize
+    assert peak <= 10 * 100_000 * np.dtype(float).itemsize
 
 
 def test_grid_standard_errors_below_plain_simulation():
@@ -322,6 +331,31 @@ def test_grid_edge_rows_match_pricer(params):
         assert abs(price - est.mean) <= 3.0 * est.std_error, (price, est)
 
 
+def _one_array_estimate(samples):
+    """Reference: the estimator as it read before blocks, on one array shifted in place."""
+    n = samples.size
+    first = samples[0]
+    samples -= first
+    std = samples.std(ddof=1)
+    if std < 2.0**-511:
+        scale = float(np.abs(samples).max())
+        if scale > 0.0:
+            std = (samples / scale).std(ddof=1) * scale
+    return McEstimate(mean=float(first + samples.mean()), std_error=float(std / math.sqrt(n)), n_paths=n)
+
+
+@pytest.mark.parametrize("samples", [
+    np.random.default_rng(3).normal(7.0, 2.0, 25_000),
+    np.random.default_rng(4).lognormal(0.0, 3.0, 10_007),
+    np.maximum(np.random.default_rng(5).normal(0.0, 1.0, 1_000), 0.0),
+    1e-200 * np.array([1.0, 2.0, 3.0]),
+    np.full(5, 1e-200),
+    np.full(1_000, 26.5),
+], ids=["normal", "lognormal", "call_like", "tiny", "tiny_constant", "constant"])
+def test_estimate_of_one_array_is_bit_identical_to_the_one_array_formulas(samples):
+    assert _estimate(samples.copy()) == _one_array_estimate(samples.copy())
+
+
 def test_estimate_keeps_the_standard_error_of_tiny_samples():
     # squared deviations of ~1e-200 underflow to 0; the estimate must not
     samples = 1e-200 * np.array([1.0, 2.0, 3.0])
@@ -330,6 +364,46 @@ def test_estimate_keeps_the_standard_error_of_tiny_samples():
     assert est.std_error == pytest.approx(expected, rel=1e-15, abs=0.0)
     assert est.mean == pytest.approx(2e-200, rel=1e-15, abs=0.0)
     assert _estimate(np.full(5, 1e-200)).std_error == 0.0
+
+
+def _in_blocks(samples, *sizes):
+    """The estimate of ``samples`` combined from the blocks of the given sizes."""
+    bounds = np.cumsum((0, *sizes))
+    assert bounds[-1] == samples.size
+    return _combine([_moments(samples[a:b].copy(), np.empty(b - a)) for a, b in zip(bounds[:-1], bounds[1:])])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200])
+def test_blocks_combine_to_the_moments_of_the_whole(scale):
+    samples = scale * np.random.default_rng(6).normal(3.0, 0.5, 9_001)
+    est = _in_blocks(samples, 3_000, 3_000, 2_999, 2)
+    assert est.n_paths == samples.size
+    expected = _one_array_estimate(samples.copy())
+    assert est.mean == pytest.approx(expected.mean, rel=1e-14, abs=0.0)
+    assert est.std_error == pytest.approx(expected.std_error, rel=1e-13, abs=0.0)
+
+
+def test_blocks_keep_the_standard_error_of_tiny_and_constant_samples():
+    tiny = 1e-200 * np.arange(1.0, 10.0)
+    expected = 1e-200 * np.std(np.arange(1.0, 10.0), ddof=1) / 3.0
+    assert _in_blocks(tiny, 3, 3, 3).std_error == pytest.approx(expected, rel=1e-14, abs=0.0)
+    assert _in_blocks(np.full(9, 1e-200), 3, 3, 3).std_error == 0.0
+    assert _in_blocks(np.full(9, 26.5), 2, 4, 3) == McEstimate(mean=26.5, std_error=0.0, n_paths=9)
+    # each block constant, but not all alike: the spread lies between the blocks alone
+    steps = 1e-200 * np.repeat([1.0, 2.0, 4.0], 3)
+    expected = 1e-200 * np.std([1.0, 2.0, 4.0] * 3, ddof=1) / 3.0
+    assert _in_blocks(steps, 3, 3, 3).std_error == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n_paths", [1_000, 8_192 * 2, 30_000, 100_000, 100_003, 200_000, 1_000_000])
+def test_blocks_cover_the_paths_in_near_equal_runs(n_paths):
+    blocks = _blocks(n_paths)
+    assert blocks[0].start == 0 and blocks[-1].stop == n_paths
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    sizes = {part.stop - part.start for part in blocks}
+    assert max(sizes) <= BLOCK_PATHS and max(sizes) - min(sizes) <= 1
+    expected = {1_000: 1, 8_192 * 2: 2, 30_000: 2, 100_000: 4, 100_003: 4, 200_000: 8, 1_000_000: 32}
+    assert len(blocks) == expected[n_paths]
 
 
 @pytest.mark.parametrize("seed", [0, 9])
@@ -357,7 +431,6 @@ def test_stream_positioned_at_draw_k(seed, k):
 @pytest.fixture
 def slice_counts(monkeypatch):
     """Run a callable at 1, 2 and 3 path slices; return its three results."""
-    import svsir.mc
 
     def run(fn):
         results = []
@@ -374,16 +447,41 @@ SLICED_MATURITIES = (0.0, 0.02, 0.3, 0.3, 1.0)
 
 @pytest.mark.parametrize("params", [SIR, FELLER_CORNER], ids=["sir", "feller_corner"])
 @pytest.mark.parametrize("n_paths", [1001, 5003])
-def test_qe_is_bit_identical_at_any_slice_count(slice_counts, params, n_paths):
+def test_qe_is_bit_identical_at_any_slice_count(monkeypatch, slice_counts, params, n_paths):
     # SLICED_MATURITIES makes segments of 0, 5, 70, 0 and 175 steps
     cfg = McConfig(n_paths=n_paths, seed=24)
     one, *others = slice_counts(lambda: _qe_segments(params, 0.04, SLICED_MATURITIES, cfg))
     for other in others:
         for got, expected in zip(other, one, strict=True):
             assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
-    one, *others = slice_counts(lambda: simulate_grid(params, 100.0, 0.04, EXAMPLE_STRIKES,
-                                                      SLICED_MATURITIES, cfg))
-    assert all(other == one for other in others)
+    # the grid in one block, and in four that 1, 2 or 3 slices share
+    for block_paths in (BLOCK_PATHS, -(-n_paths // 4)):
+        monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", block_paths)
+        one, *others = slice_counts(lambda: simulate_grid(params, 100.0, 0.04, EXAMPLE_STRIKES,
+                                                          SLICED_MATURITIES, cfg))
+        assert all(other == one for other in others)
+
+
+def test_blocks_handed_out_under_thread_switching_give_the_one_slice_estimates(monkeypatch):
+    # eight slices take sixteen blocks from one queue while the interpreter
+    # switches threads every microsecond; a block left out, or moments kept in
+    # the order the slices finished and not in block order, would change the estimates
+    monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", 250)
+    cfg = McConfig(n_paths=4_000, seed=26)
+
+    def grid():
+        return simulate_grid(SIR, 100.0, 0.04, EXAMPLE_STRIKES, (0.02, 0.1), cfg)
+
+    monkeypatch.setattr(svsir.mc, "_slice_count", lambda n_paths: 1)
+    expected = grid()
+    monkeypatch.setattr(svsir.mc, "_slice_count", lambda n_paths: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert grid() == expected
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("params", [SIR, FELLER_CORNER], ids=["sir", "feller_corner"])
