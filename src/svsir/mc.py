@@ -66,8 +66,8 @@ of at most ``BLOCK_PATHS`` (:func:`_blocks`), which the slices take in turn
 as each finishes one, so its memory is eight block-length arrays per slice
 and does not grow with the paths.  Every buffer is allocated once, in the
 calling thread, and the grid's read-off reuses the QE loop's scratch.
-:func:`simulate_grid` alone on the example grid (2 CPUs) peaks 3.7 MiB RSS
-above its imports at 100k paths and 4.5 MiB at 1,000,000, where holding the
+:func:`simulate_grid` alone on the example grid (2 CPUs) peaks 3.8 MiB RSS
+above its imports at 100k paths and 4.7 MiB at 1,000,000, where holding the
 whole path set took 7.9 and 71.4 MiB.
 
 scipy is imported only here, inside :func:`_to_normals` (``ndtri``) and
@@ -244,10 +244,9 @@ def _slice_count(n_paths: int) -> int:
     return max(1, min(cpus, n_paths // MIN_SLICE_PATHS))
 
 
-def _slices(n_paths: int) -> list[slice]:
-    """Contiguous path slices of near-equal length covering ``range(n_paths)``."""
-    k = _slice_count(n_paths)
-    return [slice(n_paths * j // k, n_paths * (j + 1) // k) for j in range(k)]
+def _split(n: int, k: int) -> list[slice]:
+    """``k`` contiguous slices of near-equal length covering ``range(n)``."""
+    return [slice(n * j // k, n * (j + 1) // k) for j in range(k)]
 
 
 def _run(tasks: Sequence[Callable[[], object]]) -> None:
@@ -268,12 +267,6 @@ def _run(tasks: Sequence[Callable[[], object]]) -> None:
             future.result()
 
 
-def _on_slices(task: Callable[..., object], n: int, *arrays: np.ndarray) -> None:
-    """Run ``task(part, *views)`` at once on every path slice ``part`` of
-    ``range(n)``, where ``views`` are the slice's views of ``arrays``."""
-    _run([partial(task, part, *(a[part] for a in arrays)) for part in _slices(n)])
-
-
 def _steps(length: float, cfg: McConfig) -> tuple[int, float]:
     """Step count and step size of a segment: ``max(1, ceil(length * n_steps_per_year))``
     equal steps, or none if ``length`` is 0."""
@@ -288,8 +281,9 @@ def _terminal(params: ModelParams, v0: float, ln_spot: float, tau: float, cfg: M
     ln_s = np.full(n, float(ln_spot))
     v = np.full(n, float(v0))
     rate_integral = np.zeros(n)
-    _on_slices(partial(_euler_paths, params, tau, cfg, with_stock), n,
-               ln_s, v, rate_integral, *(np.empty(n) for _ in range(6)))
+    arrays = (ln_s, v, rate_integral, *(np.empty(n) for _ in range(6)))
+    _run([partial(_euler_paths, params, tau, cfg, with_stock, part, *(a[part] for a in arrays))
+          for part in _split(n, _slice_count(n))])
     return ln_s, v, rate_integral
 
 
@@ -421,13 +415,10 @@ def _qe_paths(params: ModelParams, first: int, n_steps: int, dt: float, cfg: McC
 
 
 def _blocks(n_paths: int) -> list[slice]:
-    """Contiguous blocks of near-equal length covering ``range(n_paths)``, none
-    longer than ``BLOCK_PATHS``: a multiple of four of them, so that one, two or
-    four slices share them evenly, or else of two, as long as that leaves them
-    ``MIN_SLICE_PATHS`` long.  The split depends on ``n_paths`` alone."""
-    k = -(-n_paths // BLOCK_PATHS)
-    k = next((k + -k % m for m in (4, 2) if n_paths // (k + -k % m) >= MIN_SLICE_PATHS), k)
-    return [slice(n_paths * j // k, n_paths * (j + 1) // k) for j in range(k)]
+    """The fewest contiguous blocks of near-equal length covering
+    ``range(n_paths)`` with none longer than ``BLOCK_PATHS``.  The split
+    depends on ``n_paths`` alone."""
+    return _split(n_paths, -(-n_paths // BLOCK_PATHS))
 
 
 def _grid_block(params: ModelParams, spot: float, v0: float, strikes: Sequence[float],

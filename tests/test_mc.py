@@ -261,15 +261,16 @@ def _qe_segments(params, v0, maturities, cfg):
     """``(v, Integral v dt)`` after each of the sorted ``maturities``, running one QE
     segment per maturity on every path slice, as ``simulate_grid`` does; the
     scratch starts as NaN, so a segment that reads it before writing it shows."""
-    from svsir.mc import _on_slices, _qe_paths, _steps
+    from svsir.mc import _qe_paths, _run, _slice_count, _split, _steps
 
     n = cfg.n_paths
-    v, var_integral = np.full(n, v0), np.zeros(n)
-    scratch = [np.full(n, np.nan) for _ in range(5)]
+    arrays = (np.full(n, v0), np.zeros(n), *(np.full(n, np.nan) for _ in range(5)))
+    v, var_integral = arrays[:2]
     out, done, first = [], 0.0, 0
     for tau in maturities:
         n_steps, dt = _steps(tau - done, cfg)
-        _on_slices(partial(_qe_paths, params, first, n_steps, dt, cfg), n, v, var_integral, *scratch)
+        _run([partial(_qe_paths, params, first, n_steps, dt, cfg, part, *(a[part] for a in arrays))
+              for part in _split(n, _slice_count(n))])
         out.append((v.copy(), var_integral.copy()))
         done, first = tau, first + n_steps
     return out
@@ -402,7 +403,7 @@ def test_blocks_cover_the_paths_in_near_equal_runs(n_paths):
     assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
     sizes = {part.stop - part.start for part in blocks}
     assert max(sizes) <= BLOCK_PATHS and max(sizes) - min(sizes) <= 1
-    expected = {1_000: 1, 8_192 * 2: 2, 30_000: 2, 100_000: 4, 100_003: 4, 200_000: 8, 1_000_000: 32}
+    expected = {1_000: 1, 8_192 * 2: 1, 30_000: 1, 100_000: 4, 100_003: 4, 200_000: 7, 1_000_000: 31}
     assert len(blocks) == expected[n_paths]
 
 
