@@ -48,27 +48,26 @@ So every path's value is fixed by the seed, whatever runs it.  An estimate
 takes the mean and standard deviation of its samples by numpy's pairwise
 sums, after shifting them by their first (:func:`_moments`); the grid does so
 per block of paths and combines the blocks in block order (:func:`_combine`),
-and the Euler simulators take their samples as one block.  For maturities on
+and the Euler simulators gather every block's samples and take them as one.  For maturities on
 the step lattice, such as 0.5 and 1 year at 250 steps a year, each grid
 estimate equals the one-maturity grid estimate at the same seed bit for bit.
 The loops reuse preallocated buffers in place but keep the operand order of
 the plain expressions, so that reuse does not change a path.
 
 Every operation of a step is elementwise per path, so the step loops run on
-path slices at once, one slice per CPU the process may use (its affinity
-mask, which ``taskset`` and cgroups bound; there is no setting) and none
-shorter than ``MIN_SLICE_PATHS``.  Each slice draws from its own Philox
-positioned at its draws' indices, so the results are bit-identical at any
-slice count.  With one slice the loop runs in the calling thread and starts
-none.  The Euler loop splits the paths into contiguous slices of full-length
-buffers.  :func:`simulate_grid` splits them by their count alone into blocks
-of at most ``BLOCK_PATHS`` (:func:`_blocks`), which the slices take in turn
-as each finishes one, so its memory is eight block-length arrays per slice
-and does not grow with the paths.  Every buffer is allocated once, in the
-calling thread, and the grid's read-off reuses the QE loop's scratch.
-:func:`simulate_grid` alone on the example grid (2 CPUs) peaks 3.8 MiB RSS
-above its imports at 100k paths and 4.7 MiB at 1,000,000, where holding the
-whole path set took 7.9 and 71.4 MiB.
+path slices at once, one per CPU the process may use (its affinity mask,
+which ``taskset`` and cgroups bound; there is no setting).  Both schemes
+split the paths by their count alone into blocks of at most ``BLOCK_PATHS``
+(:func:`_blocks`), which the slices take in turn as each finishes one
+(:func:`_on_blocks`).  Each block draws from its own Philox positioned at its
+draws' indices, so the results are bit-identical at any slice count.  With
+one slice the loop runs in the calling thread and starts none.  A slice
+holds eight (QE) or nine (Euler) block-length buffers, allocated once in the
+calling thread; the Euler simulators add their samples and, to take their
+moments, one more array of all paths.  On 2 CPUs at 1,000,000 paths,
+:func:`simulate_grid` on the example grid peaks 4.7 MiB RSS above its imports
+(71.4 MiB when it held the whole path set), and :func:`simulate_price` peaks
+at 2.0 arrays of all paths in ``tracemalloc``.
 
 scipy is imported only here, inside :func:`_to_normals` (``ndtri``) and
 :func:`_grid_block` (``ndtr``): loading ``scipy.special`` costs about 0.3 s,
@@ -95,14 +94,9 @@ PSI_C = 1.5
 # psi = s^2/m^2 is floored here before the quadratic branch divides by it: at
 # psi = 0 (v = 0 absorbing, theta = 0) the step must stay finite and give m = 0
 PSI_FLOOR = 1e-100
-# the shortest path slice given a thread of its own: on a 2-CPU host, two
-# slices broke even with one at ~3k paths each (the per-step Python calls
-# and stream seeks no longer amortised), so 8k keeps a margin
-MIN_SLICE_PATHS = 8192
-# the longest path block simulate_grid runs at once in a slice, so that it
-# holds eight block arrays per slice at any path count; 2**15 makes four
-# blocks of 25,000 at 100k paths, where 2**14 (eight of 12,500) saved
-# 1.5 MiB but cost the benchmark's verify workload 17% of its throughput
+# the longest path block a slice runs at once: 2**15 makes four blocks of
+# 25,000 at 100k paths, where 2**14 (eight of 12,500) saved 1.5 MiB but
+# cost the benchmark's verify workload 17% of its throughput
 BLOCK_PATHS = 2**15
 # sqrt of the smallest normal double (2**-1022): below it, squares are subnormal or 0
 _SQRT_TINY = 2.0**-511
@@ -234,37 +228,56 @@ class _Stream:
         _to_normals(out)
 
 
-def _slice_count(n_paths: int) -> int:
-    """Path slices to run at once: one per CPU this process may use, but none
-    shorter than ``MIN_SLICE_PATHS``."""
+def _slice_count() -> int:
+    """Path slices to run at once: one per CPU this process may use."""
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, n_paths // MIN_SLICE_PATHS))
+        return os.cpu_count() or 1
 
 
-def _split(n: int, k: int) -> list[slice]:
-    """``k`` contiguous slices of near-equal length covering ``range(n)``."""
-    return [slice(n * j // k, n * (j + 1) // k) for j in range(k)]
+def _blocks(n_paths: int) -> list[slice]:
+    """The fewest contiguous blocks of near-equal length covering
+    ``range(n_paths)``, none longer than ``BLOCK_PATHS``."""
+    k = -(-n_paths // BLOCK_PATHS)
+    return [slice(n_paths * j // k, n_paths * (j + 1) // k) for j in range(k)]
 
 
-def _run(tasks: Sequence[Callable[[], object]]) -> None:
-    """Run ``tasks`` at once: the calling thread takes the first, a worker
-    thread each of the others.  Numpy releases the interpreter lock inside its
-    loops, so the slices' array work overlaps."""
-    if len(tasks) == 1:
-        tasks[0]()
-        return
+def _on_blocks(task: Callable[..., object], n_paths: int, n_buffers: int) -> list:
+    """The results of ``task(part, *buffers)`` on every block of :func:`_blocks`,
+    in block order.  Each slice takes the next block left as it finishes one,
+    on its own ``n_buffers`` arrays of a block's length.  The calling thread
+    runs one slice and a worker thread each of the others; numpy releases the
+    interpreter lock inside its loops, so the slices' array work overlaps."""
+    blocks = _blocks(n_paths)
+    size = max(part.stop - part.start for part in blocks)
+    buffers = [[np.empty(size) for _ in range(n_buffers)]
+               for _ in range(min(_slice_count(), len(blocks)))]
+    results: list = [None] * len(blocks)
+    pending = deque(range(len(blocks)))  # its pops are thread-safe
+
+    def run_blocks(bufs: list[np.ndarray]) -> None:
+        while True:
+            try:
+                b = pending.popleft()
+            except IndexError:
+                return
+            part = blocks[b]
+            results[b] = task(part, *(a[:part.stop - part.start] for a in bufs))
+
+    if len(buffers) == 1:
+        run_blocks(buffers[0])
+        return results
     import contextvars
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(len(tasks) - 1) as pool:
+    with ThreadPoolExecutor(len(buffers) - 1) as pool:
         # each worker runs in a copy of the caller's context, which holds numpy's error state
-        futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
-        tasks[0]()
+        futures = [pool.submit(contextvars.copy_context().run, run_blocks, bufs) for bufs in buffers[1:]]
+        run_blocks(buffers[0])
         for future in futures:
             future.result()
+    return results
 
 
 def _steps(length: float, cfg: McConfig) -> tuple[int, float]:
@@ -274,17 +287,32 @@ def _steps(length: float, cfg: McConfig) -> tuple[int, float]:
     return n_steps, length / max(n_steps, 1)
 
 
-def _terminal(params: ModelParams, v0: float, ln_spot: float, tau: float, cfg: McConfig,
-              with_stock: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terminal (ln S, v, Integral r dt) arrays after full-truncation Euler to ``tau``."""
-    n = cfg.n_paths
-    ln_s = np.full(n, float(ln_spot))
-    v = np.full(n, float(v0))
-    rate_integral = np.zeros(n)
-    arrays = (ln_s, v, rate_integral, *(np.empty(n) for _ in range(6)))
-    _run([partial(_euler_paths, params, tau, cfg, with_stock, part, *(a[part] for a in arrays))
-          for part in _split(n, _slice_count(n))])
-    return ln_s, v, rate_integral
+def _euler_estimate(params: ModelParams, v0: float, ln_spot: float, tau: float, cfg: McConfig,
+                    opt: OptionSpec | None) -> McEstimate:
+    """Estimate of exp(-Integral r dt), times the payoff of ``opt`` if given, by
+    full-truncation Euler to ``tau``; each block writes its paths' samples."""
+    samples = np.empty(cfg.n_paths)
+
+    def block(part: slice, ln_s: np.ndarray, v: np.ndarray, rate_integral: np.ndarray,
+              *scratch: np.ndarray) -> None:
+        ln_s.fill(ln_spot)
+        v.fill(v0)
+        rate_integral.fill(0.0)
+        _euler_paths(params, tau, cfg, opt is not None, part, ln_s, v, rate_integral, *scratch)
+        out = samples[part]
+        np.negative(rate_integral, out=out)
+        np.exp(out, out=out)
+        if opt is not None:
+            s_t = np.exp(ln_s, out=ln_s)
+            if opt.kind is OptionKind.CALL:
+                np.subtract(s_t, opt.strike, out=s_t)
+            else:
+                np.subtract(opt.strike, s_t, out=s_t)
+            np.maximum(s_t, 0.0, out=s_t)
+            out *= s_t
+
+    _on_blocks(block, cfg.n_paths, 9)
+    return _estimate(samples)
 
 
 def _euler_paths(params: ModelParams, tau: float, cfg: McConfig, with_stock: bool, part: slice,
@@ -414,13 +442,6 @@ def _qe_paths(params: ModelParams, first: int, n_steps: int, dt: float, cfg: McC
         np.copyto(v_next, v)
 
 
-def _blocks(n_paths: int) -> list[slice]:
-    """The fewest contiguous blocks of near-equal length covering
-    ``range(n_paths)`` with none longer than ``BLOCK_PATHS``.  The split
-    depends on ``n_paths`` alone."""
-    return _split(n_paths, -(-n_paths // BLOCK_PATHS))
-
-
 def _grid_block(params: ModelParams, spot: float, v0: float, strikes: Sequence[float],
                 maturities: Sequence[float], cfg: McConfig, part: slice, v: np.ndarray,
                 var_integral: np.ndarray, *scratch: np.ndarray) -> list[_Moments]:
@@ -495,8 +516,7 @@ def simulate_grid(
 
     One path set runs one segment to each maturity in sorted order, and
     every strike is read off the same paths there.  The paths run in the
-    blocks of :func:`_blocks`, each slice taking the next block left on
-    buffers of one block's length, and each point's block moments are
+    blocks of :func:`_on_blocks`, and each point's block moments are
     combined in block order.  Returns maturities outer, strikes inner, in
     the order given.  At ``tau = 0`` the estimate is the intrinsic value
     with standard error 0.
@@ -506,28 +526,8 @@ def simulate_grid(
         MarketState(spot=spot, variance=v0, tau=tau)
     for strike in strikes:
         OptionSpec(strike=strike)
-    blocks = _blocks(cfg.n_paths)
-    k = min(_slice_count(cfg.n_paths), len(blocks))
-    size = max(part.stop - part.start for part in blocks)
-    # every slice's state and scratch, allocated here in the calling thread
-    buffers = [[np.empty(size) for _ in range(8)] for _ in range(k)]
-    points: list[list[_Moments]] = [[] for _ in blocks]
     task = partial(_grid_block, params, spot, v0, strikes, maturities, cfg)
-    # blocks go to whichever slice is free, so a slice slowed by other load
-    # takes fewer; a block's moments do not depend on the slice that ran it
-    pending = deque(range(len(blocks)))  # its pops are thread-safe
-
-    def run_blocks(bufs: list[np.ndarray]) -> None:
-        while True:
-            try:
-                b = pending.popleft()
-            except IndexError:
-                return
-            part = blocks[b]
-            points[b] = task(part, *(a[:part.stop - part.start] for a in bufs))
-
-    _run([partial(run_blocks, bufs) for bufs in buffers])
-    return [_combine(point) for point in zip(*points)]
+    return [_combine(point) for point in zip(*_on_blocks(task, cfg.n_paths, 8))]
 
 
 def simulate_price(
@@ -542,15 +542,7 @@ def simulate_price(
             else max(opt.strike - state.spot, 0.0)
         )
         return McEstimate(mean=intrinsic, std_error=0.0, n_paths=cfg.n_paths)
-    ln_s, _, rate_integral = _terminal(
-        params, state.variance, math.log(state.spot), state.tau, cfg, with_stock=True
-    )
-    s_t = np.exp(ln_s)
-    if opt.kind is OptionKind.CALL:
-        payoff = np.maximum(s_t - opt.strike, 0.0)
-    else:
-        payoff = np.maximum(opt.strike - s_t, 0.0)
-    return _estimate(np.exp(-rate_integral) * payoff)
+    return _euler_estimate(params, state.variance, math.log(state.spot), state.tau, cfg, opt)
 
 
 def simulate_bond(params: ModelParams, v0: float, tau: float, cfg: McConfig) -> McEstimate:
@@ -559,5 +551,4 @@ def simulate_bond(params: ModelParams, v0: float, tau: float, cfg: McConfig) -> 
     validate(params)
     check_nonnegative("variance", v0)
     check_nonnegative("tau", tau)
-    _, _, rate_integral = _terminal(params, v0, 0.0, tau, cfg, with_stock=False)
-    return _estimate(np.exp(-rate_integral))
+    return _euler_estimate(params, v0, 0.0, tau, cfg, None)

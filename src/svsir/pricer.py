@@ -9,9 +9,13 @@ probabilities from :mod:`svsir.inversion`.  The probabilities invert the
 closed-form characteristic functions f_1 = Psi(phi - i)/S and
 f_2 = Psi(phi)/B of :mod:`svsir.heston_cf` against a Black-Scholes control
 with the risk-neutral expected integrated variance w of each maturity, at
-forward log-moneyness x = ln(S / B(tau, v)), so that exp(x)*B = S and the
-discounting lives entirely in the bond leg.  At beta = 0 the bond is
-exp(-mu*tau) and the route reduces to the constant-rate model.  The bond and
+the log forward ln(S / B(tau, v)), so that the discounting lives entirely in
+the bond leg.  Log prices are measured from ln S: the forward sits at
+x = -ln B and a strike at ln(K/S), so that the forward log-moneyness
+ln(S/K) - ln B carries the rounding of one log of K/S, not that of ln S and
+ln K (each ~4.6 at S = 100), which the control's density at a small w
+magnifies.  At beta = 0 the bond is exp(-mu*tau) and the route reduces to
+the constant-rate model.  The bond and
 the characteristic function share one parameter set: the lam entering the
 bond is the same risk-premium constant entering b.  Neither B nor f_j
 depends on the strike, so :func:`price_grid` prices a whole maturity x
@@ -68,9 +72,10 @@ class PriceGrid:
 
 
 def _provider(params: ModelParams, variance: float, taus: np.ndarray, log_bonds: np.ndarray):
-    """f_1 and f_2 times exp(-i*phi*x), at (maturity, frequency) nodes of ``taus`` (log bond prices ``log_bonds``).
+    """f_1 and f_2 of ln S_T - ln S times exp(-i*phi*x), x = -ln B, at (maturity, frequency) nodes of ``taus`` (log
+    bond prices ``log_bonds``).
 
-    With x = ln(S/B) the spot drops out: S^{i*phi} * exp(-i*phi*x) = B^{i*phi}.
+    The spot drops out: S^{i*phi} * exp(-i*phi*(ln S - ln B)) = B^{i*phi}.
     """
     table = np.array([taus, log_bonds])
 
@@ -138,10 +143,10 @@ def price_grid(
         check_nonnegative("tau", tau)
     taus = np.array(maturities, dtype=float)
     bonds = bond.bond_values(params, variance, taus)
-    log_strikes = np.array([math.log(strike) for strike in strikes])
+    log_strikes = np.array([math.log(strike / spot) for strike in strikes])
     log_bonds = np.array([math.log(b.price) for b in bonds])
     w = _expected_variance(params, variance, taus)
-    x = math.log(spot) - log_bonds
+    x = -log_bonds  # the log forward, measured from ln S as the strikes are
     try:
         pair = inversion.gil_pelaez(_provider(params, variance, taus, log_bonds), _strip(params, taus), x, w,
                                     log_strikes, quad)

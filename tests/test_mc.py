@@ -1,13 +1,13 @@
 import dataclasses
 import math
 import sys
-from functools import partial
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 import svsir.mc
+from conftest import euler_state
 from svsir import (
     InvalidParameter,
     MarketState,
@@ -22,7 +22,8 @@ from svsir import (
     simulate_grid,
     simulate_price,
 )
-from svsir.mc import BLOCK_PATHS, PSI_C, PSI_FLOOR, _blocks, _combine, _estimate, _moments, _Stream
+from svsir.mc import (BLOCK_PATHS, PSI_C, PSI_FLOOR, _blocks, _combine, _estimate, _moments, _on_blocks,
+                      _qe_paths, _steps, _Stream)
 from svsir.model import OptionKind
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
@@ -82,10 +83,8 @@ def test_bond_vs_closed_form():
 
 
 def test_variance_mean_matches_square_root_process():
-    from svsir.mc import _terminal
-
     cfg = McConfig(n_paths=100_000, seed=5)
-    _, v_t, _ = _terminal(SIR, 0.04, 0.0, 1.0, cfg, with_stock=False)
+    _, v_t, _ = euler_state(SIR, 0.04, 0.0, 1.0, cfg, with_stock=False)
     alpha = SIR.alpha
     theta_rn = SIR.kappa * SIR.theta / alpha
     expected = theta_rn + (0.04 - theta_rn) * math.exp(-alpha)
@@ -214,10 +213,8 @@ def _plain_euler(params, v0, ln_spot, tau, cfg):
 
 @pytest.mark.parametrize("tau", [0.02, 0.3, 1.0])
 def test_in_place_loop_matches_plain_expressions(tau):
-    from svsir.mc import _terminal
-
     cfg = McConfig(n_paths=1000, seed=19)
-    got = _terminal(SIR, 0.04, math.log(100.0), tau, cfg, with_stock=True)
+    got = euler_state(SIR, 0.04, math.log(100.0), tau, cfg, with_stock=True)
     for a, b in zip(got, _plain_euler(SIR, 0.04, math.log(100.0), tau, cfg), strict=True):
         assert np.array_equal(a, b)
 
@@ -259,18 +256,16 @@ def _plain_qe(params, v0, maturities, cfg):
 
 def _qe_segments(params, v0, maturities, cfg):
     """``(v, Integral v dt)`` after each of the sorted ``maturities``, running one QE
-    segment per maturity on every path slice, as ``simulate_grid`` does; the
-    scratch starts as NaN, so a segment that reads it before writing it shows."""
-    from svsir.mc import _qe_paths, _run, _slice_count, _split, _steps
-
+    segment per maturity on every block of paths, on its views of full-length
+    arrays; the scratch starts as NaN, so a segment that reads it before
+    writing it shows."""
     n = cfg.n_paths
     arrays = (np.full(n, v0), np.zeros(n), *(np.full(n, np.nan) for _ in range(5)))
     v, var_integral = arrays[:2]
     out, done, first = [], 0.0, 0
     for tau in maturities:
         n_steps, dt = _steps(tau - done, cfg)
-        _run([partial(_qe_paths, params, first, n_steps, dt, cfg, part, *(a[part] for a in arrays))
-              for part in _split(n, _slice_count(n))])
+        _on_blocks(lambda part: _qe_paths(params, first, n_steps, dt, cfg, part, *(a[part] for a in arrays)), n, 0)
         out.append((v.copy(), var_integral.copy()))
         done, first = tau, first + n_steps
     return out
@@ -298,7 +293,7 @@ def test_grid_peak_memory_stays_within_ten_path_arrays(monkeypatch):
     # per-thread arenas: the benchmark's peak_rss_mb covers that
     import tracemalloc
 
-    monkeypatch.setattr(svsir.mc, "_slice_count", lambda n_paths: 2)
+    monkeypatch.setattr(svsir.mc, "_slice_count", lambda: 2)
     tracemalloc.start()
     try:
         simulate_grid(EXAMPLE, 100.0, 0.04, EXAMPLE_STRIKES, (0.02,), McConfig(n_paths=1_000_000))
@@ -436,7 +431,7 @@ def slice_counts(monkeypatch):
     def run(fn):
         results = []
         for count in (1, 2, 3):
-            monkeypatch.setattr(svsir.mc, "_slice_count", lambda n_paths, count=count: count)
+            monkeypatch.setattr(svsir.mc, "_slice_count", lambda count=count: count)
             results.append(fn())
         return results
 
@@ -449,13 +444,15 @@ SLICED_MATURITIES = (0.0, 0.02, 0.3, 0.3, 1.0)
 @pytest.mark.parametrize("params", [SIR, FELLER_CORNER], ids=["sir", "feller_corner"])
 @pytest.mark.parametrize("n_paths", [1001, 5003])
 def test_qe_is_bit_identical_at_any_slice_count(monkeypatch, slice_counts, params, n_paths):
-    # SLICED_MATURITIES makes segments of 0, 5, 70, 0 and 175 steps
+    # SLICED_MATURITIES makes segments of 0, 5, 70, 0 and 175 steps; the
+    # segments in four blocks that 1, 2 or 3 slices share
     cfg = McConfig(n_paths=n_paths, seed=24)
+    monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", -(-n_paths // 4))
     one, *others = slice_counts(lambda: _qe_segments(params, 0.04, SLICED_MATURITIES, cfg))
     for other in others:
         for got, expected in zip(other, one, strict=True):
             assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
-    # the grid in one block, and in four that 1, 2 or 3 slices share
+    # the grid in one block, and in four
     for block_paths in (BLOCK_PATHS, -(-n_paths // 4)):
         monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", block_paths)
         one, *others = slice_counts(lambda: simulate_grid(params, 100.0, 0.04, EXAMPLE_STRIKES,
@@ -473,9 +470,9 @@ def test_blocks_handed_out_under_thread_switching_give_the_one_slice_estimates(m
     def grid():
         return simulate_grid(SIR, 100.0, 0.04, EXAMPLE_STRIKES, (0.02, 0.1), cfg)
 
-    monkeypatch.setattr(svsir.mc, "_slice_count", lambda n_paths: 1)
+    monkeypatch.setattr(svsir.mc, "_slice_count", lambda: 1)
     expected = grid()
-    monkeypatch.setattr(svsir.mc, "_slice_count", lambda n_paths: 8)
+    monkeypatch.setattr(svsir.mc, "_slice_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -488,13 +485,13 @@ def test_blocks_handed_out_under_thread_switching_give_the_one_slice_estimates(m
 @pytest.mark.parametrize("params", [SIR, FELLER_CORNER], ids=["sir", "feller_corner"])
 @pytest.mark.parametrize("n_paths", [1001, 5003])
 @pytest.mark.parametrize("tau", [0.0, 0.02, 0.3])
-def test_euler_is_bit_identical_at_any_slice_count(slice_counts, params, n_paths, tau):
-    from svsir.mc import _terminal
-
+def test_euler_is_bit_identical_at_any_slice_count(monkeypatch, slice_counts, params, n_paths, tau):
+    # in four blocks that 1, 2 or 3 slices share
     cfg = McConfig(n_paths=n_paths, seed=25)
+    monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", -(-n_paths // 4))
     for with_stock in (True, False):
         one, *others = slice_counts(
-            lambda: _terminal(params, 0.04, math.log(100.0), tau, cfg, with_stock))
+            lambda: euler_state(params, 0.04, math.log(100.0), tau, cfg, with_stock))
         for other in others:
             for got, expected in zip(other, one, strict=True):
                 assert np.array_equal(got, expected)
@@ -502,3 +499,54 @@ def test_euler_is_bit_identical_at_any_slice_count(slice_counts, params, n_paths
     one, *others = slice_counts(lambda: (simulate_price(params, state, OptionSpec(strike=95.0), cfg),
                                          simulate_bond(params, 0.04, tau, cfg)))
     assert all(other == one for other in others)
+
+
+# (model, tau, K, n_paths, seed, then (mean, std_error) as float.hex of the call,
+# the put and the bond) at v = 0.04, S = 100: the acceptance gate's Euler checks
+# hold their seeds' streams fixed, so a change of layout must not move a bit
+EULER_PINS = [
+    (SIR, 0.3, 95.0, 5003, 27,
+     ("0x1.0c4e69a20f1a6p+3", "0x1.d4ec610ffcadfp-4"), ("0x1.ba280437d95d9p+0", "0x1.ddf554d633298p-5"),
+     ("0x1.f57468a674a2bp-1", "0x1.073ba86480b12p-14")),
+    (FELLER_CORNER, 0.02, 100.0, 2001, 28,
+     ("0x1.34c44a67f95d8p+0", "0x1.1e2659ff17235p-5"), ("0x1.fe8e80fa95645p-1", "0x1.2fbf11f426264p-5"),
+     ("0x1.ff4972626b39ap-1", "0x1.80d2b87a1bab4p-18")),
+    (EXAMPLE, 1.0, 110.0, 10007, 29,
+     ("0x1.9277c931a1e85p+2", "0x1.add006081094dp-4"), ("0x1.188037baf64b6p+3", "0x1.d731c7b9e9baap-4"),
+     ("0x1.dd7317628bb48p-1", "0x1.69c74169f46f1p-13")),
+]
+
+
+@pytest.mark.parametrize("params, tau, strike, n_paths, seed, call, put, bond", EULER_PINS,
+                         ids=["sir", "feller_corner", "example"])
+def test_euler_estimates_are_pinned_bit_for_bit(monkeypatch, params, tau, strike, n_paths, seed, call, put, bond):
+    # each path's sample is fixed by the seed, and the estimate reads all of
+    # them as one array, so the blocks that ran them do not show
+    cfg = McConfig(n_paths=n_paths, seed=seed)
+    state = MarketState(spot=100.0, variance=0.04, tau=tau)
+    for block_paths in (BLOCK_PATHS, -(-n_paths // 4)):
+        monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", block_paths)
+        got = [simulate_price(params, state, OptionSpec(strike=strike, kind=kind), cfg)
+               for kind in (OptionKind.CALL, OptionKind.PUT)]
+        got.append(simulate_bond(params, 0.04, tau, cfg))
+        for est, (mean, std_error) in zip(got, (call, put, bond), strict=True):
+            assert (est.mean.hex(), est.std_error.hex(), est.n_paths) == (mean, std_error, n_paths)
+
+
+def test_euler_peak_memory_stays_within_two_and_a_half_path_arrays(monkeypatch):
+    # each slice holds nine block-length arrays; beyond them the simulators
+    # hold one sample per path and, to take their moments, one array more
+    import tracemalloc
+
+    monkeypatch.setattr(svsir.mc, "_slice_count", lambda: 2)
+    state = MarketState(spot=100.0, variance=0.04, tau=0.02)
+    cfg = McConfig(n_paths=1_000_000)
+    for simulate in (lambda: simulate_price(EXAMPLE, state, OptionSpec(strike=100.0), cfg),
+                     lambda: simulate_bond(EXAMPLE, 0.04, 0.02, cfg)):
+        tracemalloc.start()
+        try:
+            simulate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 1_000_000 * np.dtype(float).itemsize

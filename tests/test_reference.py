@@ -18,8 +18,8 @@ reference shares no code, no control variate and no quadrature with the
 pricer, and its error is far below any tolerance tested here.
 
 A pricer row must lie within its own ``err_estimate`` of the reference.
-Where it does, the estimate exceeds the true error by 8.2-1,450x at abs_tol
-1e-9 and by 2.2-194x at 1e-12 over these rows.
+Over these rows the estimate exceeds the true error by 29-1,450x at abs_tol
+1e-9 and by 2.1-466x at 1e-12, where one row matches the reference exactly.
 """
 import pytest
 
@@ -61,6 +61,9 @@ REFERENCE = [
      0.929538427579391881511142035779, 0.819050924669411121072827241286, 0.519835014972925840817186276738),
     ("example-tau-1e-4", EXAMPLE, 0.04, 100.0, 0.0001,
      0.502543211913525558362474259681, 0.50174534686420698012268874464, 0.999993000024500542738934616504),
+    # the money cell of the far-strike grid in tests/test_inversion.py (FAR_R1, FAR_R2)
+    ("example-v5e-4-tau-1e-4", EXAMPLE, 0.0005, 100.0, 0.0001,
+     0.512128594714389398829164079555, 0.512039108276385471239375704801, 0.999996949609678789562240368246),
     # the call here is +1.86e-13 (S*R_1 - K*B*R_2)
     ("example-tau-0.02-far", EXAMPLE, 0.04, 120.0, 0.02,
      5.50759889671807220182528849334e-13, 4.58059185063894608711693920682e-13, 0.998600984194926368666072231606),
@@ -70,20 +73,9 @@ REFERENCE = [
      0.988286954043223994442474193692, 0.979046046492877589671780232481, 0.619683865199486407921276022139),
 ]
 
-# the forward log-moneyness x - ln K is formed from ln S, ln B and ln K, each ~4.6, so it carries ~2e-16 of
-# rounding; at w = 4e-6 the density 1/sqrt(2*pi*w) ~ 200 turns that into ~4e-14 in R_j, 32x the estimate
-EXCEEDS = {("example-tau-1e-4", 1e-12): "|R_j - ref| = 4.1e-14 against err_estimate 1.3e-15"}
 
-
-def _cases():
-    for row in REFERENCE:
-        for abs_tol in (1e-9, 1e-12):
-            reason = EXCEEDS.get((row[0], abs_tol))
-            marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
-            yield pytest.param(row, abs_tol, id=f"{row[0]}-{abs_tol:g}", marks=marks)
-
-
-@pytest.mark.parametrize("row, abs_tol", _cases())
+@pytest.mark.parametrize("row, abs_tol", [pytest.param(row, abs_tol, id=f"{row[0]}-{abs_tol:g}")
+                                          for row in REFERENCE for abs_tol in (1e-9, 1e-12)])
 def test_probabilities_lie_within_their_error_estimate_of_the_reference(row, abs_tol):
     _, params, v, strike, tau, r1, r2, _ = row
     grid = price_grid(params, 100.0, v, [strike], [tau], QuadratureSpec(abs_tol=abs_tol))
