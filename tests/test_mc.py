@@ -426,12 +426,17 @@ def test_stream_positioned_at_draw_k(seed, k):
 
 @pytest.fixture
 def slice_counts(monkeypatch):
-    """Run a callable at 1, 2 and 3 path slices; return its three results."""
+    """Run a callable at 1, 2 and 3 path slices; return its three results.
 
-    def run(fn):
+    Given ``n_paths``, the three runs also cut the paths into 1, 2 and 4
+    blocks, so a path whose result depended on where its block starts shows."""
+
+    def run(fn, n_paths=None):
         results = []
-        for count in (1, 2, 3):
+        for count, n_blocks in ((1, 1), (2, 2), (3, 4)):
             monkeypatch.setattr(svsir.mc, "_slice_count", lambda count=count: count)
+            if n_paths is not None:
+                monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", -(-n_paths // n_blocks))
             results.append(fn())
         return results
 
@@ -445,14 +450,14 @@ SLICED_MATURITIES = (0.0, 0.02, 0.3, 0.3, 1.0)
 @pytest.mark.parametrize("n_paths", [1001, 5003])
 def test_qe_is_bit_identical_at_any_slice_count(monkeypatch, slice_counts, params, n_paths):
     # SLICED_MATURITIES makes segments of 0, 5, 70, 0 and 175 steps; the
-    # segments in four blocks that 1, 2 or 3 slices share
+    # segments in 1, 2 and 4 blocks
     cfg = McConfig(n_paths=n_paths, seed=24)
-    monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", -(-n_paths // 4))
-    one, *others = slice_counts(lambda: _qe_segments(params, 0.04, SLICED_MATURITIES, cfg))
+    one, *others = slice_counts(lambda: _qe_segments(params, 0.04, SLICED_MATURITIES, cfg), n_paths)
     for other in others:
         for got, expected in zip(other, one, strict=True):
             assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
-    # the grid in one block, and in four
+    # the grid's moments are summed block by block, so its slices share the blocks:
+    # one, and four
     for block_paths in (BLOCK_PATHS, -(-n_paths // 4)):
         monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", block_paths)
         one, *others = slice_counts(lambda: simulate_grid(params, 100.0, 0.04, EXAMPLE_STRIKES,
@@ -485,19 +490,18 @@ def test_blocks_handed_out_under_thread_switching_give_the_one_slice_estimates(m
 @pytest.mark.parametrize("params", [SIR, FELLER_CORNER], ids=["sir", "feller_corner"])
 @pytest.mark.parametrize("n_paths", [1001, 5003])
 @pytest.mark.parametrize("tau", [0.0, 0.02, 0.3])
-def test_euler_is_bit_identical_at_any_slice_count(monkeypatch, slice_counts, params, n_paths, tau):
-    # in four blocks that 1, 2 or 3 slices share
+def test_euler_is_bit_identical_at_any_slice_count(slice_counts, params, n_paths, tau):
+    # in 1, 2 and 4 blocks
     cfg = McConfig(n_paths=n_paths, seed=25)
-    monkeypatch.setattr(svsir.mc, "BLOCK_PATHS", -(-n_paths // 4))
     for with_stock in (True, False):
         one, *others = slice_counts(
-            lambda: euler_state(params, 0.04, math.log(100.0), tau, cfg, with_stock))
+            lambda: euler_state(params, 0.04, math.log(100.0), tau, cfg, with_stock), n_paths)
         for other in others:
             for got, expected in zip(other, one, strict=True):
                 assert np.array_equal(got, expected)
     state = MarketState(spot=100.0, variance=0.04, tau=tau)
     one, *others = slice_counts(lambda: (simulate_price(params, state, OptionSpec(strike=95.0), cfg),
-                                         simulate_bond(params, 0.04, tau, cfg)))
+                                         simulate_bond(params, 0.04, tau, cfg)), n_paths)
     assert all(other == one for other in others)
 
 
