@@ -192,39 +192,33 @@ def _to_normals(u: np.ndarray) -> None:
 
 
 class _Stream:
-    """The Philox uniforms of ``seed`` from absolute draw index ``start`` on.
+    """The Philox uniforms of ``seed``, read from any absolute draw index.
 
     Philox makes its uniforms in blocks of four, and ``advance`` skips whole
-    blocks after dropping what is left of a partly drawn one; so a seek to
+    blocks after dropping what is left of a partly drawn one; so a read from
     draw k advances to k's block and discards ``k % 4`` uniforms.
     """
 
-    def __init__(self, seed: int, start: int = 0) -> None:
+    def __init__(self, seed: int) -> None:
         self._bits = np.random.Philox(seed)
         self._rng = np.random.Generator(self._bits)
         self._at = 0
-        self.seek(start)
 
-    def seek(self, k: int) -> None:
-        """Move on to draw ``k``, which must not lie before the next draw."""
-        if k == self._at:
-            return
-        blocks = k // 4 - -(-self._at // 4)  # whole blocks after the partly drawn one
-        if blocks >= 0:
-            self._bits.advance(blocks)
-            self._at = k - k % 4
-        if k > self._at:
-            self._rng.random(k - self._at)
-        self._at = k
-
-    def uniforms(self, out: np.ndarray) -> None:
-        """Fill ``out`` with the next ``out.size`` uniforms."""
+    def uniforms(self, k: int, out: np.ndarray) -> None:
+        """Fill ``out`` with the uniforms from draw ``k`` on; ``k`` must not lie before the next draw."""
+        if k != self._at:
+            blocks = k // 4 - -(-self._at // 4)  # whole blocks after the partly drawn one
+            if blocks >= 0:
+                self._bits.advance(blocks)
+                self._at = k - k % 4
+            if k > self._at:
+                self._rng.random(k - self._at)
         self._rng.random(out=out)
-        self._at += out.size
+        self._at = k + out.size
 
-    def normals(self, out: np.ndarray) -> None:
-        """Fill ``out`` with standard normals by inverse CDF."""
-        self.uniforms(out)
+    def normals(self, k: int, out: np.ndarray) -> None:
+        """Fill ``out`` with standard normals by inverse CDF, from draw ``k`` on."""
+        self.uniforms(k, out)
         _to_normals(out)
 
 
@@ -330,7 +324,7 @@ def _euler_paths(params: ModelParams, tau: float, cfg: McConfig, with_stock: boo
     n = cfg.n_paths
     draws = 2 * n if with_stock else n  # uniforms a step takes over all paths
 
-    stream = _Stream(cfg.seed, part.start)
+    stream = _Stream(cfg.seed)
     np.maximum(v, 0.0, out=v_pos)
     np.multiply(v_pos, params.beta, out=r_now)
     r_now += params.mu  # r at the start of each step
@@ -342,11 +336,9 @@ def _euler_paths(params: ModelParams, tau: float, cfg: McConfig, with_stock: boo
     # so the paths do not depend on how the buffers are reused
     for step in range(n_steps):
         np.sqrt(v_pos, out=vol)
-        stream.seek(step * draws + part.start)
-        stream.normals(z2)
+        stream.normals(step * draws + part.start, z2)
         if with_stock:
-            stream.seek(step * draws + n + part.start)
-            stream.normals(z1)
+            stream.normals(step * draws + n + part.start, z1)
             z1 *= rho_perp
             np.multiply(z2, rho, out=tmp)
             z1 += tmp
@@ -383,7 +375,7 @@ def _qe_paths(params: ModelParams, first: int, n_steps: int, dt: float, cfg: McC
     ``part``, in place on their views of the state (``v``, ``var_integral``)
     and of five scratch buffers."""
     n = cfg.n_paths
-    stream = _Stream(cfg.seed, first * n + part.start)
+    stream = _Stream(cfg.seed)
     # the conditional moments of a step: E[v_next | v] = c0 + c1*v, Var[v_next | v] = c2*v + c3
     alpha, sigma2 = params.alpha, params.sigma * params.sigma
     c1, one_minus = math.exp(-alpha * dt), -math.expm1(-alpha * dt)
@@ -402,8 +394,7 @@ def _qe_paths(params: ModelParams, first: int, n_steps: int, dt: float, cfg: McC
     # so the paths do not depend on how the buffers are reused
     tiny = np.finfo(float).tiny
     for step in range(first, first + n_steps):
-        stream.seek(step * n + part.start)
-        stream.uniforms(u)
+        stream.uniforms(step * n + part.start, u)
         np.multiply(v, c1, out=mean)
         mean += c0
         np.multiply(v, c2, out=psi)

@@ -20,15 +20,15 @@ where
     b_1         = kappa + lam - rho_sv*sigma,
     b_2(tau')   = kappa + lam - sigma^2*G(tau').
 
-G is the bond's variance loading, read from :func:`svsir.bond.g_of_tau` for
-every beta > 0: the same closed form as the price path's bond.  The
-coefficients are evaluated at the integration variable's own time to
-maturity (same clock as the bond), which is what makes the assembled f_j
-satisfy the pricing PDE.  For every beta the assembled f_j must equal the
-closed forms Psi(phi - i)/S (j = 1) and Psi(phi)/B (j = 2) of
-:mod:`svsir.heston_cf`; at beta = 0 (G identically 0) the system reduces
-exactly to the constant-rate coefficient table and the integrated (C, D)
-must match that module's constant-rate (C, D).
+G is the bond's variance loading.  The right-hand side is one function,
+``_rhs``, which forms these coefficients inline from one G per evaluation,
+read from :func:`svsir.bond.g_of_tau` (the price path's closed form) for
+beta > 0, at the integration variable's own time to maturity (same clock as
+the bond): that is what makes the assembled f_j satisfy the pricing PDE.
+For every beta the assembled f_j must equal the closed forms Psi(phi - i)/S
+(j = 1) and Psi(phi)/B (j = 2) of :mod:`svsir.heston_cf`; at beta = 0
+(G identically 0) the system reduces exactly to the constant-rate
+coefficient table and the integrated (C, D) must match that module's.
 
 No discount term appears in C: discounting lives in the bond factor of the
 price decomposition, absorbed by the x variable.
@@ -87,110 +87,24 @@ class OdeSolution:
     stats: SolverStats
 
 
-@dataclass(frozen=True)
-class SirCoefficients:
-    """Time-dependent coefficient bundle of the Riccati system.
+def _rhs(params: ModelParams, phis: np.ndarray, j: int):
+    """d[C, D]/dtau' of measure ``j`` as a function of (tau', y), y = [C, D] with the m values of each end to end."""
+    sigma, rho, alpha, a = params.sigma, params.rho_sv, params.alpha, params.kappa * params.theta
+    phi2, iphi, m = phis * phis, 1j * phis, phis.size
 
-    Every time-dependent coefficient is a function of the variance loading
-    G alone: :meth:`g` evaluates it once per time to maturity, from the
-    bond's :func:`svsir.bond.g_of_tau`, and the coefficient rules take that
-    value.  ``bond_params is None`` marks beta = 0, where G vanishes
-    identically and every coefficient is the constant-rate one.
-    """
-
-    alpha: float
-    sigma: float
-    rho_sv: float
-    a: float
-    bond_params: ModelParams | None
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "SirCoefficients":
-        return cls(
-            alpha=params.alpha,
-            sigma=params.sigma,
-            rho_sv=params.rho_sv,
-            a=params.kappa * params.theta,
-            bond_params=params if params.beta > 0.0 else None,
-        )
-
-    def g(self, tau: float) -> float:
-        """Variance loading G(tau) of the bond."""
-        if self.bond_params is None:
-            return 0.0
-        return bond.g_of_tau(self.bond_params, tau)
-
-    def sigma_x_sq(self, g: float) -> float:
-        """sx2 = 1 - 2*rho_sv*sigma*G + sigma^2*G^2; strictly positive for |rho_sv| < 1."""
-        sg = self.sigma * g
-        return 1.0 - 2.0 * self.rho_sv * sg + sg * sg
-
-    def cross(self, g: float) -> float:
-        """The product rho_xv*sigma_x*sigma = sigma*(rho_sv - sigma*G)."""
-        return self.sigma * (self.rho_sv - self.sigma * g)
-
-    def zeta(self, j: int, g: float) -> float:
-        s = self.sigma_x_sq(g)
-        return 0.5 * s if j == 1 else -0.5 * s
-
-    def b_j(self, j: int, g: float) -> float:
-        if j == 1:
-            return self.alpha - self.rho_sv * self.sigma
-        return self.alpha - self.sigma * self.sigma * g
-
-
-class _RiccatiRhs:
-    """Right-hand side, batched over a fixed array of frequencies."""
-
-    def __init__(self, coeffs: SirCoefficients, phis: np.ndarray, j: int):
-        self.coeffs = coeffs
-        self.j = j
-        self.phi = phis
-        self.phi2 = phis * phis
-        self.iphi = 1j * phis
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        """d[C, D]/dtau' for y = [C, D], the m values of each laid end to end."""
-        co = self.coeffs
-        g = co.g(t)  # one bond evaluation per stage
-        m = self.phi.size
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        g = bond.g_of_tau(params, t) if params.beta > 0.0 else 0.0  # one bond evaluation per stage
+        sg = sigma * g
+        sx2 = 1.0 - 2.0 * rho * sg + sg * sg  # strictly positive for |rho_sv| < 1
+        zeta = 0.5 * sx2 if j == 1 else -0.5 * sx2
+        b = alpha - rho * sigma if j == 1 else alpha - sigma * sigma * g
         d = y[m:]
-        out = np.empty_like(y)
-        out[:m] = co.a * d
-        out[m:] = (
-            -0.5 * co.sigma_x_sq(g) * self.phi2
-            + self.iphi * (co.cross(g) * d + co.zeta(self.j, g))
-            + 0.5 * co.sigma**2 * d * d
-            - co.b_j(self.j, g) * d
-        )
-        return out
+        # sigma*(rho_sv - sigma*G) is the cross term rho_xv*sigma_x*sigma
+        d_rate = (-0.5 * sx2 * phi2 + iphi * (sigma * (rho - sigma * g) * d + zeta)
+                  + 0.5 * sigma**2 * d * d - b * d)
+        return np.concatenate((a * d, d_rate))
 
-
-def _integrate(rhs: _RiccatiRhs, checkpoints: np.ndarray, tol: ToleranceSpec) -> tuple[list[np.ndarray], SolverStats]:
-    """Advance y = [C, D] from 0 through each checkpoint; return y, shaped (2, m), at each.
-
-    One ``solve_ivp`` call per checkpoint segment, so every returned value
-    is the end of a step, never a dense-output interpolant.
-    """
-    from scipy.integrate import solve_ivp
-
-    y = np.zeros(2 * rhs.phi.size, dtype=complex)
-    t = 0.0
-    steps = evals = 0
-    outputs: list[np.ndarray] = []
-    for target in checkpoints:
-        if target > t:
-            sol = solve_ivp(rhs, (t, target), y, method="RK45", rtol=tol.rel, atol=tol.abs)
-            if sol.status != 0:
-                raise StepSizeUnderflow(
-                    f"{sol.message} at tau'={sol.t[-1]:.6g} "
-                    f"(phi up to {float(np.max(np.abs(rhs.phi))):.6g}, j={rhs.j})"
-                )
-            t, y = target, sol.y[:, -1]
-            steps += sol.t.size - 1
-            evals += sol.nfev
-        outputs.append(y.reshape(2, -1))
-    return outputs, SolverStats(steps, evals)
+    return rhs
 
 
 def integrate_cd_batch(
@@ -214,19 +128,35 @@ def integrate_cd_batch(
     check_measure(j)
     check_nonnegative("tau", tau)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
-    coeffs = SirCoefficients.from_params(params)
-    rhs = _RiccatiRhs(coeffs, phis, j)
+    cps = np.asarray([tau] if checkpoints is None else checkpoints, dtype=float)
+    check_nonnegative_array("checkpoints", cps)
+    if cps.size == 0 or abs(cps[-1] - tau) > 1e-15 * max(1.0, tau) or np.any(np.diff(cps) <= 0):
+        raise InvalidParameter("checkpoints: must be increasing and end at tau")
+    from scipy.integrate import solve_ivp
+
+    # one solve_ivp call per checkpoint segment, so every value returned is
+    # the end of a step, never a dense-output interpolant
+    rhs = _rhs(params, phis, j)
+    y = np.zeros(2 * phis.size, dtype=complex)
+    t = 0.0
+    steps = evals = 0
+    outputs = []
+    for target in cps:
+        if target > t:
+            sol = solve_ivp(rhs, (t, target), y, method="RK45", rtol=tol.rel, atol=tol.abs)
+            if sol.status != 0:
+                raise StepSizeUnderflow(
+                    f"{sol.message} at tau'={sol.t[-1]:.6g} "
+                    f"(phi up to {float(np.max(np.abs(phis))):.6g}, j={j})"
+                )
+            t, y = target, sol.y[:, -1]
+            steps += sol.t.size - 1
+            evals += sol.nfev
+        outputs.append(y.reshape(2, -1))
+    stats = SolverStats(steps, evals)
     if checkpoints is None:
-        cps = np.array([tau])
-    else:
-        cps = np.asarray(checkpoints, dtype=float)
-        check_nonnegative_array("checkpoints", cps)
-        if cps.size == 0 or abs(cps[-1] - tau) > 1e-15 * max(1.0, tau) or np.any(np.diff(cps) <= 0):
-            raise InvalidParameter("checkpoints: must be increasing and end at tau")
-    outs, stats = _integrate(rhs, cps, tol)
-    if checkpoints is None:
-        return outs[0][0], outs[0][1], stats
-    return [o[0] for o in outs], [o[1] for o in outs], stats
+        return outputs[0][0], outputs[0][1], stats
+    return [o[0] for o in outputs], [o[1] for o in outputs], stats
 
 
 def integrate_cd(

@@ -73,6 +73,11 @@ def test_parse_config_text_errors():
         parse_config_text("kappa = 1.0\n")
     with pytest.raises(Exception, match="key = value"):
         parse_config_text("[model]\nbroken line\n")
+    with pytest.raises(Exception, match="empty section name"):
+        parse_config_text("[ ]\nkappa = 1.0\n")
+    # a JSON value followed by more text is not a JSON value
+    with pytest.raises(Exception, match="value is not valid JSON: '2.0 2'"):
+        parse_config_text("[model]\nkappa = 2.0 2\n")
 
 
 def test_price_single_strike_matches_library(tmp_path, capsys):
@@ -408,9 +413,11 @@ def test_sweep_rejects_unknown_param(tmp_path, capsys):
     (lambda t: t.replace("mu = 0.03", "mu = 0.03\nmu = 0.04"), ["[model]", "mu"]),
     (lambda t: t + '[quadrature]\nmax_subdivisions = 2048\n', ["run.cfg [quadrature]", "max_subdivisions"]),
     (lambda t: t + '[quadrature]\nphi_max = 10000.0\n', ["run.cfg [quadrature]", "phi_max"]),
+    (lambda t: t.replace('format = "csv"', 'format = "xml"'), ["run.cfg [output] format", '"xml"']),
+    (lambda t: t.replace("spot = 100.0\n", ""), ["run.cfg [market]", "missing keys ['spot']"]),
 ], ids=["misspelt-section", "old-ode-section", "misspelt-key", "string-number", "bool-number",
         "scalar-list", "non-integral-int", "lam-and-lambda", "repeated-key", "removed-max-subdivisions",
-        "removed-phi-max"])
+        "removed-phi-max", "unknown-format", "missing-key"])
 def test_schema_rejects_malformed_config(tmp_path, capsys, edit, names):
     path = tmp_path / "run.cfg"
     path.write_text(edit(Path(write_config(tmp_path)).read_text()))
@@ -422,12 +429,22 @@ def test_schema_rejects_malformed_config(tmp_path, capsys, edit, names):
 
 def test_comma_list_flags_exit_2(tmp_path, capsys):
     sweep = ["sweep", "--config", write_config(tmp_path), "--param", "beta", "--values", "0,abc"]
+    empty_sweep = sweep[:-1] + [" , "]  # no numbers at all
     bond = ["bond", "--kappa", "2", "--theta", "0.04", "--sigma", "0.3", "--mu", "0.03",
             "--beta", "1.0", "--variance", "0.04", "--tau-grid", "0,x"]
-    for argv, flag in ((sweep, "--values"), (bond, "--tau-grid")):
+    for argv, flag in ((sweep, "--values"), (empty_sweep, "--values: no numbers"), (bond, "--tau-grid")):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and flag in captured.err
+
+
+def test_verify_without_mc_section_exits_2(tmp_path, capsys):
+    path = Path(write_config(tmp_path))
+    text = path.read_text()
+    path.write_text(text[:text.index("[mc]")] + text[text.index("[output]"):])  # the [mc] section cut out
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "verify requires an [mc] section" in captured.err
 
 
 def test_example_config_loads_under_schema():

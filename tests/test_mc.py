@@ -411,15 +411,14 @@ def test_stream_positioned_at_draw_k(seed, k):
         full.random(1_000_000)
     expected = full.random(k % 1_000_000 + 1100)[k % 1_000_000:]
     got = np.empty(11)
-    stream = _Stream(seed, k)
-    stream.uniforms(got)
+    stream = _Stream(seed)
+    stream.uniforms(k, got)
     assert np.array_equal(got, expected[:11])
-    # later seeks, within a Philox block of four and across blocks, land on the same draws
+    # later reads, within a Philox block of four and across blocks, land on the same draws
     at = k + 11
     for gap in (0, 1, 2, 5, 990):
         at += gap
-        stream.seek(at)
-        stream.uniforms(got)
+        stream.uniforms(at, got)
         assert np.array_equal(got, expected[at - k:at - k + 11])
         at += 11
 

@@ -18,8 +18,9 @@ reference shares no code, no control variate and no quadrature with the
 pricer, and its error is far below any tolerance tested here.
 
 A pricer row must lie within its own ``err_estimate`` of the reference.
-Over these rows the estimate exceeds the true error by 29-1,450x at abs_tol
-1e-9 and by 2.1-466x at 1e-12, where one row matches the reference exactly.
+Over these rows the estimate exceeds the true error, taken against the
+30-digit values, by 30-62,600x at abs_tol 1e-9 and by 2.2-419x at 1e-12;
+the tightest rows are box1 at 1e-9 and ``NARROW`` at tau = 10 at 1e-12.
 """
 import pytest
 
@@ -71,6 +72,10 @@ REFERENCE = [
      0.347291916405521934655905609814, 0.321379516084484270803175220903, 0.984265151766433254142393051244),
     ("narrow", NARROW, 0.04, 100.0, 10.0,
      0.988286954043223994442474193692, 0.979046046492877589671780232481, 0.619683865199486407921276022139),
+    ("narrow-tau30", NARROW, 0.04, 100.0, 30.0,
+     0.999847325215579507550515696061, 0.999368096447334369512620187825, 0.276366496389661094050978600471),
+    ("narrow-v0.002-tau30", NARROW, 0.002, 100.0, 30.0,
+     0.999895366645417947576209360607, 0.999599912271562929318146333943, 0.299038063395963412648575211621),
 ]
 
 

@@ -13,9 +13,11 @@ from svsir import (
     bond_price,
     integrate_cd_batch,
 )
+from svsir import riccati
+from svsir.bond import g_of_tau
 from svsir.heston_cf import affine_cd, cd_arrays
 from svsir.pricer import _provider
-from svsir.riccati import SirCoefficients, _RiccatiRhs, integrate_cd
+from svsir.riccati import integrate_cd
 
 HESTON = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=0.0)
 SIR = ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
@@ -25,6 +27,15 @@ def _assembled_f(params, tau, phi, j, x, v, tol=ToleranceSpec()):
     """f_j = exp(C + D*v + i*phi*x) from the integrated (C, D), at forward log-moneyness x = ln(S/B)."""
     sol = integrate_cd(params, tau, phi, j, tol)
     return np.exp(sol.c_val + sol.d_val * v + 1j * phi * x)
+
+
+def _rate(params, tau, j, phi, d):
+    """dD/dtau' off the oracle's right-hand side at tau' = tau, frequency phi and D = d.
+
+    At D = 0, phi = 1 it is -sx2/2 + i*zeta_j; at D = 1, phi = 0 it is
+    sigma^2/2 - b_j; at D = 1, phi = 1 the cross term joins zeta_j in the
+    imaginary part."""
+    return complex(riccati._rhs(params, np.array([phi]), j)(tau, np.array([0.0, d], dtype=complex))[1])
 
 
 def test_phi_zero_gives_exact_zero_solution():
@@ -51,24 +62,20 @@ def test_beta_zero_matches_closed_form():
 
 
 def test_coefficients_reduce_to_constant_rate_table_at_beta_zero():
-    co = SirCoefficients.from_params(HESTON)
+    sigma, rho = HESTON.sigma, HESTON.rho_sv
     for tau in (0.0, 0.7, 4.0):
-        g = co.g(tau)
-        assert g == 0.0
-        assert co.sigma_x_sq(g) == 1.0
-        assert co.cross(g) == HESTON.rho_sv * HESTON.sigma
-        assert co.b_j(1, g) == HESTON.alpha - HESTON.rho_sv * HESTON.sigma
-        assert co.b_j(2, g) == HESTON.alpha
-        assert co.zeta(1, g) == 0.5 and co.zeta(2, g) == -0.5
+        for j, zeta, b in ((1, 0.5, HESTON.alpha - rho * sigma), (2, -0.5, HESTON.alpha)):
+            assert _rate(HESTON, tau, j, 1.0, 0.0) == complex(-0.5, zeta)  # G = 0: sx2 = 1
+            assert _rate(HESTON, tau, j, 0.0, 1.0) == 0.5 * sigma**2 - b
+            assert _rate(HESTON, tau, j, 1.0, 1.0).imag == rho * sigma + zeta  # cross term rho_sv*sigma
 
 
 def test_coefficients_time_dependence_with_rates():
-    co = SirCoefficients.from_params(SIR)
-    assert co.g(0.0) == 0.0  # G(0) = 0: no bond volatility at maturity
-    assert co.sigma_x_sq(co.g(0.0)) == 1.0
-    assert co.sigma_x_sq(co.g(1.0)) != 1.0
-    assert co.b_j(2, co.g(1.0)) > SIR.alpha  # G < 0 raises b_2
-    assert co.b_j(1, co.g(1.0)) == co.b_j(1, co.g(0.0))  # b_1 stays constant
+    assert g_of_tau(SIR, 0.0) == 0.0  # G(0) = 0: no bond volatility at maturity
+    assert _rate(SIR, 0.0, 1, 1.0, 0.0).real == -0.5  # sx2 = 1
+    assert _rate(SIR, 1.0, 1, 1.0, 0.0).real != -0.5
+    assert _rate(SIR, 1.0, 2, 0.0, 1.0).real < 0.5 * SIR.sigma**2 - SIR.alpha  # G < 0 raises b_2
+    assert _rate(SIR, 1.0, 1, 0.0, 1.0) == _rate(SIR, 0.0, 1, 0.0, 1.0)  # b_1 stays constant
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,8 +86,7 @@ def test_coefficients_time_dependence_with_rates():
 )
 def test_sigma_x_sq_positive(beta, tau, rho):
     params = ModelParams(kappa=2.0, theta=0.04, sigma=0.6, lam=0.0, rho_sv=rho, mu=0.03, beta=beta)
-    co = SirCoefficients.from_params(params)
-    assert co.sigma_x_sq(co.g(tau)) > 0.0
+    assert _rate(params, tau, 1, 1.0, 0.0).real < 0.0  # -sx2/2: sx2 > 0
 
 
 def test_adaptive_tolerance_tracks_error():
@@ -95,11 +101,23 @@ def test_adaptive_tolerance_tracks_error():
 def test_failed_solve_is_reported_with_context(monkeypatch):
     # a right-hand side that turns NaN past tau' = 0.5 stalls the controller
     # there; the failure names where it stopped, the frequency and the measure
-    rhs = _RiccatiRhs.__call__
-    monkeypatch.setattr(_RiccatiRhs, "__call__", lambda self, t, y: rhs(self, t, y) * (np.nan if t > 0.5 else 1.0))
+    build = riccati._rhs
+
+    def stalling(*args):
+        rhs = build(*args)
+        return lambda t, y: rhs(t, y) * (np.nan if t > 0.5 else 1.0)
+
+    monkeypatch.setattr(riccati, "_rhs", stalling)
     with np.errstate(invalid="ignore"), pytest.raises(StepSizeUnderflow) as info:
         integrate_cd(SIR, 1.0, 5.0, 1)
     assert "at tau'=0.5 (phi up to 5, j=1)" in str(info.value)
+
+
+@pytest.mark.parametrize("checkpoints", [[], [3.0, 1.0], [0.5, 2.0], [0.5, 3.5]],
+                         ids=["empty", "decreasing", "short-of-tau", "past-tau"])
+def test_checkpoints_validated(checkpoints):
+    with pytest.raises(InvalidParameter, match="^checkpoints: must be increasing and end at tau$"):
+        integrate_cd_batch(SIR, 3.0, [4.0], 1, checkpoints=checkpoints)
 
 
 def test_tolerance_validation():
@@ -170,7 +188,7 @@ def test_assembled_cf_satisfies_pricing_pde():
     # points; x- and v-derivatives are exact in the affine form, tau by
     # central differences
     tol = ToleranceSpec(rel=1e-11, abs=1e-13)
-    co = SirCoefficients.from_params(SIR)
+    sigma, rho = SIR.sigma, SIR.rho_sv
     h = 1e-5
     for tau, phi, v, j in [(0.8, 2.0, 0.04, 2), (1.5, 5.0, 0.10, 1), (0.6, 1.0, 0.02, 2)]:
         x = 4.6
@@ -183,13 +201,17 @@ def test_assembled_cf_satisfies_pricing_pde():
         f_xv = 1j * phi * sol.d_val * f
         f_tau = (_assembled_f(SIR, tau + h, phi, j, x, v, tol)
                  - _assembled_f(SIR, tau - h, phi, j, x, v, tol)) / (2 * h)
-        g = co.g(tau)
+        # the coefficients by the module docstring's formulas, not by the oracle's code
+        g = g_of_tau(SIR, tau)
+        sx2 = 1.0 - 2.0 * rho * sigma * g + sigma**2 * g**2
+        zeta = sx2 / 2 if j == 1 else -sx2 / 2
+        b = SIR.kappa + SIR.lam - (rho * sigma if j == 1 else sigma**2 * g)
         residual = (
-            0.5 * co.sigma_x_sq(g) * v * f_xx
-            + co.cross(g) * v * f_xv
-            + 0.5 * SIR.sigma**2 * v * f_vv
-            + co.zeta(j, g) * v * f_x
-            + (co.a - co.b_j(j, g) * v) * f_v
+            0.5 * sx2 * v * f_xx
+            + sigma * (rho - sigma * g) * v * f_xv
+            + 0.5 * sigma**2 * v * f_vv
+            + zeta * v * f_x
+            + (SIR.kappa * SIR.theta - b * v) * f_v
             - f_tau
         )
         assert abs(residual) < 1e-4
