@@ -76,8 +76,13 @@ def g_of_tau(params: ModelParams, tau):
 
 def bond_values(params: ModelParams, v: float, tau) -> tuple[BondValue, ...]:
     """The bonds B(tau, v) = F(tau)*exp(G(tau)*v) at a scalar or 1-D array tau, one per entry, from one call of
-    ``_log_f_and_g``; each is assembled on floats.  Arguments are not range-checked (see :func:`bond_price`)."""
-    log_f, g = (np.atleast_1d(values).tolist() for values in _log_f_and_g(params, tau))
+    ``_log_f_and_g``.  Arguments are not range-checked (see :func:`bond_price`)."""
+    return _assemble(*_log_f_and_g(params, tau), v)
+
+
+def _assemble(log_f, g, v: float) -> tuple[BondValue, ...]:
+    """The bonds with factors ``log_f`` = ln F and ``g`` = G (scalars or 1-D arrays) at variance v, on floats."""
+    log_f, g = (np.atleast_1d(values).tolist() for values in (log_f, g))
     return tuple(BondValue(price=math.exp(lf + gv * v), f_factor=math.exp(lf), g_factor=gv)
                  for lf, gv in zip(log_f, g))
 

@@ -16,12 +16,13 @@ is f_j at phi = -i*t/sqrt(w_m), finite inside the strip of analyticity that the 
 (Lee 2004; Andersen & Piterbarg 2007).  So, with every maturity in one pass:
 
 * one call evaluates f_1 and f_2 on the ladder ``S_LADDER`` (0.5, 1, ..., 2^16 in s) and at each side's
-  ``MOMENTS_PER_SIDE`` largest orders of ``MOMENT_ORDERS`` inside the caller's strip; s_max_m is the first rung
-  where |f_j - f_BS_j|/s < abs_tol/10 for both j (TailNotDecaying if none, or if one is not finite);
+  ``MOMENTS_PER_SIDE`` largest orders of ``MOMENT_ORDERS`` inside the caller's strip; s_max_m is the lowest rung
+  where |f_j - f_BS_j|/s < abs_tol/10 for both j, there and above (TailNotDecaying if none, or if one is not finite);
 * a row beyond the bound's reach across its strike is N(d_j) to abs_tol/16 and takes no node; the other rows set
   the largest step that keeps each of their four tails within abs_tol/32, and so n_m midpoint panels on
   [0, s_max_m], evaluated once, at most ``NODES_PER_CALL`` a call, maturities mixed;
-* each strike phase is the product of two entries of one table of angle-addition exponentials;
+* each strike phase exp(i*freq*s) comes from one sine and one cosine of its angle, each correctly rounded, so it
+  carries only the rounding of the angle, eps*|freq*s|;
 * the error estimate is the bound at the step taken, plus the tail term |f_j - f_BS_j|/(pi*s) at s_max_m and a
   rounding allowance.
 
@@ -61,10 +62,8 @@ MAX_NODES = 2**21
 # Most nodes per characteristic-function call; bounds the temporaries of a pass over many maturities.
 NODES_PER_CALL = 960
 
-# the per-maturity bookkeeping reads these as Python floats: the rungs, the sizes |t| of the orders (the same on
-# both sides), and r + 1/2 for every r < ceil(sqrt(MAX_NODES)), the steps of a maturity's phase table
+# the per-maturity bookkeeping reads these as Python floats: the rungs, and the sizes |t| of the orders on either side
 _LADDER, _SIZES = S_LADDER.tolist(), MOMENT_ORDERS[1].tolist()
-_HALF_STEPS = (np.arange(math.isqrt(MAX_NODES) + 1) + 0.5).tolist()
 _EPS = float(np.finfo(float).eps)
 # the sign of t on each side, and of w/2 in d_j for each measure
 _SIDES, _HALVES = np.array([1.0, -1.0]), np.array([0.5, -0.5])[:, None, None]
@@ -110,27 +109,6 @@ class ProbabilityPair:
     achieved_error_estimate: float | np.ndarray
 
 
-def _phases(theta: np.ndarray, counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The table behind the strike phases exp(i*theta_km*(i + 1/2)) at the nodes i < counts_m of each maturity m.
-
-    ``theta`` is (strike, maturity).  With b_m = ceil(sqrt(counts_m)) and i = q*b_m + r, a phase is
-    exp(i*theta*q*b_m) * exp(i*theta*(r + 1/2)): two correctly rounded exponentials, so its error is
-    ~eps*|theta*(i + 1/2)| at every i; along a cos/sin recurrence it grows with i.  Returns the table, (strike, entry),
-    which holds maturity by maturity its rows exp(i*theta*q*b) and then its steps exp(i*theta*(r + 1/2)), and per
-    maturity (column) where its rows start, b and where its steps start: the phase at node i of maturity m is
-    ``table[:, rows_m + i // b_m] * table[:, steps_m + i % b_m]``.
-    """
-    owner, angle, layout = [], [], []
-    for m, count in enumerate(counts):
-        block = math.ceil(math.sqrt(count))
-        rows = -(-count // block)
-        layout.append((len(angle), block, len(angle) + rows))
-        owner += [m] * (rows + block)
-        angle += range(0, rows * block, block)
-        angle += _HALF_STEPS[:block]
-    return np.exp(1j * theta.take(owner, axis=1) * angle), np.array(layout).T
-
-
 def _less_control(f: np.ndarray, phi: np.ndarray, w: np.ndarray, s: np.ndarray) -> np.ndarray:
     """(f_j - f_BS_j)/s from f_1 and f_2 stacked at the nodes phi = s/sqrt(w) (w: each node's control variance).
 
@@ -153,8 +131,7 @@ def _midpoint(cf: Callable, live: np.ndarray, freq: np.ndarray, w: np.ndarray, r
     """
     width, ends = np.array(s_max) / n, list(itertools.accumulate(n))
     starts = [end - count for end, count in zip(ends, n)]
-    table, layout = _phases(freq.T * width, n)
-    layout, scales = np.concatenate([[live, starts], layout]), np.array([width, root_w, w])
+    layout, scales = np.array([live, starts]), np.array([width, root_w, w])
     sums, sizes = np.zeros((2, freq.shape[1], len(n))), np.zeros((2, 2, len(n)))
     for start in range(0, ends[-1], NODES_PER_CALL):
         stop = min(start + NODES_PER_CALL, ends[-1])
@@ -162,32 +139,34 @@ def _midpoint(cf: Callable, live: np.ndarray, freq: np.ndarray, w: np.ndarray, r
         own = slice(bisect.bisect_right(ends, start), bisect.bisect_left(ends, stop) + 1)
         counts = [min(end, stop) - max(begin, start) for begin, end in zip(starts[own], ends[own])]
         first = [0, *itertools.accumulate(counts[:-1])]
-        maturity, begin, rows, block, steps = layout[:, own].repeat(counts, axis=1)
+        maturity, begin = layout[:, own].repeat(counts, axis=1)
         step, root, var = scales[:, own].repeat(counts, axis=1)
-        i = np.arange(start, stop) - begin
-        s = (i + 0.5) * step
+        s = (np.arange(start, stop) - begin + 0.5) * step
         phi = s / root
         vals = _less_control(cf(maturity, phi), phi, var, s)
         size = np.abs(vals)
         sizes[..., own] += np.add.reduceat(np.array([size, size * s]), first, axis=-1)
-        q, r = np.divmod(i, block)
-        phase = table.take(rows + q, axis=1) * table.take(steps + r, axis=1)
-        # a measure at a time keeps the (strike, node) temporaries small
-        sums[..., own] += [np.add.reduceat((v * phase).imag, first, axis=-1) for v in vals]
+        # Im[g_j*exp(i*angle)] from one sine and one cosine per (strike, node), a measure at a time
+        angle = freq[own].T.repeat(counts, axis=1) * s
+        sin, cos = np.sin(angle), np.cos(angle)
+        sums[..., own] += [np.add.reduceat(v.real * sin + v.imag * cos, first, axis=-1) for v in vals]
     return np.swapaxes(sums * width, 1, 2), sizes * width
 
 
 def _find_s_max(g: np.ndarray, spec: QuadratureSpec) -> list[tuple[float, float]]:
-    """Per maturity, the first ``S_LADDER`` rung where |f_j - f_BS_j|/s < abs_tol/10 for both j, and that tail term.
+    """Per maturity, the lowest ``S_LADDER`` rung where |f_j - f_BS_j|/s < abs_tol/10 for both j, there and above.
 
     ``g`` holds (f_j - f_BS_j)/s on ``S_LADDER``: measures first, rungs last, and any maturity axis between them.
+    Returns each such rung with its tail term.  |g| need not fall monotonically: at a tiny w it can dip below the
+    threshold on a low rung and rise above it again.
     """
     threshold = spec.abs_tol / 10.0
     tails = np.abs(g).max(axis=0).reshape(-1, S_LADDER.size)
-    first, finite = (tails < threshold).argmax(axis=-1).tolist(), np.isfinite(tails).all(axis=-1).tolist()
+    settled = np.logical_and.accumulate(tails[:, ::-1] < threshold, axis=-1)[:, ::-1]
+    first, finite = settled.argmax(axis=-1).tolist(), np.isfinite(tails).all(axis=-1).tolist()
     found = []
-    for m, (row, rung, ok) in enumerate(zip(tails.tolist(), first, finite)):
-        if not (ok and row[rung] < threshold):
+    for m, (row, rung, ok, below) in enumerate(zip(tails.tolist(), first, finite, settled.tolist())):
+        if not (ok and below[rung]):
             raise TailNotDecaying(
                 f"max_j |f_j - f_BS_j|/s was not finite or stayed >= {threshold:.3e} up to the top of the s ladder, "
                 f"{_LADDER[-1]:g} (smallest {tails[m].min():.3e}); "

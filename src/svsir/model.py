@@ -39,7 +39,7 @@ class ModelParams:
     ----------
     kappa : mean-reversion speed of variance (1/year), > 0
     theta : long-run variance (1/year), >= 0
-    sigma : vol-of-vol (1/sqrt(year)), > 0
+    sigma : vol-of-vol (1/sqrt(year)), > 0, with sigma^2 neither 0 nor inf in floating point
     lam : volatility risk-premium coefficient; premium is ``lam*v``
     rho_sv : stock-variance correlation, in [-1, 1]
     mu : short-rate level constant (1/year)
@@ -146,6 +146,8 @@ def validate(params: ModelParams) -> ValidationReport:
         raise InvalidParameter(f"theta: must be >= 0, got {params.theta}")
     if params.sigma <= 0:
         raise InvalidParameter(f"sigma: must be > 0, got {params.sigma}")
+    if not 0.0 < params.sigma * params.sigma < math.inf:
+        raise InvalidParameter(f"sigma: sigma^2 must be a positive finite float, got {params.sigma}")
     if abs(params.rho_sv) > 1:
         raise InvalidParameter(f"rho_sv: must lie in [-1, 1], got {params.rho_sv}")
     if params.alpha <= 0:

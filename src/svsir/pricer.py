@@ -14,8 +14,9 @@ the bond leg.  Log prices are measured from ln S: the forward sits at
 x = -ln B and a strike at ln(K/S), so that the forward log-moneyness
 ln(S/K) - ln B carries the rounding of one log of K/S, not that of ln S and
 ln K (each ~4.6 at S = 100), which the control's density at a small w
-magnifies.  At beta = 0 the bond is exp(-mu*tau) and the route reduces to
-the constant-rate model.  The bond and
+magnifies.  ln B is ln F + G*v from the bond's factors, finite where B
+underflows to 0; the call there is S.  At beta = 0 the bond is
+exp(-mu*tau) and the route reduces to the constant-rate model.  The bond and
 the characteristic function share one parameter set: the lam entering the
 bond is the same risk-premium constant entering b.  Neither B nor f_j
 depends on the strike, so :func:`price_grid` prices a whole maturity x
@@ -142,9 +143,10 @@ def price_grid(
     for tau in maturities:
         check_nonnegative("tau", tau)
     taus = np.array(maturities, dtype=float)
-    bonds = bond.bond_values(params, variance, taus)
+    # ln B from the bond's factors, finite where B itself underflows to 0
+    log_f, g = bond._log_f_and_g(params, taus)
+    bonds, log_bonds = bond._assemble(log_f, g, variance), log_f + g * variance
     log_strikes = np.array([math.log(strike / spot) for strike in strikes])
-    log_bonds = np.array([math.log(b.price) for b in bonds])
     w = _expected_variance(params, variance, taus)
     x = -log_bonds  # the log forward, measured from ln S as the strikes are
     try:

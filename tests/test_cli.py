@@ -112,6 +112,15 @@ def test_malformed_config_exits_2_without_output(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "sigma" in captured.err
+    # a sigma whose square underflows to 0 or overflows
+    cfg = write_config(tmp_path)
+    bond = ["bond", "--kappa", "2", "--theta", "0.04", "--sigma", "1e160", "--mu", "0.03", "--beta", "1",
+            "--variance", "0.04", "--tau-grid", "0,0.5"]
+    for argv in (bond, ["sweep", "--config", cfg, "--param", "sigma", "--values", "1e155"],
+                 ["sweep", "--config", cfg, "--param", "sigma", "--values", "1e-200"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "sigma^2" in captured.err, captured.err
 
 
 def test_missing_config_file_exits_2(capsys):

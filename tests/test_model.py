@@ -54,6 +54,8 @@ def test_negative_risk_neutral_reversion_rejected():
         ("beta", -1e-9),
         ("mu", math.nan),
         ("sigma", math.inf),
+        ("sigma", 1e-200),
+        ("sigma", 1e160),
     ],
 )
 def test_hard_violations_raise_with_field_name(field, value):

@@ -65,6 +65,9 @@ def test_zero_variance_call_is_discounted_forward():
 def test_vanishing_strike_gives_spot():
     res = price_heston(HESTON, STATE, OptionSpec(strike=1e-12 * 100.0))
     assert res.price == pytest.approx(100.0, abs=1e-6)
+    # so does a bond that underflows to 0 (from tau ~ 1.07e4 here), whose log stays finite
+    res = price_sir(SIR, MarketState(spot=100.0, variance=0.04, tau=3e4), OptionSpec(strike=100.0))
+    assert res.price == 100.0 and res.bond.price == 0.0
 
 
 def test_heston_call_vs_mc():
@@ -181,8 +184,9 @@ def test_atm_call_prices_at_extreme_short_maturities():
 @pytest.mark.parametrize("tau", [1e-300, 2.225e-311, 1e-320])
 def test_maturities_whose_top_rung_overflows_price_as_a_point_mass(tau):
     # at v = 0.5 the ladder's top rung phi = 2^16/sqrt(w) squares past the largest double; such a law is a point
-    # mass to ~1e-149 in log-price, so every strike prices at its intrinsic value (R_j = 1, 1/2, 0), with no
-    # overflow or invalid-value warning, beside a maturity that inverts
+    # mass to ~1e-149 in log-price, so every strike prices at its intrinsic value, with no overflow or
+    # invalid-value warning, beside a maturity that inverts.  The mass sits at the forward x = -ln B ~ 0.53*tau > 0
+    # (ln B = ln F + G*v, not the log of B, which rounds to 1), above K = S: R_j = 1, 1, 0
     strikes = np.array([80.0, 100.0, 120.0])
     assert _expected_variance(SIR, 0.5, np.array([tau]))[0] <= W_POINT_MASS
     with warnings.catch_warnings():
@@ -190,8 +194,8 @@ def test_maturities_whose_top_rung_overflows_price_as_a_point_mass(tau):
         grid = price_grid(SIR, 100.0, 0.5, strikes, (tau, 0.5))
     bond = grid.bond[0].price
     np.testing.assert_array_equal(grid.price[0], np.maximum(100.0 - strikes * bond, 0.0))
-    np.testing.assert_array_equal(grid.r1[0], [1.0, 0.5, 0.0])
-    np.testing.assert_array_equal(grid.r2[0], [1.0, 0.5, 0.0])
+    np.testing.assert_array_equal(grid.r1[0], [1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(grid.r2[0], [1.0, 1.0, 0.0])
     assert np.all(grid.err_estimate[0] == 0.0) and np.all(np.isfinite(grid.price[1]))
 
 

@@ -17,10 +17,19 @@ computation repeated at 35 digits agreed with it to 1.3e-35.  So the
 reference shares no code, no control variate and no quadrature with the
 pricer, and its error is far below any tolerance tested here.
 
+The two far rows, K = 10 and K = 1000 at v = 5e-4 and tau = 1e-4, lie
+~1e4 standard deviations from the money, where the pieces above would number
+~1e5.  Their R_j are 1 and 0: the mass of ln S_T - ln S beyond ln(K/S) on
+the strike's side is at most E_j[exp(-+p*(ln S_T - ln S))]*exp(+-p*ln(K/S)),
+f_j at phi = +-i*p from the same closed form at 50 digits, which is below
+1.1e-1000 at p = 1000 under both measures.  The row at tau = 1e-18 was
+integrated in s = phi*sqrt(v*tau), on unit pieces above s = 1.
+
 A pricer row must lie within its own ``err_estimate`` of the reference.
-Over these rows the estimate exceeds the true error, taken against the
-30-digit values, by 30-62,600x at abs_tol 1e-9 and by 2.2-419x at 1e-12;
-the tightest rows are box1 at 1e-9 and ``NARROW`` at tau = 10 at 1e-12.
+Over the rows whose R_j are not 1 or 0, the estimate exceeds the true error,
+taken against the 30-digit values, by 30-62,600x at abs_tol 1e-9 and by
+2.2-419x at 1e-12; the tightest rows are box1 at 1e-9 and ``NARROW`` at
+tau = 10 at 1e-12.
 """
 import pytest
 
@@ -37,6 +46,8 @@ BOX_2 = ModelParams(kappa=2.72554781450628, theta=0.08727305444835276, sigma=0.6
                     lam=0.6785517262028127, rho_sv=-0.2722672364398556, mu=0.02710499626510095, beta=1.5)
 # violates Feller (2*kappa*theta = 0.04 < sigma^2 = 0.64)
 FELLER_CORNER = ModelParams(kappa=2.0, theta=0.01, sigma=0.8, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
+# violates Feller too, with a characteristic function that decays slowly (~exp(-0.044*phi) at v = 0.04)
+SLOW_DECAY = ModelParams(kappa=2.0, theta=0.0116, sigma=0.78, lam=0.0, rho_sv=-0.5, mu=0.03, beta=1.0)
 # the corner of PARAM_BOX with the narrowest strip (tests/test_inversion.py)
 NARROW = ModelParams(kappa=0.5, theta=0.01, sigma=0.8, lam=-0.2, rho_sv=0.5, mu=0.03, beta=2.0)
 
@@ -63,13 +74,24 @@ REFERENCE = [
     ("example-tau-1e-4", EXAMPLE, 0.04, 100.0, 0.0001,
      0.502543211913525558362474259681, 0.50174534686420698012268874464, 0.999993000024500542738934616504),
     # the money cell of the far-strike grid in tests/test_inversion.py (FAR_R1, FAR_R2)
+    # ln B = -7e-20, so B rounds to 1; |f_j - f_BS_j|/s dips below abs_tol/10 at s = 0.5 and rises above it at 1 and 2
+    ("example-tau-1e-18", EXAMPLE, 0.04, 100.0, 1e-18,
+     0.500000000254325703755913336101, 0.500000000174537247675626796848, 0.99999999999999999993),
     ("example-v5e-4-tau-1e-4", EXAMPLE, 0.0005, 100.0, 0.0001,
      0.512128594714389398829164079555, 0.512039108276385471239375704801, 0.999996949609678789562240368246),
+    # the outer cells of the same grid in CI's smoke step (R_j within 1.1e-1000 of 1 and 0)
+    ("example-v5e-4-tau-1e-4-K10", EXAMPLE, 0.0005, 10.0, 0.0001,
+     1.0, 1.0, 0.999996949609678789562240368246),
+    ("example-v5e-4-tau-1e-4-K1000", EXAMPLE, 0.0005, 1000.0, 0.0001,
+     0.0, 0.0, 0.999996949609678789562240368246),
     # the call here is +1.86e-13 (S*R_1 - K*B*R_2)
     ("example-tau-0.02-far", EXAMPLE, 0.04, 120.0, 0.02,
      5.50759889671807220182528849334e-13, 4.58059185063894608711693920682e-13, 0.998600984194926368666072231606),
     ("feller", FELLER_CORNER, 0.04, 105.0, 0.25,
      0.347291916405521934655905609814, 0.321379516084484270803175220903, 0.984265151766433254142393051244),
+    # at abs_tol 1e-9 R_2 is 1.1e-13 off, inside its estimate of 6.2e-11; at 1e-12, 8.7e-17
+    ("feller-slow-decay", SLOW_DECAY, 0.04, 100.0, 0.25,
+     0.685710263532633642586252056912, 0.656026900332610376526310542507, 0.984179449790823375311758740272),
     ("narrow", NARROW, 0.04, 100.0, 10.0,
      0.988286954043223994442474193692, 0.979046046492877589671780232481, 0.619683865199486407921276022139),
     ("narrow-tau30", NARROW, 0.04, 100.0, 30.0,
