@@ -6,49 +6,42 @@ The model is the joint system
     dv     = (kappa*theta - (kappa+lam)*v) dt + sigma*sqrt(v) dz2,
     r      = mu + beta*v,        corr(dz1, dz2) = rho_sv.
 
-Two simulators, one scheme each:
+One scheme serves every estimate: a conditional (mixing) estimator on
+Andersen's (2008) quadratic-exponential (QE) variance paths.  Each step draws
+one uniform u and takes one QE step of v: the quadratic branch maps u to a
+normal by inverse CDF, the exponential branch (psi > 1.5) uses u itself.  The
+loop accumulates I_v = Integral v dt by the trapezoid rule.  Given the
+variance path, ln S_T is Gaussian with mean ln S + I_r - I_v/2 + rho*W and
+variance (1 - rho^2)*I_v, where I_r = mu*tau + beta*I_v and W = Integral
+sqrt(v) dz2 = (v_T - v0 - kappa*theta*tau + (kappa+lam)*I_v)/sigma.  So every
+path has a Black-type call price, exp(-I_r)*(F*N(d1) - K*N(d2)), and a
+discount exp(-I_r), and an estimate is the mean over paths; no stock is
+simulated.  A path whose conditional variance is 0 (rho = +-1, or I_v = 0)
+prices at the discounted intrinsic value of its conditional forward.
 
-* :func:`simulate_price` and :func:`simulate_bond` run full-truncation Euler:
-  v+ = max(v, 0) wherever the variance enters a coefficient, while the
-  carried state v itself is left uncapped.  The stochastic discount
-  exp(-Integral r dt) is accumulated by the trapezoid rule on the short-rate
-  path, and the payoff is read off the simulated stock.  Each step draws two
-  normals (one with ``simulate_bond``, which needs no stock).  The bond never
-  needs its own driver: with rho_bv = 1 it is a deterministic function of
-  (tau, v) along each path.
+* :func:`simulate_grid`, the oracle behind ``svsir verify``, prices calls on
+  a (maturity x strike) grid.  One path set runs one segment per maturity, in
+  sorted order, and after each reads every strike off the same paths.  A
+  segment takes ``max(1, ceil(length * n_steps_per_year))`` equal steps, so no
+  step is longer than a one-maturity run's; a segment of zero length (a
+  repeated maturity) takes none.  Estimates on one path set share their
+  noise, so the errors of a grid's points are correlated.
+* :func:`simulate_price` is the one-point grid.  A put is each path's call
+  less exp(-I_r)*(F - K), which is put-call parity on the path, exactly.
+* :func:`simulate_bond`, the closed-form bond's counterpart, is the mean of
+  exp(-I_r) on the same paths.
 
-* :func:`simulate_grid`, the oracle behind ``svsir verify``, is a conditional
-  (mixing) estimator on Andersen's (2008) quadratic-exponential (QE) variance
-  paths.  Each step draws one uniform u and takes one QE step of v: the
-  quadratic branch maps u to a normal by inverse CDF, the exponential branch
-  (psi > 1.5) uses u itself.  The loop accumulates I_v = Integral v dt by the
-  trapezoid rule.  Given the variance path, ln S_T is Gaussian with mean
-  ln S + I_r - I_v/2 + rho*W and variance (1 - rho^2)*I_v, where
-  I_r = mu*tau + beta*I_v and W = Integral sqrt(v) dz2
-  = (v_T - v0 - kappa*theta*tau + (kappa+lam)*I_v)/sigma.  So every path has
-  a Black-type call price, exp(-I_r)*(F*N(d1) - K*N(d2)), and the estimate is
-  its mean over paths; no stock is simulated.  A path whose conditional
-  variance is 0 (rho = +-1, or I_v = 0) prices at the discounted intrinsic
-  value of its conditional forward.
-
-One path set prices a whole grid: :func:`simulate_grid` runs the QE loop one
-segment per maturity, in sorted order, and after each reads every strike off
-the same paths.  A segment takes ``max(1, ceil(length * n_steps_per_year))``
-equal steps, so no step is longer than a one-maturity run's; a segment of zero
-length (a repeated maturity) takes none.  Estimates on one path set share
-their noise, so the errors of a grid's points are correlated.
+What this gives up: no estimate simulates the stock itself, so the oracle is
+not independent of the mixing identity above.
 
 Determinism contract: a counter-based Philox stream keyed by the seed, with
 normal variates by inverse CDF, so identical (seed, inputs) give bit-identical
-estimates on a platform.  A QE step draws exactly one uniform per path, an
-Euler step one or two normals.  Each draw has a fixed index in the stream:
-with n paths, path i reads draw s*n + i at QE step s; at Euler step s it reads
-2*s*n + i for z2 and 2*s*n + n + i for z1 (with stock), or s*n + i (without).
-So every path's value is fixed by the seed, whatever runs it.  An estimate
-takes the mean and standard deviation of its samples by numpy's pairwise
-sums, after shifting them by their first (:func:`_moments`); the grid does so
-per block of paths and combines the blocks in block order (:func:`_combine`),
-and the Euler simulators gather every block's samples and take them as one.  For maturities on
+estimates on a platform.  A step draws exactly one uniform per path, and each
+draw has a fixed index in the stream: with n paths, path i reads draw s*n + i
+at step s.  So every path's value is fixed by the seed, whatever runs it.  An
+estimate takes the mean and standard deviation of a block's samples by
+numpy's pairwise sums, after shifting them by their first (:func:`_moments`),
+and combines the blocks in block order (:func:`_combine`).  For maturities on
 the step lattice, such as 0.5 and 1 year at 250 steps a year, each grid
 estimate equals the one-maturity grid estimate at the same seed bit for bit.
 The loops reuse preallocated buffers in place but keep the operand order of
@@ -56,22 +49,20 @@ the plain expressions, so that reuse does not change a path.
 
 Every operation of a step is elementwise per path, so the step loops run on
 path slices at once, one per CPU the process may use (its affinity mask,
-which ``taskset`` and cgroups bound; there is no setting).  Both schemes
-split the paths by their count alone into blocks of at most ``BLOCK_PATHS``
+which ``taskset`` and cgroups bound; there is no setting).  The paths are
+split by their count alone into blocks of at most ``BLOCK_PATHS``
 (:func:`_blocks`), which the slices take in turn as each finishes one
 (:func:`_on_blocks`).  Each block draws from its own Philox positioned at its
 draws' indices, so the results are bit-identical at any slice count.  With
 one slice the loop runs in the calling thread and starts none.  A slice
-holds eight (QE) or nine (Euler) block-length buffers, allocated once in the
-calling thread; the Euler simulators add their samples and, to take their
-moments, one more array of all paths.  On 2 CPUs at 1,000,000 paths,
+holds eight block-length buffers, allocated once in the calling thread, so
+memory does not grow with the paths: on 2 CPUs at 1,000,000 paths,
 :func:`simulate_grid` on the example grid peaks 4.7 MiB RSS above its imports
-(71.4 MiB when it held the whole path set), and :func:`simulate_price` peaks
-at 2.0 arrays of all paths in ``tracemalloc``.
+(71.4 MiB when it held the whole path set).
 
 scipy is imported only here, inside :func:`_to_normals` (``ndtri``) and
-:func:`_grid_block` (``ndtr``): loading ``scipy.special`` costs about 0.3 s,
-and ``import svsir`` and the CLI's ``price``, ``sweep`` and ``bond`` never
+:func:`_call` (``ndtr``): loading ``scipy.special`` costs about 0.3 s, and
+``import svsir`` and the CLI's ``price``, ``sweep`` and ``bond`` never
 simulate a path, so they never pay it.  The thread pool behind the slices is
 imported as lazily, only when a run has more than one slice.
 """
@@ -80,14 +71,13 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .model import (InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec,
-                    check_nonnegative, validate)
+from .model import InvalidParameter, MarketState, ModelParams, OptionKind, OptionSpec, validate
 
 # Andersen's switch between the quadratic (psi <= PSI_C) and exponential QE branches
 PSI_C = 1.5
@@ -177,11 +167,6 @@ def _combine(blocks: Sequence[_Moments]) -> McEstimate:
     )
 
 
-def _estimate(samples: np.ndarray) -> McEstimate:
-    """Mean and standard error of ``samples``, which are shifted in place."""
-    return _combine([_moments(samples, np.empty_like(samples))])
-
-
 def _to_normals(u: np.ndarray) -> None:
     """Map the uniforms in ``u`` to standard normals in place, by inverse CDF."""
     from scipy.special import ndtri
@@ -215,11 +200,6 @@ class _Stream:
                 self._rng.random(k - self._at)
         self._rng.random(out=out)
         self._at = k + out.size
-
-    def normals(self, k: int, out: np.ndarray) -> None:
-        """Fill ``out`` with standard normals by inverse CDF, from draw ``k`` on."""
-        self.uniforms(k, out)
-        _to_normals(out)
 
 
 def _slice_count() -> int:
@@ -279,93 +259,6 @@ def _steps(length: float, cfg: McConfig) -> tuple[int, float]:
     equal steps, or none if ``length`` is 0."""
     n_steps = max(1, math.ceil(length * cfg.n_steps_per_year)) if length > 0 else 0
     return n_steps, length / max(n_steps, 1)
-
-
-def _euler_estimate(params: ModelParams, v0: float, ln_spot: float, tau: float, cfg: McConfig,
-                    opt: OptionSpec | None) -> McEstimate:
-    """Estimate of exp(-Integral r dt), times the payoff of ``opt`` if given, by
-    full-truncation Euler to ``tau``; each block writes its paths' samples."""
-    samples = np.empty(cfg.n_paths)
-
-    def block(part: slice, ln_s: np.ndarray, v: np.ndarray, rate_integral: np.ndarray,
-              *scratch: np.ndarray) -> None:
-        ln_s.fill(ln_spot)
-        v.fill(v0)
-        rate_integral.fill(0.0)
-        _euler_paths(params, tau, cfg, opt is not None, part, ln_s, v, rate_integral, *scratch)
-        out = samples[part]
-        np.negative(rate_integral, out=out)
-        np.exp(out, out=out)
-        if opt is not None:
-            s_t = np.exp(ln_s, out=ln_s)
-            if opt.kind is OptionKind.CALL:
-                np.subtract(s_t, opt.strike, out=s_t)
-            else:
-                np.subtract(opt.strike, s_t, out=s_t)
-            np.maximum(s_t, 0.0, out=s_t)
-            out *= s_t
-
-    _on_blocks(block, cfg.n_paths, 9)
-    return _estimate(samples)
-
-
-def _euler_paths(params: ModelParams, tau: float, cfg: McConfig, with_stock: bool, part: slice,
-                 ln_s: np.ndarray, v: np.ndarray, rate_integral: np.ndarray, v_pos: np.ndarray,
-                 r_now: np.ndarray, vol: np.ndarray, z1: np.ndarray, z2: np.ndarray,
-                 tmp: np.ndarray) -> None:
-    """Full-truncation Euler to ``tau`` on the paths ``part``, in place on their
-    views of the state (``ln_s``, ``v``, ``rate_integral``) and of six scratch buffers."""
-    rho = params.rho_sv
-    rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
-    drift_level = params.kappa * params.theta
-    alpha = params.alpha
-    n_steps, dt = _steps(tau, cfg)
-    sqrt_dt = math.sqrt(dt)
-    n = cfg.n_paths
-    draws = 2 * n if with_stock else n  # uniforms a step takes over all paths
-
-    stream = _Stream(cfg.seed)
-    np.maximum(v, 0.0, out=v_pos)
-    np.multiply(v_pos, params.beta, out=r_now)
-    r_now += params.mu  # r at the start of each step
-
-    # each line keeps the operand order of the plain expressions
-    #   ln_s += (r_now - 0.5*v_pos)*dt + vol*sqrt_dt*(rho*z2 + rho_perp*z1)
-    #   v = v + (drift_level - alpha*v_pos)*dt + sigma*vol*sqrt_dt*z2
-    #   rate_integral += 0.5*(r_now + r_next)*dt
-    # so the paths do not depend on how the buffers are reused
-    for step in range(n_steps):
-        np.sqrt(v_pos, out=vol)
-        stream.normals(step * draws + part.start, z2)
-        if with_stock:
-            stream.normals(step * draws + n + part.start, z1)
-            z1 *= rho_perp
-            np.multiply(z2, rho, out=tmp)
-            z1 += tmp
-            np.multiply(vol, sqrt_dt, out=tmp)
-            z1 *= tmp
-            np.multiply(v_pos, 0.5, out=tmp)
-            np.subtract(r_now, tmp, out=tmp)
-            tmp *= dt
-            tmp += z1
-            ln_s += tmp
-        np.multiply(v_pos, alpha, out=tmp)
-        np.subtract(drift_level, tmp, out=tmp)
-        tmp *= dt
-        v += tmp
-        vol *= params.sigma
-        vol *= sqrt_dt
-        vol *= z2
-        v += vol
-        np.maximum(v, 0.0, out=v_pos)
-        r_next = z1  # z1 is free again: it takes r at the end of the step
-        np.multiply(v_pos, params.beta, out=r_next)
-        r_next += params.mu
-        np.add(r_now, r_next, out=tmp)
-        tmp *= 0.5
-        tmp *= dt
-        rate_integral += tmp
-        r_now, z1 = r_next, r_now
 
 
 def _qe_paths(params: ModelParams, first: int, n_steps: int, dt: float, cfg: McConfig,
@@ -433,33 +326,30 @@ def _qe_paths(params: ModelParams, first: int, n_steps: int, dt: float, cfg: McC
         np.copyto(v_next, v)
 
 
-def _grid_block(params: ModelParams, spot: float, v0: float, strikes: Sequence[float],
-                maturities: Sequence[float], cfg: McConfig, part: slice, v: np.ndarray,
-                var_integral: np.ndarray, *scratch: np.ndarray) -> list[_Moments]:
-    """The :func:`_moments` of every grid point on the paths ``part``, maturities
-    outer, strikes inner, in the order given: one QE segment to each maturity
-    in sorted order, in place on views of the state (``v``, ``var_integral``)
-    and of six scratch buffers, each strike read off after its maturity's."""
-    from scipy.special import ndtr
-
+def _segments(params: ModelParams, spot: float, v0: float, maturities: Sequence[float], cfg: McConfig,
+              part: slice, v: np.ndarray, var_integral: np.ndarray, log_fwd: np.ndarray, fwd: np.ndarray,
+              disc: np.ndarray, std: np.ndarray, tmp: np.ndarray) -> Iterator[tuple[int, np.ndarray | None]]:
+    """Run one QE segment to each maturity in sorted order on the paths ``part``,
+    in place on their views of the state (``v``, ``var_integral``) and of five
+    scratch buffers.  After each segment, fill each path's conditional law of
+    ln S_T: ``log_fwd`` = ln(F/S), ``fwd`` = F e^{-I_r}, ``disc`` = e^{-I_r} and
+    ``std``, its standard deviation; then yield the maturity's index and the
+    mask of its flat paths (std = 0), or None if no path is flat."""
     rho, sigma = params.rho_sv, params.sigma
     var_share = max(0.0, 1.0 - rho * rho)
     v.fill(v0)
     var_integral.fill(0.0)
-    # the QE loop takes the first five, the read-off all six
-    log_fwd, fwd, disc, std, d1, n2 = scratch
-    rows: list[list[_Moments]] = [[] for _ in maturities]
     done, steps_done = 0.0, 0
     for m in sorted(range(len(maturities)), key=lambda m: maturities[m]):
         tau = maturities[m]
         n_steps, dt = _steps(tau - done, cfg)
-        _qe_paths(params, steps_done, n_steps, dt, cfg, part, v, var_integral, *scratch[:5])
+        _qe_paths(params, steps_done, n_steps, dt, cfg, part, v, var_integral, log_fwd, fwd, disc, std, tmp)
         done, steps_done = tau, steps_done + n_steps
         # ln(F e^{-I_r}/S) = rho*W - rho^2*I_v/2, with W read off the variance path
         np.subtract(v, v0 + params.kappa * params.theta * tau, out=fwd)
         fwd *= rho / sigma
-        np.multiply(var_integral, rho * params.alpha / sigma - 0.5 * rho * rho, out=d1)
-        fwd += d1
+        np.multiply(var_integral, rho * params.alpha / sigma - 0.5 * rho * rho, out=tmp)
+        fwd += tmp
         np.multiply(var_integral, params.beta, out=disc)
         disc += params.mu * tau  # I_r
         np.add(fwd, disc, out=log_fwd)  # ln(F/S)
@@ -470,28 +360,68 @@ def _grid_block(params: ModelParams, spot: float, v0: float, strikes: Sequence[f
         np.multiply(var_integral, var_share, out=std)
         np.sqrt(std, out=std)
         flat = std == 0.0
-        any_flat = bool(flat.any())
+        yield m, flat if flat.any() else None
+
+
+def _call(spot: float, strike: float, flat: np.ndarray | None, log_fwd: np.ndarray, fwd: np.ndarray,
+          disc: np.ndarray, std: np.ndarray, d1: np.ndarray, n2: np.ndarray) -> None:
+    """Write each path's call price e^{-I_r} (F N(d1) - K N(d2)) into ``d1``, from
+    the conditional law that :func:`_segments` left, with ``n2`` as scratch; a
+    path in ``flat`` prices at its intrinsic value e^{-I_r} max(F - K, 0)."""
+    from scipy.special import ndtr
+
+    np.add(log_fwd, math.log(spot / strike), out=d1)
+    # a flat path (std = 0) divides by 0 here; its payoff is replaced below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d1 /= std
+    np.multiply(std, 0.5, out=n2)
+    d1 += n2
+    np.subtract(d1, std, out=n2)
+    ndtr(n2, out=n2)
+    n2 *= disc
+    n2 *= strike
+    ndtr(d1, out=d1)
+    d1 *= fwd
+    d1 -= n2
+    if flat is not None:
+        np.multiply(disc, strike, out=n2)
+        np.subtract(fwd, n2, out=n2)
+        np.maximum(n2, 0.0, out=n2)
+        np.copyto(d1, n2, where=flat)
+
+
+def _grid_block(params: ModelParams, spot: float, v0: float, strikes: Sequence[float],
+                maturities: Sequence[float], cfg: McConfig, part: slice, v: np.ndarray,
+                var_integral: np.ndarray, *scratch: np.ndarray) -> list[_Moments]:
+    """The :func:`_moments` of every grid point on the paths ``part``, maturities
+    outer, strikes inner, in the order given: each strike is read off after
+    its maturity's segment of :func:`_segments`, on six scratch buffers."""
+    d1, n2 = scratch[4:]
+    rows: list[list[_Moments]] = [[] for _ in maturities]
+    for m, flat in _segments(params, spot, v0, maturities, cfg, part, v, var_integral, *scratch[:5]):
         for strike in strikes:
-            np.add(log_fwd, math.log(spot / strike), out=d1)
-            # a flat path (std = 0) divides by 0 here; its payoff is replaced below
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d1 /= std
-            np.multiply(std, 0.5, out=n2)
-            d1 += n2
-            np.subtract(d1, std, out=n2)
-            ndtr(n2, out=n2)
-            n2 *= disc
-            n2 *= strike
-            ndtr(d1, out=d1)
-            d1 *= fwd
-            d1 -= n2  # e^{-I_r} (F N(d1) - K N(d2))
-            if any_flat:
-                np.multiply(disc, strike, out=n2)
-                np.subtract(fwd, n2, out=n2)
-                np.maximum(n2, 0.0, out=n2)
-                np.copyto(d1, n2, where=flat)
+            _call(spot, strike, flat, *scratch)
             rows[m].append(_moments(d1, n2))
     return [point for row in rows for point in row]
+
+
+def _point_block(params: ModelParams, state: MarketState, opt: OptionSpec | None, cfg: McConfig,
+                 part: slice, v: np.ndarray, var_integral: np.ndarray, *scratch: np.ndarray) -> _Moments:
+    """The :func:`_moments` on the paths ``part`` of the option's discounted
+    payoff, or of the discount e^{-I_r} alone if ``opt`` is None, read off
+    one segment of :func:`_segments` on six scratch buffers."""
+    (_, flat), = _segments(params, state.spot, state.variance, (state.tau,), cfg, part, v, var_integral,
+                           *scratch[:5])
+    _, fwd, disc, _, price, tmp = scratch
+    if opt is None:
+        return _moments(disc, tmp)
+    _call(state.spot, opt.strike, flat, *scratch)
+    if opt.kind is OptionKind.PUT:
+        # parity holds on each path: put = call - e^{-I_r} (F - K)
+        np.multiply(disc, opt.strike, out=tmp)
+        np.subtract(fwd, tmp, out=tmp)
+        price -= tmp
+    return _moments(price, tmp)
 
 
 def simulate_grid(
@@ -524,22 +454,19 @@ def simulate_grid(
 def simulate_price(
     params: ModelParams, state: MarketState, opt: OptionSpec, cfg: McConfig
 ) -> McEstimate:
-    """Discounted-payoff estimate of the European option price."""
+    """Estimate of the European option price: the mean over QE variance paths
+    of each path's conditional price.  A call is the one-point grid of
+    :func:`simulate_grid`, bit for bit; a put is each path's call less
+    e^{-I_r} (F - K).  At ``tau = 0`` the estimate is the intrinsic value with
+    standard error 0."""
     validate(params)
-    if state.tau == 0.0:
-        intrinsic = (
-            max(state.spot - opt.strike, 0.0)
-            if opt.kind is OptionKind.CALL
-            else max(opt.strike - state.spot, 0.0)
-        )
-        return McEstimate(mean=intrinsic, std_error=0.0, n_paths=cfg.n_paths)
-    return _euler_estimate(params, state.variance, math.log(state.spot), state.tau, cfg, opt)
+    return _combine(_on_blocks(partial(_point_block, params, state, opt, cfg), cfg.n_paths, 8))
 
 
 def simulate_bond(params: ModelParams, v0: float, tau: float, cfg: McConfig) -> McEstimate:
-    """Estimate of E[exp(-Integral_0^tau (mu + beta*v_s) ds)]; the closed-form
-    bond's Monte Carlo counterpart."""
+    """Estimate of E[exp(-Integral_0^tau (mu + beta*v_s) ds)], the closed-form
+    bond's Monte Carlo counterpart: the mean of e^{-I_r} on the QE variance
+    paths that :func:`simulate_price` reads at the same seed."""
     validate(params)
-    check_nonnegative("variance", v0)
-    check_nonnegative("tau", tau)
-    return _euler_estimate(params, v0, 0.0, tau, cfg, None)
+    state = MarketState(spot=1.0, variance=v0, tau=tau)  # the discount reads no spot
+    return _combine(_on_blocks(partial(_point_block, params, state, None, cfg), cfg.n_paths, 8))

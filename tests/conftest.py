@@ -1,7 +1,7 @@
 import numpy as np
 
 from svsir import ModelParams
-from svsir.mc import _euler_paths, _on_blocks
+from svsir.mc import _on_blocks, _qe_paths, _steps
 
 # Parameter box for randomized checks: wide enough to stress the numerics,
 # bounded away from degenerate corners (kappa+lam stays >= 0.3).
@@ -32,17 +32,31 @@ def draw_params(rng: np.random.Generator, beta) -> ModelParams:
     )
 
 
-def euler_state(params, v0, ln_spot, tau, cfg, with_stock):
-    """(ln S, v, Integral r dt) of every path after full-truncation Euler to ``tau``.
+def qe_segments(params, v0, maturities, cfg):
+    """``(v, Integral v dt)`` of every path after each of the sorted ``maturities``.
 
-    Each block of paths that the slices of ``svsir.mc._on_blocks`` take runs
-    ``_euler_paths`` on its views of full-length arrays; the scratch starts as
-    NaN, so a block that reads it before writing it shows."""
+    One QE segment per maturity runs ``_qe_paths`` on every block of paths
+    that the slices of ``svsir.mc._on_blocks`` take, on its views of
+    full-length arrays; the scratch starts as NaN, so a segment that reads it
+    before writing it shows."""
     n = cfg.n_paths
-    arrays = (np.full(n, ln_spot), np.full(n, v0), np.zeros(n), *(np.full(n, np.nan) for _ in range(6)))
+    arrays = (np.full(n, v0), np.zeros(n), *(np.full(n, np.nan) for _ in range(5)))
+    v, var_integral = arrays[:2]
+    out, done, first = [], 0.0, 0
+    for tau in maturities:
+        n_steps, dt = _steps(tau - done, cfg)
+        _on_blocks(lambda part: _qe_paths(params, first, n_steps, dt, cfg, part, *(a[part] for a in arrays)), n, 0)
+        out.append((v.copy(), var_integral.copy()))
+        done, first = tau, first + n_steps
+    return out
 
-    def block(part):
-        _euler_paths(params, tau, cfg, with_stock, part, *(a[part] for a in arrays))
 
-    _on_blocks(block, n, 0)
-    return arrays[:3]
+def conditional_log_return(params, v0, tau, v, var_integral):
+    """Mean and standard deviation of each path's ln(S_T/S), which is Gaussian
+    given its variance path (``v`` at ``tau`` and ``var_integral``): mean
+    I_r - I_v/2 + rho*W and variance (1 - rho^2)*I_v, with I_r = mu*tau + beta*I_v
+    and W = Integral sqrt(v) dz2 read off the variance path."""
+    rho = params.rho_sv
+    w = (v - v0 - params.kappa * params.theta * tau + params.alpha * var_integral) / params.sigma
+    mean = params.mu * tau + params.beta * var_integral - 0.5 * var_integral + rho * w
+    return mean, np.sqrt((1.0 - rho * rho) * var_integral)

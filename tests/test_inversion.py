@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtr
 
-from conftest import PARAM_BOX, draw_params, euler_state
+from conftest import PARAM_BOX, conditional_log_return, draw_params, qe_segments
 from svsir import (
     InvalidParameter,
     MarketState,
@@ -57,13 +58,16 @@ def test_deep_out_of_the_money():
 
 
 def mc_exercise_prob(params, state, strike, cfg):
-    """(fraction of paths finishing above ``strike``, its binomial standard error).
+    """(mean over QE variance paths of each path's P(S_T > ``strike``), its standard error).
 
-    Only at beta = 0 is this plain risk-neutral fraction the inversion's R_2.
+    Given its variance path, ln S_T is Gaussian, so each path's probability is
+    N(d2).  Only at beta = 0 is this plain risk-neutral probability the
+    inversion's R_2.
     """
-    ln_s, _, _ = euler_state(params, state.variance, math.log(state.spot), state.tau, cfg, with_stock=True)
-    p_hat = np.count_nonzero(ln_s > math.log(strike)) / cfg.n_paths
-    return p_hat, math.sqrt(p_hat * (1.0 - p_hat) / cfg.n_paths)
+    ((v, var_integral),) = qe_segments(params, state.variance, (state.tau,), cfg)
+    mean, std = conditional_log_return(params, state.variance, state.tau, v, var_integral)
+    prob = ndtr((mean + math.log(state.spot / strike)) / std)
+    return prob.mean(), prob.std(ddof=1) / math.sqrt(prob.size)
 
 
 def test_r2_matches_mc_exercise_probability():
