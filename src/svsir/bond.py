@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import InvalidParameter, ModelParams, check_nonnegative, check_nonnegative_array
+from .model import InvalidParameter, ModelParams, NumericalError, check_nonnegative
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,9 @@ def _log_f_and_g(params: ModelParams, tau):
     """(ln F(tau), G(tau)) for scalar or array tau, by the closed form of the module docstring.
 
     At beta = 0 it is exp(-mu*tau) exactly, with G = +0, for every
-    kappa + lam; where beta > 0 it requires kappa + lam > 0.
+    kappa + lam; where beta > 0 it requires kappa + lam > 0, and a sigma^2
+    so small that ln F would come out NaN or +inf raises :class:`NumericalError`
+    naming sigma and the maturity.
     """
     tau = np.asarray(tau, dtype=float)
     mu, beta, alpha = params.mu, params.beta, params.alpha
@@ -60,9 +62,14 @@ def _log_f_and_g(params: ModelParams, tau):
         s = math.sqrt(alpha * alpha + 2.0 * beta * sigma2)
         inv_b = 2.0 * beta / (alpha + s)
         r = inv_b * sigma2 / (alpha + s)
+        weight = eta * (inv_b + (alpha + s) / sigma2) / s
+        # (alpha + s)/sigma2 overflowed: ln F would be NaN at tau = 0 and +inf after
+        if tau.size and not weight < math.inf:
+            raise NumericalError(f"bond: ln F is not finite at tau={tau.flat[0]}: (kappa+lam + s)/sigma^2 overflows "
+                                 f"at sigma={params.sigma} (sigma^2 = {sigma2})")
         em1 = np.expm1(-s * tau)
         g = inv_b * em1 / (1.0 + r * (1.0 + em1)) + 0.0  # +0.0: G = 0, not -0, at tau = 0
-        log_f = -(mu + eta * inv_b) * tau - eta * (inv_b + (alpha + s) / sigma2) / s * np.log1p(r * em1 / (1.0 + r))
+        log_f = -(mu + eta * inv_b) * tau - weight * np.log1p(r * em1 / (1.0 + r))
     return (float(log_f), float(g)) if tau.ndim == 0 else (log_f, g)
 
 
@@ -110,7 +117,7 @@ def ode_residual(params: ModelParams, tau_grid) -> float:
     grid = np.asarray(tau_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 3:
         raise InvalidParameter("tau_grid: need at least 3 points")
-    check_nonnegative_array("tau_grid", grid)
+    check_nonnegative("tau_grid", grid)
     if grid[0] != 0.0:
         raise InvalidParameter(f"tau_grid: must start at 0, got {grid[0]}")
     if np.any(np.diff(grid) <= 0):

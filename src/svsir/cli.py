@@ -21,7 +21,9 @@ succeeded; model warnings (Feller) go to stderr as ``warning: ...``.
 
 Exit codes: 0 success; 2 invalid config or arguments; 3 numerical failure
 (non-decaying tail, midpoint node cap reached), naming the failing maturity and
-the strikes of its row on stderr; 4 verification found |z| > 3.
+the strikes of its row on stderr, or a bond factor that is NaN or infinite (a
+sigma^2 so small that its reciprocal overflows), naming sigma and the maturity;
+4 verification found |z| > 3.
 """
 from __future__ import annotations
 
@@ -207,7 +209,7 @@ def build_run_config(sections: dict[str, dict[str, Any]], origin: str = "<config
 
     # range-check the market and grid eagerly so nothing runs on bad input
     _ranged(f"{origin} [market]", MarketState, **market, tau=0.0)
-    _ranged(f"{origin} [grid] maturities:", lambda: [check_nonnegative("tau", tau) for tau in grid["maturities"]])
+    _ranged(f"{origin} [grid] maturities:", check_nonnegative, "tau", grid["maturities"])
     _ranged(f"{origin} [grid] strikes:", lambda: [OptionSpec(strike=strike) for strike in grid["strikes"]])
     return RunConfig(params=params, **market, **grid, quad=quad, mc=mc_cfg, out_format=out_format)
 
@@ -288,7 +290,7 @@ def cmd_bond(args: argparse.Namespace) -> int:
     validate(params)
     taus = _comma_numbers(args.tau_grid, "--tau-grid")
     _ranged("--variance:", check_nonnegative, "variance", args.variance)
-    _ranged("--tau-grid:", lambda: [check_nonnegative("tau", tau) for tau in taus])
+    _ranged("--tau-grid:", check_nonnegative, "tau", taus)
     values = bond_mod.bond_values(params, args.variance, taus)
     _emit(dict(zip(BOND_COLUMNS, (taus, [value.f_factor for value in values], [value.g_factor for value in values],
                                   [value.price for value in values]))), args.output or "csv")

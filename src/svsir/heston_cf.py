@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelParams, check_measure, check_nonnegative, check_nonnegative_array
+from .model import ModelParams, check_measure, check_nonnegative
 
 
 def affine_cd(params: ModelParams, tau, u):
@@ -121,7 +121,7 @@ def cd_arrays(params: ModelParams, r0: float, tau, phi, j: int):
     C = D = 0.  Raises :class:`InvalidParameter` for a negative or non-finite tau.
     """
     check_measure(j)
-    check_nonnegative_array("tau", tau)
+    check_nonnegative("tau", tau)
     tau = np.asarray(tau, dtype=float)
     phi = np.asarray(phi, dtype=float)
 

@@ -19,17 +19,18 @@ discount exp(-I_r), and an estimate is the mean over paths; no stock is
 simulated.  A path whose conditional variance is 0 (rho = +-1, or I_v = 0)
 prices at the discounted intrinsic value of its conditional forward.
 
-* :func:`simulate_grid`, the oracle behind ``svsir verify``, prices calls on
-  a (maturity x strike) grid.  One path set runs one segment per maturity, in
-  sorted order, and after each reads every strike off the same paths.  A
-  segment takes ``max(1, ceil(length * n_steps_per_year))`` equal steps, so no
-  step is longer than a one-maturity run's; a segment of zero length (a
-  repeated maturity) takes none.  Estimates on one path set share their
-  noise, so the errors of a grid's points are correlated.
-* :func:`simulate_price` is the one-point grid.  A put is each path's call
-  less exp(-I_r)*(F - K), which is put-call parity on the path, exactly.
-* :func:`simulate_bond`, the closed-form bond's counterpart, is the mean of
-  exp(-I_r) on the same paths.
+One block reader, :func:`_read_block`, forms every estimate.  It runs one
+segment to each maturity in sorted order on one path set, and after each
+reads off, on the same paths, each option it is given and last the
+maturity's discount exp(-I_r).  A segment takes ``max(1, ceil(length *
+n_steps_per_year))`` equal steps, so no step is longer than a one-maturity
+run's; a segment of zero length (a repeated maturity) takes none.  A put is
+each path's call less exp(-I_r)*(F - K), which is put-call parity on the
+path, exactly.  Estimates on one path set share their noise, so the errors of
+a grid's points are correlated.  :func:`simulate_grid`, the oracle behind
+``svsir verify``, gives the reader a call per strike and drops the
+discounts; :func:`simulate_price` gives it one option; :func:`simulate_bond`,
+the closed-form bond's counterpart, gives it none and keeps the discount.
 
 What this gives up: no estimate simulates the stock itself, so the oracle is
 not independent of the mixing identity above.
@@ -43,7 +44,7 @@ estimate takes the mean and standard deviation of a block's samples by
 numpy's pairwise sums, after shifting them by their first (:func:`_moments`),
 and combines the blocks in block order (:func:`_combine`).  For maturities on
 the step lattice, such as 0.5 and 1 year at 250 steps a year, each grid
-estimate equals the one-maturity grid estimate at the same seed bit for bit.
+estimate equals the one-maturity estimate at the same seed bit for bit.
 The loops reuse preallocated buffers in place but keep the operand order of
 the plain expressions, so that reuse does not change a path.
 
@@ -71,7 +72,7 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -326,47 +327,10 @@ def _qe_paths(params: ModelParams, first: int, n_steps: int, dt: float, cfg: McC
         np.copyto(v_next, v)
 
 
-def _segments(params: ModelParams, spot: float, v0: float, maturities: Sequence[float], cfg: McConfig,
-              part: slice, v: np.ndarray, var_integral: np.ndarray, log_fwd: np.ndarray, fwd: np.ndarray,
-              disc: np.ndarray, std: np.ndarray, tmp: np.ndarray) -> Iterator[tuple[int, np.ndarray | None]]:
-    """Run one QE segment to each maturity in sorted order on the paths ``part``,
-    in place on their views of the state (``v``, ``var_integral``) and of five
-    scratch buffers.  After each segment, fill each path's conditional law of
-    ln S_T: ``log_fwd`` = ln(F/S), ``fwd`` = F e^{-I_r}, ``disc`` = e^{-I_r} and
-    ``std``, its standard deviation; then yield the maturity's index and the
-    mask of its flat paths (std = 0), or None if no path is flat."""
-    rho, sigma = params.rho_sv, params.sigma
-    var_share = max(0.0, 1.0 - rho * rho)
-    v.fill(v0)
-    var_integral.fill(0.0)
-    done, steps_done = 0.0, 0
-    for m in sorted(range(len(maturities)), key=lambda m: maturities[m]):
-        tau = maturities[m]
-        n_steps, dt = _steps(tau - done, cfg)
-        _qe_paths(params, steps_done, n_steps, dt, cfg, part, v, var_integral, log_fwd, fwd, disc, std, tmp)
-        done, steps_done = tau, steps_done + n_steps
-        # ln(F e^{-I_r}/S) = rho*W - rho^2*I_v/2, with W read off the variance path
-        np.subtract(v, v0 + params.kappa * params.theta * tau, out=fwd)
-        fwd *= rho / sigma
-        np.multiply(var_integral, rho * params.alpha / sigma - 0.5 * rho * rho, out=tmp)
-        fwd += tmp
-        np.multiply(var_integral, params.beta, out=disc)
-        disc += params.mu * tau  # I_r
-        np.add(fwd, disc, out=log_fwd)  # ln(F/S)
-        np.exp(fwd, out=fwd)
-        fwd *= spot  # F e^{-I_r}
-        np.negative(disc, out=disc)
-        np.exp(disc, out=disc)  # e^{-I_r}
-        np.multiply(var_integral, var_share, out=std)
-        np.sqrt(std, out=std)
-        flat = std == 0.0
-        yield m, flat if flat.any() else None
-
-
 def _call(spot: float, strike: float, flat: np.ndarray | None, log_fwd: np.ndarray, fwd: np.ndarray,
           disc: np.ndarray, std: np.ndarray, d1: np.ndarray, n2: np.ndarray) -> None:
     """Write each path's call price e^{-I_r} (F N(d1) - K N(d2)) into ``d1``, from
-    the conditional law that :func:`_segments` left, with ``n2`` as scratch; a
+    the conditional law that :func:`_read_block` formed, with ``n2`` as scratch; a
     path in ``flat`` prices at its intrinsic value e^{-I_r} max(F - K, 0)."""
     from scipy.special import ndtr
 
@@ -390,38 +354,66 @@ def _call(spot: float, strike: float, flat: np.ndarray | None, log_fwd: np.ndarr
         np.copyto(d1, n2, where=flat)
 
 
-def _grid_block(params: ModelParams, spot: float, v0: float, strikes: Sequence[float],
-                maturities: Sequence[float], cfg: McConfig, part: slice, v: np.ndarray,
-                var_integral: np.ndarray, *scratch: np.ndarray) -> list[_Moments]:
-    """The :func:`_moments` of every grid point on the paths ``part``, maturities
-    outer, strikes inner, in the order given: each strike is read off after
-    its maturity's segment of :func:`_segments`, on six scratch buffers."""
-    d1, n2 = scratch[4:]
+def _read_block(params: ModelParams, spot: float, v0: float, options: Sequence[OptionSpec],
+                maturities: Sequence[float], cfg: McConfig, part: slice, v: np.ndarray, var_integral: np.ndarray,
+                log_fwd: np.ndarray, fwd: np.ndarray, disc: np.ndarray, std: np.ndarray, price: np.ndarray,
+                tmp: np.ndarray) -> list[_Moments]:
+    """The :func:`_moments` on the paths ``part`` of each option's discounted
+    payoff, then of the discount e^{-I_r}, maturities outer in the order given.
+    After each maturity's QE segment, run in place on the paths' views of the
+    state (``v``, ``var_integral``) and of six scratch buffers, it forms each
+    path's conditional law of ln S_T: ``log_fwd`` = ln(F/S), ``fwd`` = F e^{-I_r},
+    ``disc`` = e^{-I_r} and ``std``, its standard deviation.  The discount comes
+    last, as :func:`_moments` shifts its samples in place."""
+    rho, sigma = params.rho_sv, params.sigma
+    var_share = max(0.0, 1.0 - rho * rho)
+    v.fill(v0)
+    var_integral.fill(0.0)
     rows: list[list[_Moments]] = [[] for _ in maturities]
-    for m, flat in _segments(params, spot, v0, maturities, cfg, part, v, var_integral, *scratch[:5]):
-        for strike in strikes:
-            _call(spot, strike, flat, *scratch)
-            rows[m].append(_moments(d1, n2))
+    done, steps_done = 0.0, 0
+    for m in sorted(range(len(maturities)), key=lambda m: maturities[m]):
+        tau = maturities[m]
+        n_steps, dt = _steps(tau - done, cfg)
+        _qe_paths(params, steps_done, n_steps, dt, cfg, part, v, var_integral, log_fwd, fwd, disc, std, tmp)
+        done, steps_done = tau, steps_done + n_steps
+        # ln(F e^{-I_r}/S) = rho*W - rho^2*I_v/2, with W read off the variance path
+        np.subtract(v, v0 + params.kappa * params.theta * tau, out=fwd)
+        fwd *= rho / sigma
+        np.multiply(var_integral, rho * params.alpha / sigma - 0.5 * rho * rho, out=tmp)
+        fwd += tmp
+        np.multiply(var_integral, params.beta, out=disc)
+        disc += params.mu * tau  # I_r
+        np.add(fwd, disc, out=log_fwd)  # ln(F/S)
+        np.exp(fwd, out=fwd)
+        fwd *= spot  # F e^{-I_r}
+        np.negative(disc, out=disc)
+        np.exp(disc, out=disc)  # e^{-I_r}
+        np.multiply(var_integral, var_share, out=std)
+        np.sqrt(std, out=std)
+        flat = std == 0.0
+        flat = flat if flat.any() else None
+        for opt in options:
+            _call(spot, opt.strike, flat, log_fwd, fwd, disc, std, price, tmp)
+            if opt.kind is OptionKind.PUT:
+                # parity holds on each path: put = call - e^{-I_r} (F - K)
+                np.multiply(disc, opt.strike, out=tmp)
+                np.subtract(fwd, tmp, out=tmp)
+                price -= tmp
+            rows[m].append(_moments(price, tmp))
+        rows[m].append(_moments(disc, tmp))
     return [point for row in rows for point in row]
 
 
-def _point_block(params: ModelParams, state: MarketState, opt: OptionSpec | None, cfg: McConfig,
-                 part: slice, v: np.ndarray, var_integral: np.ndarray, *scratch: np.ndarray) -> _Moments:
-    """The :func:`_moments` on the paths ``part`` of the option's discounted
-    payoff, or of the discount e^{-I_r} alone if ``opt`` is None, read off
-    one segment of :func:`_segments` on six scratch buffers."""
-    (_, flat), = _segments(params, state.spot, state.variance, (state.tau,), cfg, part, v, var_integral,
-                           *scratch[:5])
-    _, fwd, disc, _, price, tmp = scratch
-    if opt is None:
-        return _moments(disc, tmp)
-    _call(state.spot, opt.strike, flat, *scratch)
-    if opt.kind is OptionKind.PUT:
-        # parity holds on each path: put = call - e^{-I_r} (F - K)
-        np.multiply(disc, opt.strike, out=tmp)
-        np.subtract(fwd, tmp, out=tmp)
-        price -= tmp
-    return _moments(price, tmp)
+def _simulate(params: ModelParams, spot: float, v0: float, options: Sequence[OptionSpec],
+              maturities: Sequence[float], cfg: McConfig) -> list[McEstimate]:
+    """The estimates of :func:`_read_block` over the blocks of :func:`_on_blocks`,
+    each point's block moments combined in block order: for each maturity in
+    the order given, one per option in the order given, then its discount."""
+    validate(params)
+    for tau in maturities:
+        MarketState(spot=spot, variance=v0, tau=tau)
+    task = partial(_read_block, params, spot, v0, options, maturities, cfg)
+    return [_combine(point) for point in zip(*_on_blocks(task, cfg.n_paths, 8))]
 
 
 def simulate_grid(
@@ -436,37 +428,26 @@ def simulate_grid(
     estimator on QE variance paths.
 
     One path set runs one segment to each maturity in sorted order, and
-    every strike is read off the same paths there.  The paths run in the
-    blocks of :func:`_on_blocks`, and each point's block moments are
-    combined in block order.  Returns maturities outer, strikes inner, in
-    the order given.  At ``tau = 0`` the estimate is the intrinsic value
-    with standard error 0.
+    every strike is read off the same paths there.  Returns maturities
+    outer, strikes inner, in the order given.  At ``tau = 0`` the estimate
+    is the intrinsic value with standard error 0.
     """
-    validate(params)
-    for tau in maturities:
-        MarketState(spot=spot, variance=v0, tau=tau)
-    for strike in strikes:
-        OptionSpec(strike=strike)
-    task = partial(_grid_block, params, spot, v0, strikes, maturities, cfg)
-    return [_combine(point) for point in zip(*_on_blocks(task, cfg.n_paths, 8))]
+    estimates = _simulate(params, spot, v0, [OptionSpec(strike=strike) for strike in strikes], maturities, cfg)
+    del estimates[len(strikes)::len(strikes) + 1]  # each maturity's discount
+    return estimates
 
 
 def simulate_price(
     params: ModelParams, state: MarketState, opt: OptionSpec, cfg: McConfig
 ) -> McEstimate:
     """Estimate of the European option price: the mean over QE variance paths
-    of each path's conditional price.  A call is the one-point grid of
-    :func:`simulate_grid`, bit for bit; a put is each path's call less
-    e^{-I_r} (F - K).  At ``tau = 0`` the estimate is the intrinsic value with
-    standard error 0."""
-    validate(params)
-    return _combine(_on_blocks(partial(_point_block, params, state, opt, cfg), cfg.n_paths, 8))
+    of each path's conditional price, a put by parity on each path.  At
+    ``tau = 0`` the estimate is the intrinsic value with standard error 0."""
+    return _simulate(params, state.spot, state.variance, [opt], [state.tau], cfg)[0]
 
 
 def simulate_bond(params: ModelParams, v0: float, tau: float, cfg: McConfig) -> McEstimate:
     """Estimate of E[exp(-Integral_0^tau (mu + beta*v_s) ds)], the closed-form
     bond's Monte Carlo counterpart: the mean of e^{-I_r} on the QE variance
     paths that :func:`simulate_price` reads at the same seed."""
-    validate(params)
-    state = MarketState(spot=1.0, variance=v0, tau=tau)  # the discount reads no spot
-    return _combine(_on_blocks(partial(_point_block, params, state, None, cfg), cfg.n_paths, 8))
+    return _simulate(params, 1.0, v0, [], [tau], cfg)[0]  # the discount reads no spot

@@ -60,21 +60,15 @@ class ModelParams:
         return self.kappa + self.lam
 
 
-def check_nonnegative(name: str, value: float) -> None:
-    """Raise :class:`InvalidParameter` naming ``name`` unless ``value`` is finite and >= 0.
+def check_nonnegative(name: str, value) -> None:
+    """Raise :class:`InvalidParameter` naming ``name`` unless ``value``, a scalar
+    or every entry of an array, is finite and >= 0; it names the first entry that fails.
 
     The range rule of every variance and maturity input; NaN and inf fail it.
     """
-    if not (math.isfinite(value) and value >= 0):
-        raise InvalidParameter(f"{name}: must be finite and >= 0, got {value}")
-
-
-def check_nonnegative_array(name: str, values) -> None:
-    """:func:`check_nonnegative` for every entry of a scalar or an array, naming the first that fails."""
-    values = np.asarray(values, dtype=float)
-    bad = ~(np.isfinite(values) & (values >= 0))
-    if bad.any():
-        raise InvalidParameter(f"{name}: must be finite and >= 0, got {values[bad].flat[0]}")
+    for entry in np.ravel(value).tolist():
+        if not (math.isfinite(entry) and entry >= 0):
+            raise InvalidParameter(f"{name}: must be finite and >= 0, got {entry}")
 
 
 def check_measure(j: int) -> None:

@@ -140,8 +140,7 @@ def price_grid(
     for strike in strikes:
         OptionSpec(strike=strike)
     MarketState(spot=spot, variance=variance, tau=0.0)  # range-checks spot and v
-    for tau in maturities:
-        check_nonnegative("tau", tau)
+    check_nonnegative("tau", maturities)
     taus = np.array(maturities, dtype=float)
     # ln B from the bond's factors, finite where B itself underflows to 0
     log_f, g = bond._log_f_and_g(params, taus)

@@ -48,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bond
-from .model import (InvalidParameter, ModelParams, NumericalError, check_measure, check_nonnegative,
-                    check_nonnegative_array)
+from .model import InvalidParameter, ModelParams, NumericalError, check_measure, check_nonnegative
 
 
 class StepSizeUnderflow(NumericalError):
@@ -129,7 +128,7 @@ def integrate_cd_batch(
     check_nonnegative("tau", tau)
     phis = np.atleast_1d(np.asarray(phis, dtype=float))
     cps = np.asarray([tau] if checkpoints is None else checkpoints, dtype=float)
-    check_nonnegative_array("checkpoints", cps)
+    check_nonnegative("checkpoints", cps)
     if cps.size == 0 or abs(cps[-1] - tau) > 1e-15 * max(1.0, tau) or np.any(np.diff(cps) <= 0):
         raise InvalidParameter("checkpoints: must be increasing and end at tau")
     from scipy.integrate import solve_ivp

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from conftest import PARAM_BOX, draw_params
-from svsir import InvalidParameter, ModelParams, bond_price, ode_residual
+from svsir import InvalidParameter, ModelParams, NumericalError, bond_price, ode_residual
 from svsir.bond import _log_f_and_g, bond_values, g_of_tau
 from svsir.heston_cf import affine_cd
 
@@ -84,6 +84,13 @@ def test_bond_price_maturity_and_limit():
     value = bond_price(ModelParams(kappa=2.0, theta=0.04, sigma=0.3, lam=0.0, rho_sv=-0.5, mu=0.05, beta=0.0),
                        0.04, 1.0)
     assert value.price == math.exp(-0.05) and math.copysign(1.0, value.g_factor) == 1.0 and value.g_factor == 0.0
+    # a sigma whose square is subnormal breaks the closed form (ln F is NaN at tau = 0, +inf after): it raises
+    # naming sigma and the maturity, with no numpy warning, and is never returned as a price
+    for tau in (0.0, 0.5):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match=f"tau={tau}: .* at sigma=1e-160"):
+                bond_price(replace(p, sigma=1e-160, beta=1.0), 0.04, tau)
 
 
 def test_constant_rate_bond_for_every_kappa_plus_lam():

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +140,16 @@ def test_numerical_failure_exits_3_with_context(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # no partial output
     assert "K=100" in captured.err and "tau=1" in captured.err
+    # a sigma whose square is subnormal gives a NaN ln F at tau = 0 and +inf at tau > 0, with the numpy
+    # warning kept out of the way even where RuntimeWarnings are errors
+    bond = ["bond", "--kappa", "2", "--theta", "0.04", "--sigma", "1e-160", "--mu", "0.03", "--beta", "1",
+            "--variance", "0.04"]
+    for taus, tau in (("0,0.5,1", "tau=0.0"), ("0.5,1", "tau=0.5")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(bond + ["--tau-grid", taus]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and tau in captured.err and "at sigma=1e-160" in captured.err, captured.err
 
 
 def test_numerical_failure_names_the_strike_row(tmp_path, capsys):

@@ -15,7 +15,7 @@ from svsir import (
     integrate_cd_batch,
 )
 from svsir.heston_cf import cd_arrays, characteristic_fn
-from svsir.model import OptionKind, validate
+from svsir.model import OptionKind, check_nonnegative, validate
 
 
 def make(**overrides) -> ModelParams:
@@ -126,9 +126,11 @@ NAN, INF = math.nan, math.inf
                  id="integrate_cd_batch-checkpoint-negative"),
     pytest.param("checkpoints", lambda: integrate_cd_batch(SIR, 3.0, [1.0], 1, checkpoints=[0.5, NAN, 3.0]),
                  id="integrate_cd_batch-checkpoint-nan"),
+    pytest.param("tau", lambda: check_nonnegative("tau", [0.5, -1.0, -2.0]), id="check_nonnegative-array"),
 ])
 def test_bare_variance_and_maturity_inputs_must_be_finite(name, call):
-    with pytest.raises(InvalidParameter, match=f"^{name}: must be finite and >= 0"):
+    # an array names its first entry that fails
+    with pytest.raises(InvalidParameter, match=f"^{name}: must be finite and >= 0, got (nan|inf|-1.0)$"):
         call()
 
 
